@@ -23,6 +23,7 @@ from .channels import (
 from .codes import IsometricEncoding, SubsystemDecomposition
 from .errors import ContractViolation, NotCorrectableError, NumericError
 from .opcore import (
+    above_rank_cut,
     eigh_clamped,
     hermitian_basis,
     sqrt_pinv_psd,
@@ -112,7 +113,6 @@ def detect_structure(
     phi: Superoperator,
     detection_tol: float | None = None,
     seed: int = 0,
-    verify_samples: int = 20,
 ) -> StructureReport:
     """Detect the subsystem structure of a linear state encoding.
 
@@ -121,7 +121,7 @@ def detect_structure(
     orthogonal supports, (3) checking a common spectrum, (4) aligning the
     eigenbases across logical slots through the off-diagonal matrix-unit
     images, (5) assembling the basis unitary and cofactor, and (6) verifying
-    the reconstruction on random pure and mixed states under both the
+    the reconstruction on 20 random pure and mixed states under both the
     unitary and the anti-unitary reading. Never raises on well-formed
     input; failures come back as ``found=False`` with the failing stage.
     """
@@ -173,8 +173,7 @@ def detect_structure(
         return StructureReport(False, "spectrum", spread)
 
     weights = np.maximum(spectra[0], 0.0)
-    cut = tol.RANK_TOL * max(float(weights.max()), 1e-300)
-    weights = weights[weights > cut]
+    weights = weights[above_rank_cut(weights)]
     if weights.size == 0 or weights.size * d_q > d_p:
         return StructureReport(False, "spectrum", float(spread))
     weights = weights / weights.sum()
@@ -202,7 +201,7 @@ def detect_structure(
         return StructureReport(False, "alignment", best_gram)
 
     # stage: verification on random states, trying both conjugation flavors
-    states = _verification_states(d_q, verify_samples, rng)
+    states = _verification_states(d_q, 20, rng)
     tau = np.diag(weights).astype(complex)
     best = None
     for flavor, block in candidates.items():
@@ -234,23 +233,27 @@ def detect_structure(
     )
 
 
-def _encode_basis_images(phi, d_q: int):
-    if isinstance(phi, IsometricEncoding):
-        return [phi.encode(b) for b in hermitian_basis(d_q)]
-    return [phi(b) for b in hermitian_basis(d_q)]
-
-
 def is_fixed(phi, channel: KrausChannel, tol_: float = tol.DETECTION_TOL):
     """Whether every encoded operator is a fixed point of the channel.
 
     ``phi`` may be an encoding or a superoperator. Linearity makes the
     check on a Hermitian operator basis sufficient. Returns (ok, residual).
     """
-    d_q = phi.dim_logical if isinstance(phi, IsometricEncoding) else phi.dim_in
+    if isinstance(phi, IsometricEncoding):
+        d_q, encode = phi.dim_logical, phi.encode
+    else:
+        d_q, encode = phi.dim_in, phi
     residual = 0.0
-    for img in _encode_basis_images(phi, d_q):
+    for b in hermitian_basis(d_q):
+        img = encode(b)
         residual = max(residual, trace_norm(channel(img) - img))
     return residual <= tol_, residual
+
+
+def _image(encoding: IsometricEncoding, channel: KrausChannel, tol_: float, seed: int):
+    """The channel-after-encoding composite and its structure report."""
+    composite = channel.superoperator() @ encoding.superoperator()
+    return composite, detect_structure(composite, detection_tol=tol_, seed=seed)
 
 
 def is_preserved(
@@ -260,8 +263,7 @@ def is_preserved(
     seed: int = 0,
 ):
     """Whether the channel acts isometrically on the code. Returns (ok, report)."""
-    composite = channel.superoperator() @ encoding.superoperator()
-    report = detect_structure(composite, detection_tol=tol_, seed=seed)
+    _, report = _image(encoding, channel, tol_, seed)
     return report.found, report
 
 
@@ -314,20 +316,17 @@ def noiseless_certificate(
     )
 
 
-def kraus_from_map(fn, dim_in: int, dim_out: int, cp_tol: float = 1e-8):
+def kraus_from_map(fn, dim_in: int, dim_out: int):
     """Kraus operators of a CP map given as a callable, via its Choi matrix."""
     choi = np.zeros((dim_out * dim_in, dim_out * dim_in), dtype=complex)
     for a in range(dim_in):
         for b in range(dim_in):
             unit = np.zeros((dim_in, dim_in), dtype=complex)
             unit[a, b] = 1.0
-            img = fn(unit)
-            ref = np.zeros((dim_in, dim_in), dtype=complex)
-            ref[a, b] = 1.0
-            choi += np.kron(img, ref)
+            choi += np.kron(fn(unit), unit)
     choi = (choi + choi.conj().T) / 2
     w, v = np.linalg.eigh(choi)
-    if w.min() < -cp_tol:
+    if w.min() < -1e-8:
         raise NumericError(f"map is not completely positive (eigenvalue {w.min():.3e})")
     ops = []
     for k in range(w.size):
@@ -348,12 +347,10 @@ class CorrectionDetails:
 
 def _replace_cofactor_kraus(tau: np.ndarray, d_g: int):
     w, v = eigh_clamped(tau)
-    cut = tol.RANK_TOL * max(float(w.max()), 1e-300)
     eye_g = np.eye(d_g)
     return [
         np.sqrt(w[m]) * np.outer(v[:, m], eye_g[:, i])
-        for m in range(w.size)
-        if w[m] > cut
+        for m in np.flatnonzero(above_rank_cut(w))
         for i in range(d_g)
     ]
 
@@ -389,28 +386,11 @@ def _cofactor_recovery(encoding, channel, img, strategy):
     return ops, tp_defect, rec_defect, False
 
 
-def build_correction(
-    encoding: IsometricEncoding,
-    channel: KrausChannel,
-    strategy: str = "time_reversal",
-    tol_: float = tol.DETECTION_TOL,
-    seed: int = 0,
-    return_details: bool = False,
-):
-    """Construct a CPTP recovery that makes the code a set of fixed points.
-
-    Requires the code to be preserved by the channel; otherwise any
-    recovery would have to expand trace distances, which no CPTP map can
-    do, and ``NotCorrectableError`` is raised. On the image support the
-    recovery undoes the logical rotation and maps the image cofactor back
-    to the code cofactor (by ``time_reversal`` or ``replace``); the
-    complement is routed to a fixed encoded reference state so the result
-    is trace preserving everywhere.
-    """
+def _correction(encoding, channel, img: StructureReport, strategy: str):
+    """Body of :func:`build_correction` on a detected image: (recovery, details)."""
     if strategy not in ("time_reversal", "replace"):
         raise ContractViolation(f"unknown strategy {strategy!r}")
-    preserved, img = is_preserved(encoding, channel, tol_, seed)
-    if not preserved:
+    if not img.found:
         raise NotCorrectableError(
             "code is not preserved by the channel, so no CPTP recovery exists "
             f"(detection failed at {img.stage!r} with residual {img.residual:.3e})"
@@ -434,17 +414,11 @@ def build_correction(
     if d_t:
         t_cols = img.decomposition.basis[:, d_s * d_g :]
         w_tau, v_tau = eigh_clamped(encoding.cofactor)
-        cut = tol.RANK_TOL * max(float(w_tau.max()), 1e-300)
-        for m in range(w_tau.size):
-            if w_tau[m] <= cut:
-                continue
+        for m in np.flatnonzero(above_rank_cut(w_tau)):
             ref = u1[:, :d_f] @ v_tau[:, m]
             for c in range(d_t):
                 kraus.append(np.sqrt(w_tau[m]) * np.outer(ref, t_cols[:, c].conj()))
 
-    recovery = KrausChannel(kraus)
-    if not return_details:
-        return recovery
     details = CorrectionDetails(
         strategy_requested=strategy,
         strategy_used="replace" if fell_back else strategy,
@@ -453,7 +427,30 @@ def build_correction(
         cofactor_recovery_defect=rec_defect,
         image_report=img,
     )
-    return recovery, details
+    return KrausChannel(kraus), details
+
+
+def build_correction(
+    encoding: IsometricEncoding,
+    channel: KrausChannel,
+    strategy: str = "time_reversal",
+    tol_: float = tol.DETECTION_TOL,
+    seed: int = 0,
+    return_details: bool = False,
+):
+    """Construct a CPTP recovery that makes the code a set of fixed points.
+
+    Requires the code to be preserved by the channel; otherwise any
+    recovery would have to expand trace distances, which no CPTP map can
+    do, and ``NotCorrectableError`` is raised. On the image support the
+    recovery undoes the logical rotation and maps the image cofactor back
+    to the code cofactor (by ``time_reversal`` or ``replace``); the
+    complement is routed to a fixed encoded reference state so the result
+    is trace preserving everywhere.
+    """
+    _, img = _image(encoding, channel, tol_, seed)
+    recovery, details = _correction(encoding, channel, img, strategy)
+    return (recovery, details) if return_details else recovery
 
 
 def derive_protectable_code(
@@ -470,14 +467,9 @@ def derive_protectable_code(
     span, so the image code is protectable with the same recovery that
     corrects the original.
     """
-    recovery = build_correction(encoding, channel, strategy, tol_, seed)
-    composite = channel.superoperator() @ encoding.superoperator()
-    img = detect_structure(composite, detection_tol=tol_, seed=seed)
-    loop = compose(channel, recovery)
-    residual = 0.0
-    for b in hermitian_basis(encoding.dim_logical):
-        x = composite(b)
-        residual = max(residual, trace_norm(loop(x) - x))
+    composite, img = _image(encoding, channel, tol_, seed)
+    recovery, _ = _correction(encoding, channel, img, strategy)
+    _, residual = is_fixed(composite, compose(channel, recovery), tol_)
     return img, recovery, residual
 
 
@@ -560,8 +552,13 @@ def unitary_correctability(
     decomposition: unitarily recoverable, with no guarantee under repeated
     noise-correction cycles.
     """
-    preserved, img = is_preserved(encoding, channel, tol_, seed)
-    if not preserved:
+    _, img = _image(encoding, channel, tol_, seed)
+    return _unitary_correctability(encoding, channel, img, tol_)
+
+
+def _unitary_correctability(encoding, channel, img: StructureReport, tol_: float):
+    """Body of :func:`unitary_correctability` on a detected image."""
+    if not img.found:
         raise NotCorrectableError("unitary correctability requires a preserved code")
     enc_min = encoding.minimalize()
     d_s = enc_min.decomposition.d_s
@@ -663,16 +660,15 @@ def classify(
 ) -> ClassificationReport:
     """Run the full classification pipeline for one code and channel."""
     fixed_ok, fixed_res = is_fixed(encoding, channel, tol_)
-    preserved, rep = is_preserved(encoding, channel, tol_, seed)
+    composite, rep = _image(encoding, channel, tol_, seed)
     residuals = {"fixed": fixed_res, "preservation": rep.residual}
 
-    if not preserved:
-        cert_ok = False
+    if not rep.found:
         residuals["noiseless_power_max"] = rep.residual
         return ClassificationReport(
             fixed=fixed_ok,
             preserved=False,
-            noiseless_certificate=cert_ok,
+            noiseless_certificate=False,
             correctable=False,
             completely_correctable=False,
             protectable=False,
@@ -682,20 +678,21 @@ def classify(
             residuals=residuals,
         )
 
-    recovery = build_correction(encoding, channel, strategy, tol_, seed)
-    _, corr_res = is_fixed(encoding, compose(recovery, channel), tol_)
+    recovery, _ = _correction(encoding, channel, rep, strategy)
+    loop = compose(recovery, channel)
+    _, corr_res = is_fixed(encoding, loop, tol_)
     residuals["correction"] = corr_res
 
     # correctability means noiselessness under the corrected loop; the
     # certificate witnesses that constructively
-    cert = noiseless_certificate(encoding, compose(recovery, channel), horizon, tol_, seed)
+    cert = noiseless_certificate(encoding, loop, horizon, tol_, seed)
     residuals["noiseless_power_max"] = max(cert.power_residuals)
     residuals["noiseless_fixed_code"] = cert.fixed_residual
 
-    _, _, prot_res = derive_protectable_code(encoding, channel, strategy, tol_, seed)
+    _, prot_res = is_fixed(composite, compose(channel, recovery), tol_)
     residuals["protection"] = prot_res
 
-    uc = unitary_correctability(encoding, channel, tol_, seed)
+    uc = _unitary_correctability(encoding, channel, rep, tol_)
     residuals["unitary"] = uc.residual
 
     return ClassificationReport(

@@ -210,10 +210,10 @@ def power_mix(channel: KrausChannel, p) -> Superoperator:
     return Superoperator(channel.dim_in, channel.dim_out, acc)
 
 
-def _spectral_fixed_point_projector(s: np.ndarray, kernel_tol: float) -> np.ndarray:
+def _spectral_fixed_point_projector(s: np.ndarray) -> np.ndarray:
     a = s - np.eye(s.shape[0])
     u, sv, vh = np.linalg.svd(a)
-    keep = sv < kernel_tol
+    keep = sv < tol.KERNEL_TOL
     if not keep.any():
         # every CPTP map has a fixed point; an empty kernel means the
         # cutoff was too tight for this matrix
@@ -230,7 +230,6 @@ def cesaro_projector(
     method: str = "spectral",
     max_n: int = 2**48,
     tol_: float = 1e-8,
-    kernel_tol: float = tol.KERNEL_TOL,
 ) -> Superoperator:
     """Projector onto the fixed points of a square channel.
 
@@ -249,7 +248,7 @@ def cesaro_projector(
         raise ContractViolation("fixed points require a square channel")
     s = channel.superoperator().matrix
     if method == "spectral":
-        p = _spectral_fixed_point_projector(s, kernel_tol)
+        p = _spectral_fixed_point_projector(s)
         return Superoperator(channel.dim_in, channel.dim_out, p)
     if method != "iterative":
         raise ContractViolation(f"unknown method {method!r}")

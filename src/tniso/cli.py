@@ -35,6 +35,7 @@ from .robustness import (
     simulate_iterated,
 )
 from . import serialize
+from . import tolerances as tol
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -46,7 +47,7 @@ _STRATEGIES = {"petz": "time_reversal", "replace": "replace"}
 def _default_tol() -> float:
     env = os.environ.get("TNISO_TOL")
     if env is None:
-        return 1e-8
+        return tol.DETECTION_TOL
     try:
         value = float(env)
     except ValueError as exc:
@@ -109,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_channel(path, tol_):
+def _load_channel(path):
     return serialize.channel_from_dict(serialize.load_json(path))
 
 
@@ -165,7 +166,7 @@ def _cmd_check_channel(args, tol_):
 
 
 def _cmd_classify(args, tol_):
-    channel = _load_channel(args.channel, tol_)
+    channel = _load_channel(args.channel)
     encoding = _load_code(args.code)
     if channel.dim_in != encoding.dim_physical or channel.dim_in != channel.dim_out:
         raise ContractViolation("channel and code dimensions do not match")
@@ -208,7 +209,7 @@ def _cmd_classify(args, tol_):
 
 
 def _cmd_correct(args, tol_):
-    channel = _load_channel(args.channel, tol_)
+    channel = _load_channel(args.channel)
     encoding = _load_code(args.code)
     if channel.dim_in != encoding.dim_physical or channel.dim_in != channel.dim_out:
         raise ContractViolation("channel and code dimensions do not match")
@@ -245,11 +246,11 @@ def _round_epsilon(channel, recovery, encoding, samples, refine, seed):
 
 
 def _cmd_simulate(args, tol_):
-    channel = _load_channel(args.channel, tol_)
+    channel = _load_channel(args.channel)
     encoding = _load_code(args.code)
     if not args.recovery:
         raise ContractViolation("simulate requires --recovery")
-    recovery = _load_channel(args.recovery, tol_)
+    recovery = _load_channel(args.recovery)
     if args.state:
         rho = serialize.state_from_json(serialize.load_json(args.state))
         if rho.shape[0] == encoding.dim_logical:
@@ -322,9 +323,9 @@ def _cmd_simulate(args, tol_):
 
 
 def _cmd_epsilon(args, tol_):
-    channel = _load_channel(args.channel, tol_)
+    channel = _load_channel(args.channel)
     encoding = _load_code(args.code)
-    recovery = _load_channel(args.recovery, tol_) if args.recovery else None
+    recovery = _load_channel(args.recovery) if args.recovery else None
     est = _round_epsilon(
         channel, recovery, encoding, args.samples, args.refine, args.seed
     )

@@ -17,6 +17,7 @@ import numpy as np
 from .channels import KrausChannel, Superoperator, convex_mix
 from .errors import ContractViolation
 from .opcore import (
+    above_rank_cut,
     as_matrix,
     eigh_clamped,
     hermitian_basis,
@@ -119,8 +120,7 @@ class IsometricEncoding:
 
     @property
     def is_minimal(self) -> bool:
-        w = self.weights
-        return bool(w.min() > tol.RANK_TOL * max(w.max(), 1e-300))
+        return bool(above_rank_cut(self.weights).all())
 
     def with_cofactor(self, cofactor) -> "IsometricEncoding":
         return IsometricEncoding(self.decomposition, as_matrix(cofactor))
@@ -160,8 +160,7 @@ class IsometricEncoding:
         w, v = eigh_clamped(self.cofactor)
         order = np.argsort(w)[::-1]
         w, v = w[order], v[:, order]
-        cut = tol.RANK_TOL * max(w.max(), 1e-300)
-        rank = int(np.count_nonzero(w > cut))
+        rank = int(np.count_nonzero(above_rank_cut(w)))
         # rotate cofactor coordinates to the eigenbasis
         rot = np.kron(np.eye(dec.d_s), v)
         u1 = dec.block_columns @ rot

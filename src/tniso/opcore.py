@@ -38,15 +38,11 @@ def hermiticity_defect(a) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def is_hermitian(a, atol: float = tol.HERMITICITY_TOL) -> bool:
-    return hermiticity_defect(a) <= atol
-
-
-def require_hermitian(a, atol: float = tol.HERMITICITY_TOL) -> np.ndarray:
-    """Return ``a`` symmetrized, raising if it is not Hermitian within atol."""
+def require_hermitian(a) -> np.ndarray:
+    """Return ``a`` symmetrized, raising if it is not Hermitian within HERMITICITY_TOL."""
     m = as_matrix(a)
     defect = hermiticity_defect(m)
-    if defect > atol:
+    if defect > tol.HERMITICITY_TOL:
         raise ContractViolation(f"matrix is not Hermitian (defect {defect:.3e})")
     return (m + m.conj().T) / 2
 
@@ -99,77 +95,79 @@ def trace_norm(a) -> float:
     return float(s.sum())
 
 
-def clamp_eigenvalues(w: np.ndarray, window: float = tol.EIG_CLAMP_TOL) -> np.ndarray:
-    """Set eigenvalues inside (-window, window) to exactly zero."""
+def clamp_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Set eigenvalues inside (-EIG_CLAMP_TOL, EIG_CLAMP_TOL) to exactly zero."""
     out = w.copy()
-    out[np.abs(out) < window] = 0.0
+    out[np.abs(out) < tol.EIG_CLAMP_TOL] = 0.0
     return out
 
 
-def eigh_clamped(a, window: float = tol.EIG_CLAMP_TOL):
+def eigh_clamped(a):
     """Hermitian eigendecomposition with small eigenvalues clamped to 0."""
     m = require_hermitian(a)
     w, v = np.linalg.eigh(m)
-    return clamp_eigenvalues(w, window), v
+    return clamp_eigenvalues(w), v
 
 
-def positive_negative_parts(z, window: float = tol.EIG_CLAMP_TOL):
+def positive_negative_parts(z):
     """Split a Hermitian Z into (Z+, Z-) with Z = Z+ - Z-, both PSD.
 
-    Eigenvalues within ``window`` of zero are clamped, so the two parts
-    have exactly orthogonal supports.
+    Eigenvalues within ``EIG_CLAMP_TOL`` of zero are clamped, so the two
+    parts have exactly orthogonal supports.
     """
-    w, v = eigh_clamped(z, window)
+    w, v = eigh_clamped(z)
     pos = (v * np.maximum(w, 0.0)) @ v.conj().T
     neg = (v * np.maximum(-w, 0.0)) @ v.conj().T
     return (pos + pos.conj().T) / 2, (neg + neg.conj().T) / 2
 
 
-def _psd_eigh(a, psd_tol: float):
+def above_rank_cut(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues above ``RANK_TOL`` times the largest one.
+
+    The eigenvalues outside the mask count as exact zeros in every support
+    and rank decision.
+    """
+    return w > tol.RANK_TOL * max(w.max(), 1e-300)
+
+
+def _psd_eigh(a):
     w, v = np.linalg.eigh(require_hermitian(a))
-    if w.min() < -psd_tol:
+    if w.min() < -tol.PSD_TOL:
         raise ContractViolation(f"not PSD (min eigenvalue {w.min():.3e})")
     return np.maximum(w, 0.0), v
 
 
-def sqrt_psd(a, psd_tol: float = tol.PSD_TOL) -> np.ndarray:
+def sqrt_psd(a) -> np.ndarray:
     """Principal square root of a PSD operator."""
-    w, v = _psd_eigh(a, psd_tol)
+    w, v = _psd_eigh(a)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def pinv_psd(a, psd_tol: float = tol.PSD_TOL, rank_tol: float = tol.RANK_TOL) -> np.ndarray:
+def pinv_psd(a) -> np.ndarray:
     """Moore-Penrose inverse of a PSD operator.
 
-    Inverts on the support and annihilates the kernel; eigenvalues below
-    ``rank_tol`` relative to the largest are treated as zero.
+    Inverts on the support and annihilates the kernel, as cut by
+    :func:`above_rank_cut`.
     """
-    w, v = _psd_eigh(a, psd_tol)
-    cut = rank_tol * max(w.max(), 1e-300)
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
+    w, v = _psd_eigh(a)
+    keep = above_rank_cut(w)
+    inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     return (v * inv) @ v.conj().T
 
 
-def sqrt_pinv_psd(a, psd_tol: float = tol.PSD_TOL, rank_tol: float = tol.RANK_TOL) -> np.ndarray:
+def sqrt_pinv_psd(a) -> np.ndarray:
     """Pseudo-inverse of the principal square root of a PSD operator."""
-    w, v = _psd_eigh(a, psd_tol)
-    cut = rank_tol * max(w.max(), 1e-300)
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
+    w, v = _psd_eigh(a)
+    keep = above_rank_cut(w)
+    inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
     return (v * inv) @ v.conj().T
 
 
-def support_projector(a, psd_tol: float = tol.PSD_TOL, rank_tol: float = tol.RANK_TOL) -> np.ndarray:
+def support_projector(a) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD operator."""
-    w, v = _psd_eigh(a, psd_tol)
-    cut = rank_tol * max(w.max(), 1e-300)
-    vr = v[:, w > cut]
+    w, v = _psd_eigh(a)
+    vr = v[:, above_rank_cut(w)]
     return vr @ vr.conj().T
-
-
-def psd_rank(a, psd_tol: float = tol.PSD_TOL, rank_tol: float = tol.RANK_TOL) -> int:
-    """Number of eigenvalues above the relative rank cutoff."""
-    w, _ = _psd_eigh(a, psd_tol)
-    return int(np.count_nonzero(w > rank_tol * max(w.max(), 1e-300)))
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:

@@ -1,8 +1,8 @@
 """Centralized numerical tolerances.
 
-Every classification in this package is tolerance-parametric; the constants
-below are the single source of defaults. Functions that take a ``tol``
-argument fall back to these when the caller passes ``None``.
+The constants below are the single source of numerical thresholds. Most
+functions read them directly; the few that take a tolerance argument (the
+detection tolerance ``tol_``/``detection_tol`` above all) default to them.
 """
 
 # Construction-time checks on operators.

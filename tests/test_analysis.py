@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tniso import analysis
 from tniso.analysis import (
     build_correction,
     check_ns_factorization,
@@ -16,6 +17,7 @@ from tniso.channels import (
     KrausChannel,
     Superoperator,
     compose,
+    convex_mix,
     transpose_superoperator,
 )
 from tniso.codes import (
@@ -199,9 +201,15 @@ class TestBuildCorrection:
         with pytest.raises(NotCorrectableError):
             build_correction(enc, channel)
 
-    def test_unknown_strategy(self, repetition):
-        with pytest.raises(ContractViolation):
-            build_correction(repetition.encoding, repetition.channel, "undo")
+    def test_unknown_strategy(self, repetition, example2_channel):
+        # the strategy is checked before preservation, so a code the
+        # channel does not preserve still reports the bad strategy
+        enc = repetition.encoding
+        assert not is_preserved(enc, example2_channel)[0]
+        for channel in (repetition.channel, example2_channel):
+            for fn in (build_correction, derive_protectable_code):
+                with pytest.raises(ContractViolation):
+                    fn(enc, channel, "undo")
 
     def test_generate_and_check_harness(self, rng):
         for _ in range(8):
@@ -398,3 +406,58 @@ class TestClassify:
         assert r.preserved == r.correctable == r.completely_correctable
         if r.unitarily_correctable:
             assert r.correctable
+
+
+def _count_detections(monkeypatch) -> list:
+    calls = []
+    real = analysis.detect_structure
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "detect_structure", counted)
+    return calls
+
+
+class TestAnalysisPass:
+    @pytest.mark.parametrize("horizon", [2, 8])
+    def test_preserved_classify_detects_the_image_once(self, monkeypatch, repetition, horizon):
+        # one image detection, then horizon powers and the fixed-point
+        # projection inside the noiseless certificate
+        calls = _count_detections(monkeypatch)
+        report = classify(repetition.encoding, repetition.channel, horizon=horizon)
+        assert report.preserved
+        assert len(calls) == horizon + 2
+
+    def test_near_miss_classify_detects_once(self, monkeypatch, rng):
+        enc, channel = random_preserved_system(2, 2, 1, rng)
+        noise = random_channel(enc.dim_physical, rng)
+        near = convex_mix([1.0 - 1e-4, 1e-4], [channel, noise])
+        calls = _count_detections(monkeypatch)
+        report = classify(enc, near)
+        assert not report.preserved
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "case", ["repetition-time_reversal", "repetition-replace", "random-time_reversal"]
+    )
+    def test_residuals_match_public_wrappers(self, case, repetition, rng):
+        system, strategy = case.split("-")
+        if system == "repetition":
+            enc, channel = repetition.encoding, repetition.channel
+        else:
+            enc, channel = random_preserved_system(2, 3, 1, rng)
+        report = classify(enc, channel, strategy=strategy)
+        loop = compose(build_correction(enc, channel, strategy), channel)
+        cert = noiseless_certificate(enc, loop, report.horizon)
+        expected = {
+            "fixed": is_fixed(enc, channel)[1],
+            "preservation": is_preserved(enc, channel)[1].residual,
+            "correction": is_fixed(enc, loop)[1],
+            "noiseless_power_max": max(cert.power_residuals),
+            "noiseless_fixed_code": cert.fixed_residual,
+            "protection": derive_protectable_code(enc, channel, strategy)[2],
+            "unitary": unitary_correctability(enc, channel).residual,
+        }
+        assert report.residuals == expected
