@@ -16,9 +16,12 @@ import numpy as np
 from .channels import (
     KrausChannel,
     Superoperator,
+    _hermitian_images,
+    _unit_images,
     cesaro_projector,
     check_support_invariance,
     compose,
+    minimal_kraus,
 )
 from .codes import IsometricEncoding, SubsystemDecomposition
 from .errors import ContractViolation, NotCorrectableError, NumericError
@@ -100,7 +103,7 @@ def _assemble_candidate(rho0_vecs, weights, offdiag_images, d_q, d_p, adjoint: b
     block = np.concatenate(blocks, axis=1)  # (s, m) columns, row-major
     gram = block.conj().T @ block
     gram_defect = float(np.abs(gram - np.eye(d_q * r)).max())
-    if gram_defect > 0.5:
+    if gram_defect > tol.GRAM_CUTOFF:
         # hopeless candidate; near-isometries proceed so the verification
         # stage can report an honest trace-norm residual
         return None, gram_defect
@@ -130,23 +133,18 @@ def detect_structure(
     rng = np.random.default_rng(seed)
 
     # stage: input map must preserve Hermiticity and trace
-    defect = 0.0
-    for b in hermitian_basis(d_q):
-        img = phi(b)
-        defect = max(
-            defect,
-            float(np.abs(img - img.conj().T).max()),
-            abs(complex(np.trace(img)) - complex(np.trace(b))),
-        )
-    if defect > 1e-8:
+    herm = _hermitian_images(phi)
+    basis_traces = np.trace(np.stack(hermitian_basis(d_q)), axis1=1, axis2=2)
+    defect = max(
+        float(np.abs(herm - herm.conj().transpose(0, 2, 1)).max()),
+        float(np.abs(np.trace(herm, axis1=1, axis2=2) - basis_traces).max()),
+    )
+    if defect > tol.INPUT_MAP_TOL:
         return StructureReport(False, "input_map", defect)
 
     # stage: basis-state images must be states
-    images = []
-    for j in range(d_q):
-        unit = np.zeros((d_q, d_q), dtype=complex)
-        unit[j, j] = 1.0
-        images.append(phi(unit))
+    units = _unit_images(phi)
+    images = [units[j, j] for j in range(d_q)]
     worst = 0.0
     spectra, vecs = [], []
     for img in images:
@@ -154,7 +152,7 @@ def detect_structure(
         worst = max(worst, max(0.0, -float(w.min())))
         spectra.append(w[::-1])
         vecs.append(v[:, ::-1])
-    if worst > max(dtol, 1e-10):
+    if worst > max(dtol, tol.STATE_IMAGE_FLOOR):
         return StructureReport(False, "state_images", worst)
 
     # stage: pairwise orthogonal supports
@@ -169,7 +167,7 @@ def detect_structure(
     spread = max(
         float(np.abs(spectra[j] - spectra[0]).max()) for j in range(d_q)
     )
-    if spread > max(dtol, 1e-9):
+    if spread > max(dtol, tol.SPECTRUM_FLOOR):
         return StructureReport(False, "spectrum", spread)
 
     weights = np.maximum(spectra[0], 0.0)
@@ -180,11 +178,7 @@ def detect_structure(
     r = weights.size
 
     # stage: align eigenbases across logical slots via off-diagonal images
-    offdiag = []
-    for j in range(1, d_q):
-        unit = np.zeros((d_q, d_q), dtype=complex)
-        unit[0, j] = 1.0
-        offdiag.append(phi(unit))
+    offdiag = [units[0, j] for j in range(1, d_q)]
     rho0_vecs = vecs[0][:, :r]
     candidates = {}
     best_gram = float("inf")
@@ -233,20 +227,18 @@ def detect_structure(
     )
 
 
-def is_fixed(phi, channel: KrausChannel, tol_: float = tol.DETECTION_TOL):
+def is_fixed(phi, channel, tol_: float = tol.DETECTION_TOL):
     """Whether every encoded operator is a fixed point of the channel.
 
-    ``phi`` may be an encoding or a superoperator. Linearity makes the
-    check on a Hermitian operator basis sufficient. Returns (ok, residual).
+    ``phi`` and ``channel`` are any maps with ``.superoperator()``.
+    Linearity makes the check on a Hermitian operator basis sufficient; its
+    images under ``channel o phi - phi`` come from one matrix product.
+    Returns (ok, residual).
     """
-    if isinstance(phi, IsometricEncoding):
-        d_q, encode = phi.dim_logical, phi.encode
-    else:
-        d_q, encode = phi.dim_in, phi
-    residual = 0.0
-    for b in hermitian_basis(d_q):
-        img = encode(b)
-        residual = max(residual, trace_norm(channel(img) - img))
+    s_phi = phi.superoperator()
+    s_e = channel.superoperator()
+    moved = Superoperator(s_phi.dim_in, s_phi.dim_out, s_e.matrix @ s_phi.matrix - s_phi.matrix)
+    residual = max(trace_norm(img) for img in _hermitian_images(moved))
     return residual <= tol_, residual
 
 
@@ -286,9 +278,10 @@ def noiseless_certificate(
 ) -> NoiselessCertificate:
     """Certify that a code stays isometric under all powers of the channel.
 
-    Accepts iff (a) every power up to ``horizon`` preserves the code and
-    (b) projecting the code onto the channel's fixed-point set yields a
-    valid encoding that the channel fixes. The finite-horizon sweep is a
+    ``channel`` is any square map with ``.superoperator()``. Accepts iff
+    (a) every power up to ``horizon`` preserves the code and (b) projecting
+    the code onto the channel's fixed-point set yields a valid encoding
+    that the channel fixes. The finite-horizon sweep is a
     certificate, not a proof; (b) is the load-bearing check, and on
     acceptance the projected code realizes a common fixed decomposition.
     """
@@ -303,36 +296,17 @@ def noiseless_certificate(
         rep = detect_structure(power, detection_tol=tol_, seed=seed)
         found.append(rep.found)
         residuals.append(rep.residual)
-    p_inf = cesaro_projector(channel, method="spectral")
+    p_inf = cesaro_projector(s_e, method="spectral")
     c_inf = p_inf @ s_phi
     rep_inf = detect_structure(c_inf, detection_tol=tol_, seed=seed)
     if rep_inf.found:
-        _, fixed_residual = is_fixed(c_inf, channel, tol_)
+        _, fixed_residual = is_fixed(c_inf, s_e, tol_)
     else:
         fixed_residual = float("inf")
     accepted = all(found) and rep_inf.found and fixed_residual <= tol_
     return NoiselessCertificate(
         accepted, horizon, found, residuals, rep_inf, fixed_residual
     )
-
-
-def kraus_from_map(fn, dim_in: int, dim_out: int):
-    """Kraus operators of a CP map given as a callable, via its Choi matrix."""
-    choi = np.zeros((dim_out * dim_in, dim_out * dim_in), dtype=complex)
-    for a in range(dim_in):
-        for b in range(dim_in):
-            unit = np.zeros((dim_in, dim_in), dtype=complex)
-            unit[a, b] = 1.0
-            choi += np.kron(fn(unit), unit)
-    choi = (choi + choi.conj().T) / 2
-    w, v = np.linalg.eigh(choi)
-    if w.min() < -1e-8:
-        raise NumericError(f"map is not completely positive (eigenvalue {w.min():.3e})")
-    ops = []
-    for k in range(w.size):
-        if w[k] > max(1e-12, 1e-12 * w.max()):
-            ops.append(np.sqrt(w[k]) * v[:, k].reshape(dim_out, dim_in))
-    return ops
 
 
 @dataclass(eq=False)
@@ -364,23 +338,18 @@ def _cofactor_recovery(encoding, channel, img, strategy):
     if strategy == "replace":
         return _replace_cofactor_kraus(tau, d_g), 0.0, 0.0, False
 
-    # time reversal: sandwich the adjoint Kraus operators of the induced
-    # cofactor channel between sqrt(tau) and the pseudo-inverse sqrt(sigma)
+    # time reversal: sandwich the minimal adjoint Kraus operators of the induced
+    # cofactor channel {v_out^dag K v_in} between sqrt(tau) and pinv sqrt(sigma)
     v_in = dec.block_columns[:, :d_f]                      # logical slot 0, code side
     v_out = img.decomposition.block_columns[:, :d_g]       # logical slot 0, image side
-    induced = lambda y: v_out.conj().T @ channel(v_in @ y @ v_in.conj().T) @ v_out
-    try:
-        e_fg = kraus_from_map(induced, d_f, d_g)
-        sq_tau = sqrt_psd(tau)
-        sq_sigma_inv = sqrt_pinv_psd(sigma)
-        ops = [sq_tau @ k.conj().T @ sq_sigma_inv for k in e_fg]
-        tp = sum(k.conj().T @ k for k in ops)
-        tp_defect = float(np.abs(tp - np.eye(d_g)).max())
-        rec_defect = trace_norm(sum(k @ sigma @ k.conj().T for k in ops) - tau)
-    except NumericError:
-        tp_defect = rec_defect = float("inf")
-        ops = None
-    if ops is None or tp_defect > 1e-8 or rec_defect > 1e-8:
+    e_fg = minimal_kraus(v_out.conj().T @ np.stack(channel.kraus) @ v_in)
+    sq_tau = sqrt_psd(tau)
+    sq_sigma_inv = sqrt_pinv_psd(sigma)
+    ops = [sq_tau @ k.conj().T @ sq_sigma_inv for k in e_fg]
+    tp = sum(k.conj().T @ k for k in ops)
+    tp_defect = float(np.abs(tp - np.eye(d_g)).max())
+    rec_defect = trace_norm(sum(k @ sigma @ k.conj().T for k in ops) - tau)
+    if tp_defect > tol.COFACTOR_FALLBACK_TOL or rec_defect > tol.COFACTOR_FALLBACK_TOL:
         # the printed sandwich failed validation; fall back to replacement
         return _replace_cofactor_kraus(tau, d_g), tp_defect, rec_defect, True
     return ops, tp_defect, rec_defect, False
@@ -493,7 +462,7 @@ def check_ns_factorization(
     d_s, d_f = dec.d_s, dec.d_f
     n = d_s * d_f
     rho_bar = dec.embed(np.eye(n) / n)
-    ok, res = check_support_invariance(channel, rho_bar, max(tol_, 1e-9))
+    ok, res = check_support_invariance(channel, rho_bar, max(tol_, tol.INVARIANCE_FLOOR))
     if not ok:
         raise ContractViolation(
             f"channel does not leave the block invariant (residual {res:.3e})"
@@ -552,11 +521,11 @@ def unitary_correctability(
     decomposition: unitarily recoverable, with no guarantee under repeated
     noise-correction cycles.
     """
-    _, img = _image(encoding, channel, tol_, seed)
-    return _unitary_correctability(encoding, channel, img, tol_)
+    composite, img = _image(encoding, channel, tol_, seed)
+    return _unitary_correctability(encoding, channel, composite, img, tol_)
 
 
-def _unitary_correctability(encoding, channel, img: StructureReport, tol_: float):
+def _unitary_correctability(encoding, channel, composite, img: StructureReport, tol_: float):
     """Body of :func:`unitary_correctability` on a detected image."""
     if not img.found:
         raise NotCorrectableError("unitary correctability requires a preserved code")
@@ -602,12 +571,10 @@ def _unitary_correctability(encoding, channel, img: StructureReport, tol_: float
     target = np.stack(grid, axis=1)
     v = _paired_unitary(target, w1, d_p)
     # verify the loop restores an encoding on the extended decomposition
-    sigma_ext = np.diag(img.weights).astype(complex)
-    residual = 0.0
-    for b in hermitian_basis(d_s):
-        lhs = v @ channel(encoding.encode(b)) @ v.conj().T
-        rhs = target @ np.kron(b, sigma_ext) @ target.conj().T
-        residual = max(residual, trace_norm(lhs - rhs))
+    sigma_ext = np.diag(img.weights).astype(complex)[None]
+    lhs = v @ _hermitian_images(composite) @ v.conj().T
+    rhs = target @ np.kron(np.stack(hermitian_basis(d_s)), sigma_ext) @ target.conj().T
+    residual = max(trace_norm(x) for x in lhs - rhs)
     return UnitaryCorrectabilityResult(
         False, residual <= tol_, v, residual, code_dim, image_dim
     )
@@ -679,7 +646,7 @@ def classify(
         )
 
     recovery, _ = _correction(encoding, channel, rep, strategy)
-    loop = compose(recovery, channel)
+    loop = compose(recovery, channel).superoperator()
     _, corr_res = is_fixed(encoding, loop, tol_)
     residuals["correction"] = corr_res
 
@@ -692,7 +659,7 @@ def classify(
     _, prot_res = is_fixed(composite, compose(channel, recovery), tol_)
     residuals["protection"] = prot_res
 
-    uc = _unitary_correctability(encoding, channel, rep, tol_)
+    uc = _unitary_correctability(encoding, channel, composite, rep, tol_)
     residuals["unitary"] = uc.residual
 
     return ClassificationReport(

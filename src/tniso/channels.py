@@ -3,7 +3,11 @@
 The superoperator convention is fixed package-wide: COLUMN-STACKING.
 ``vec(X)`` stacks the columns of X, so ``vec(A X B) = (B^T kron A) vec(X)``
 and a channel with Kraus operators ``{M_k}`` has superoperator
-``sum_k conj(M_k) kron M_k``.
+``sum_k conj(M_k) kron M_k``; its column ``a + d_in*b`` is ``vec(E(E_ab))``,
+so analyses read basis images as slices or products of the matrix.
+The Choi matrix of :func:`minimal_kraus` is ROW-major instead: its entry at
+``(i*d_in + a, j*d_in + b)`` is ``E(E_ab)[i, j]``, which is
+``sum_k r(M_k) r(M_k)^dag`` for the row-major flattening ``r``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ConvergenceError
-from .opcore import as_matrix, support_projector, trace_norm
+from .opcore import as_matrix, hermitian_basis, support_projector, trace_norm
 from . import tolerances as tol
 
 
@@ -30,11 +34,7 @@ def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
 
 def transpose_superoperator(d: int) -> np.ndarray:
     """Matrix K with K vec(X) = vec(X^T) for d x d operators."""
-    k = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            k[a + d * b, b + d * a] = 1.0
-    return k
+    return np.eye(d * d)[np.arange(d * d).reshape(d, d).T.reshape(-1)]
 
 
 @dataclass(eq=False)
@@ -61,16 +61,9 @@ class Superoperator:
     def identity(cls, dim: int) -> "Superoperator":
         return cls(dim, dim, np.eye(dim * dim, dtype=complex))
 
-    @classmethod
-    def from_map(cls, fn, dim_in: int, dim_out: int) -> "Superoperator":
-        """Build the matrix of a complex-linear map by probing matrix units."""
-        m = np.zeros((dim_out**2, dim_in**2), dtype=complex)
-        for b in range(dim_in):
-            for a in range(dim_in):
-                unit = np.zeros((dim_in, dim_in), dtype=complex)
-                unit[a, b] = 1.0
-                m[:, b * dim_in + a] = vec(fn(unit))
-        return cls(dim_in, dim_out, m)
+    def superoperator(self) -> "Superoperator":
+        """The map itself; every map type answers this call."""
+        return self
 
     def apply(self, x) -> np.ndarray:
         x = as_matrix(x)
@@ -163,6 +156,34 @@ class KrausChannel:
         return KrausChannel(kept if kept else [self.kraus[0]], tp_tol=self.tp_tol)
 
 
+def _unit_images(s: Superoperator) -> np.ndarray:
+    """Images of the matrix units as slices of the matrix: ``[a, b] = s(E_ab)``."""
+    d, n = s.dim_in, s.dim_out
+    return s.matrix.reshape(n, n, d, d, order="F").transpose(2, 3, 0, 1)
+
+
+def _hermitian_images(s: Superoperator) -> np.ndarray:
+    """Images of ``hermitian_basis(s.dim_in)`` under s, stacked on axis 0."""
+    d, n = s.dim_in, s.dim_out
+    basis = np.stack(hermitian_basis(d), axis=-1).reshape(d * d, -1, order="F")
+    return (s.matrix @ basis).reshape(n, n, -1, order="F").transpose(2, 0, 1)
+
+
+def minimal_kraus(ops) -> list[np.ndarray]:
+    """Minimal Kraus set of the CP map with Kraus operators ``ops``.
+
+    Diagonalizes the Choi (Gram) matrix of the stacked operators and keeps
+    the eigenvalues above ``KRAUS_WEIGHT_CUT`` (absolute and relative to the
+    largest), so the count is the Choi rank.
+    """
+    stack = np.asarray(ops, dtype=complex)
+    _, d_out, d_in = stack.shape
+    rows = stack.reshape(-1, d_out * d_in)
+    w, v = np.linalg.eigh(rows.T @ rows.conj())
+    keep = w > max(tol.KRAUS_WEIGHT_CUT, tol.KRAUS_WEIGHT_CUT * w.max())
+    return [np.sqrt(w[k]) * v[:, k].reshape(d_out, d_in) for k in np.flatnonzero(keep)]
+
+
 def compose(e2: KrausChannel, e1: KrausChannel) -> KrausChannel:
     """The channel e2 after e1, with Kraus products {M2_j M1_i}."""
     if e2.dim_in != e1.dim_out:
@@ -226,12 +247,14 @@ def _spectral_fixed_point_projector(s: np.ndarray) -> np.ndarray:
 
 
 def cesaro_projector(
-    channel: KrausChannel,
+    channel: KrausChannel | Superoperator,
     method: str = "spectral",
     max_n: int = 2**48,
     tol_: float = 1e-8,
 ) -> Superoperator:
     """Projector onto the fixed points of a square channel.
+
+    ``channel`` is any map with ``.superoperator()``, matrices included.
 
     The limit of averaged channel powers ``(1/(N+1)) sum_{i<=N} E^i``
     projects onto the fixed-point set of E.

@@ -326,6 +326,8 @@ def _cmd_epsilon(args, tol_):
     channel = _load_channel(args.channel)
     encoding = _load_code(args.code)
     recovery = _load_channel(args.recovery) if args.recovery else None
+    if channel.dim_in != encoding.dim_physical or channel.dim_in != channel.dim_out:
+        raise ContractViolation("channel and code dimensions do not match")
     est = _round_epsilon(
         channel, recovery, encoding, args.samples, args.refine, args.seed
     )

@@ -14,20 +14,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel, Superoperator, convex_mix
+from .channels import KrausChannel, Superoperator, _hermitian_images, convex_mix
 from .errors import ContractViolation
 from .opcore import (
     above_rank_cut,
     as_matrix,
     eigh_clamped,
-    hermitian_basis,
     require_hermitian,
     support_projector,
     trace_norm,
 )
 from . import tolerances as tol
-
-UNITARY_TOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -54,7 +51,7 @@ class SubsystemDecomposition:
                 f"basis shape {self.basis.shape}, expected ({d_p}, {d_p})"
             )
         defect = np.abs(self.basis.conj().T @ self.basis - np.eye(d_p)).max()
-        if defect > UNITARY_TOL:
+        if defect > tol.UNITARY_TOL:
             raise ContractViolation(f"basis is not unitary (defect {defect:.3e})")
 
     @property
@@ -141,8 +138,12 @@ class IsometricEncoding:
         return np.einsum("afbf->ab", t)
 
     def superoperator(self) -> Superoperator:
+        """Column ``a + d_S*b`` is ``vec(encode(E_ab))``, all in one batched product."""
         dec = self.decomposition
-        return Superoperator.from_map(self.encode, dec.d_s, dec.d_p)
+        u1, d = dec.block_columns, dec.d_s
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d, order="F")
+        images = (u1 @ np.kron(units, self.cofactor[None]) @ u1.conj().T).transpose(1, 2, 0)
+        return Superoperator(d, dec.d_p, images.reshape(dec.d_p**2, -1, order="F"))
 
     def code_projector(self) -> np.ndarray:
         """Projector onto the support of the encoded state set."""
@@ -224,15 +225,12 @@ class PerturbedEncoding:
             raise ContractViolation("perturbation dimensions do not match the encoding")
         if self.epsilon < 0:
             raise ContractViolation("epsilon must be nonnegative")
-        worst = 0.0
-        for b in hermitian_basis(d_s):
-            img = self.perturbation(b)
-            worst = max(
-                worst,
-                float(np.abs(img - img.conj().T).max()),
-                abs(complex(np.trace(img))),
-            )
-        if worst > 1e-10:
+        images = _hermitian_images(self.perturbation)
+        worst = max(
+            float(np.abs(images - images.conj().transpose(0, 2, 1)).max()),
+            float(np.abs(np.trace(images, axis1=1, axis2=2)).max()),
+        )
+        if worst > tol.PERTURBATION_TOL:
             raise ContractViolation(
                 f"perturbation is not Hermiticity-preserving and traceless (defect {worst:.3e})"
             )

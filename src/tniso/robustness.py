@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, Superoperator, cesaro_projector, compose
+from .channels import KrausChannel, Superoperator, _unit_images, cesaro_projector, compose
 from .codes import IsometricEncoding, PerturbedEncoding
 from .errors import ContractViolation
 from .opcore import as_matrix, trace_norm
@@ -39,8 +39,7 @@ class EpsilonEstimate:
 
 
 def _deviation_superoperator(perturbed, nominal: IsometricEncoding) -> Superoperator:
-    if isinstance(perturbed, PerturbedEncoding):
-        perturbed = perturbed.superoperator()
+    perturbed = perturbed.superoperator()
     nom = nominal.superoperator()
     if (perturbed.dim_in, perturbed.dim_out) != (nom.dim_in, nom.dim_out):
         raise ContractViolation("perturbed and nominal encodings differ in dimensions")
@@ -84,12 +83,7 @@ def estimate_epsilon(
         else:
             step *= 0.95
 
-    upper = 0.0
-    for a in range(d):
-        for b in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[a, b] = 1.0
-            upper += trace_norm(delta(unit))
+    upper = sum(trace_norm(x) for row in _unit_images(delta) for x in row)
     witness = np.outer(best_v, best_v.conj())
     return EpsilonEstimate(
         epsilon=trace_norm(delta(witness)),

@@ -42,10 +42,19 @@ def channel_to_dict(channel: KrausChannel) -> dict:
     }
 
 
+def _int_field(payload: dict, key: str, kind: str) -> int:
+    try:
+        return int(payload[key])
+    except ValueError as exc:
+        raise ContractViolation(
+            f"malformed {kind} payload: {key!r} must be an integer, got {payload[key]!r}"
+        ) from exc
+
+
 def channel_from_dict(payload: dict, tp_tol: float | None = None) -> KrausChannel:
     try:
         kraus = [matrix_from_json(k) for k in payload["kraus"]]
-        dim_in, dim_out = int(payload["dim_in"]), int(payload["dim_out"])
+        dim_in, dim_out = [_int_field(payload, k, "channel") for k in ("dim_in", "dim_out")]
     except (KeyError, TypeError) as exc:
         raise ContractViolation(f"malformed channel payload: {exc}") from exc
     for k in kraus:
@@ -70,12 +79,8 @@ def encoding_to_dict(encoding: IsometricEncoding) -> dict:
 
 def encoding_from_dict(payload: dict) -> IsometricEncoding:
     try:
-        dec = SubsystemDecomposition(
-            int(payload["d_S"]),
-            int(payload["d_F"]),
-            int(payload["d_R"]),
-            matrix_from_json(payload["basis"]),
-        )
+        dims = [_int_field(payload, k, "code") for k in ("d_S", "d_F", "d_R")]
+        dec = SubsystemDecomposition(*dims, matrix_from_json(payload["basis"]))
         return IsometricEncoding(dec, matrix_from_json(payload["tau"]))
     except (KeyError, TypeError) as exc:
         raise ContractViolation(f"malformed code payload: {exc}") from exc

@@ -9,6 +9,8 @@ detection tolerance ``tol_``/``detection_tol`` above all) default to them.
 HERMITICITY_TOL = 1e-10     # max-abs deviation of A from its adjoint
 PSD_TOL = 1e-10             # eigenvalues may dip this far below zero
 TRACE_TOL = 1e-10           # |trace - 1| allowed for density operators
+UNITARY_TOL = 1e-10         # max-abs deviation of basis^dag basis from I
+PERTURBATION_TOL = 1e-10    # Hermiticity/trace defect of an encoding perturbation
 
 # Rank decisions: eigenvalues below RANK_TOL * (largest eigenvalue) are
 # treated as exact zeros before support/rank computations.
@@ -21,7 +23,14 @@ EIG_CLAMP_TOL = 1e-12
 TP_TOL = 1e-10              # max-abs deviation of sum_k M_k^dag M_k from I
 WEIGHT_SUM_TOL = 1e-12      # convex-mixture weights must sum to 1 this tightly
 KERNEL_TOL = 1e-10          # singular-value cutoff for fixed-point kernels
+KRAUS_WEIGHT_CUT = 1e-12    # absolute and relative Choi-eigenvalue cut of minimal_kraus
 
 # Structure detection and classification.
 DETECTION_TOL = 1e-8        # default trace-norm reconstruction residual
 SPECTRAL_GAP_TOL = 1e-8     # eigenvalue clustering width for eigenprojectors
+INPUT_MAP_TOL = 1e-8        # Hermiticity/trace defect of a map handed to detection
+STATE_IMAGE_FLOOR = 1e-10   # negative eigenvalue of a basis-state image always allowed
+SPECTRUM_FLOOR = 1e-9       # spectral spread across basis-state images always allowed
+GRAM_CUTOFF = 0.5           # candidate blocks whose Gram defect exceeds this are dropped
+COFACTOR_FALLBACK_TOL = 1e-8  # time reversal falls back to replacement above this
+INVARIANCE_FLOOR = 1e-9      # block-leak residual always allowed in an NS split

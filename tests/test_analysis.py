@@ -19,6 +19,7 @@ from tniso.channels import (
     compose,
     convex_mix,
     transpose_superoperator,
+    vec,
 )
 from tniso.codes import (
     IsometricEncoding,
@@ -65,7 +66,7 @@ class TestDetectStructure:
 
     def test_depolarizing_rejected_at_orthogonality(self):
         d = 4
-        phi = Superoperator.from_map(lambda x: np.trace(x) * np.eye(d) / d, d, d)
+        phi = Superoperator(d, d, np.outer(vec(np.eye(d)), vec(np.eye(d))) / d)
         report = detect_structure(phi)
         assert not report.found and report.stage == "orthogonality"
 
@@ -87,13 +88,13 @@ class TestDetectStructure:
         assert report.decomposition.d_r == 2
 
     def test_non_trace_preserving_map_rejected(self):
-        phi = Superoperator.from_map(lambda x: 0.5 * x, 2, 2)
+        phi = Superoperator(2, 2, 0.5 * np.eye(4))
         report = detect_structure(phi)
         assert not report.found and report.stage == "input_map"
 
     def test_report_encoding_raises_when_not_found(self):
         d = 3
-        phi = Superoperator.from_map(lambda x: np.trace(x) * np.eye(d) / d, d, d)
+        phi = Superoperator(d, d, np.outer(vec(np.eye(d)), vec(np.eye(d))) / d)
         report = detect_structure(phi)
         with pytest.raises(ContractViolation):
             report.encoding()
@@ -461,3 +462,45 @@ class TestAnalysisPass:
             "unitary": unitary_correctability(enc, channel).residual,
         }
         assert report.residuals == expected
+
+
+def _count_kraus_applications(monkeypatch) -> list:
+    calls = []
+    real = KrausChannel.apply
+
+    def counted(self, rho):
+        calls.append(1)
+        return real(self, rho)
+
+    monkeypatch.setattr(KrausChannel, "apply", counted)
+    return calls
+
+
+class TestSuperoperatorPath:
+    """Analyses read superoperators; no Kraus operator touches a matrix."""
+
+    @pytest.fixture(params=["repetition", "random", "wider_image"])
+    def system(self, request, repetition, rng):
+        if request.param == "repetition":
+            return repetition.encoding, repetition.channel
+        if request.param == "random":
+            return random_preserved_system(2, 3, 1, rng)
+        # image support 6 > code support 4: unitary_correctability's extended branch
+        return random_preserved_system(2, 2, 2, rng, d_g=3)
+
+    @pytest.mark.parametrize(
+        "analysis_fn",
+        [classify, build_correction, derive_protectable_code, unitary_correctability],
+    )
+    def test_preserved_code_applies_no_kraus(self, monkeypatch, system, analysis_fn):
+        enc, channel = system
+        calls = _count_kraus_applications(monkeypatch)
+        analysis_fn(enc, channel)
+        assert calls == []
+
+    def test_near_miss_classify_applies_no_kraus(self, monkeypatch, rng):
+        enc, channel = random_preserved_system(2, 2, 1, rng)
+        near = convex_mix([1.0 - 1e-4, 1e-4], [channel, random_channel(enc.dim_physical, rng)])
+        calls = _count_kraus_applications(monkeypatch)
+        assert not classify(enc, near).preserved
+        assert calls == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tniso.channels import (
     KrausChannel,
@@ -7,6 +9,7 @@ from tniso.channels import (
     check_support_invariance,
     compose,
     convex_mix,
+    minimal_kraus,
     power_mix,
     trace_norm_contraction_witness,
     unvec,
@@ -263,3 +266,33 @@ class TestChannelJson:
     def test_malformed_payload(self):
         with pytest.raises(ContractViolation):
             serialize.channel_from_dict({"dim_in": 2, "kraus": [[[0.0]]]})
+
+
+def _kraus_superoperator(ops):
+    return sum(np.kron(k.conj(), k) for k in ops)
+
+
+class TestMinimalKraus:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_in=st.integers(1, 4),
+        d_out=st.integers(1, 4),
+        count=st.integers(1, 5),
+        rank=st.integers(1, 5),
+    )
+    def test_reproduces_superoperator_at_choi_rank(self, seed, d_in, d_out, count, rank):
+        # count operators spanning a rank-dimensional space: the Choi rank
+        # is min(rank, count, d_out * d_in)
+        rng = np.random.default_rng(seed)
+        rank = min(rank, count)
+        shape = (rank, d_out * d_in)
+        base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mix = rng.standard_normal((count, rank)) + 1j * rng.standard_normal((count, rank))
+        ops = (mix @ base).reshape(count, d_out, d_in)
+        ops /= np.linalg.norm(ops)
+        minimal = minimal_kraus(ops)
+        assert len(minimal) == min(rank, d_out * d_in)
+        assert all(k.shape == (d_out, d_in) for k in minimal)
+        diff = _kraus_superoperator(minimal) - _kraus_superoperator(ops)
+        assert np.abs(diff).max() <= 1e-12

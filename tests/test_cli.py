@@ -68,6 +68,15 @@ class TestCheckChannel:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["check-channel", "--channel", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("field", ["dim_in", "dim_out"])
+    def test_non_integer_dimension_exits_2(self, generated, tmp_path, capsys, field):
+        payload = read(generated["channel"])
+        payload[field] = "eight"
+        bad = tmp_path / "bad.json"
+        serialize.dump_json(payload, bad)
+        assert main(["check-channel", "--channel", str(bad)]) == 2
+        assert f"'{field}' must be an integer" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_repetition_verdicts(self, generated, tmp_path):
@@ -100,13 +109,25 @@ class TestClassify:
         assert code == 0
         assert read(out)["results"]["preserved"] is False
 
-    def test_dimension_mismatch_exits_2(self, generated, tmp_path):
+    def test_dimension_mismatch_exits_2(self, generated, tmp_path, capsys):
         small = tmp_path / "small.json"
         serialize.dump_json(
             {"dim_in": 2, "dim_out": 2, "kraus": [serialize.matrix_to_json(np.eye(2))]},
             small,
         )
         assert main(["classify", "--channel", str(small), "--code", generated["code"]]) == 2
+        capsys.readouterr()
+        assert main(["epsilon", "--channel", str(small), "--code", generated["code"]]) == 2
+        assert "channel and code dimensions do not match" in capsys.readouterr().err
+
+    def test_non_integer_code_dimension_exits_2(self, generated, tmp_path, capsys):
+        payload = read(generated["code"])
+        payload["d_S"] = "two"
+        bad = tmp_path / "bad_code.json"
+        serialize.dump_json(payload, bad)
+        assert main(["classify", "--channel", generated["channel"], "--code", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "'d_S'" in err and "Traceback" not in err
 
 
 class TestCorrect:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tniso.channels import Superoperator, compose
+from tniso.channels import Superoperator, compose, vec
 from tniso.codes import (
     IsometricEncoding,
     ObservableEncoding,
@@ -15,7 +17,7 @@ from tniso.codes import (
 )
 from tniso.errors import ContractViolation
 from tniso.opcore import trace_norm
-from tniso.sampling import haar_unitary, random_density
+from tniso.sampling import haar_unitary, random_density, random_isometric_encoding
 from tniso import serialize
 
 from conftest import PAULI_Z
@@ -271,3 +273,25 @@ class TestDecompositionValidation:
     def test_dimension_consistency(self):
         with pytest.raises(ContractViolation):
             SubsystemDecomposition(2, 2, 1, np.eye(4))
+
+
+class TestEncodingSuperoperator:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 3),
+        d_f=st.integers(1, 3),
+        d_r=st.integers(0, 2),
+        full_rank=st.booleans(),
+    )
+    def test_matches_matrix_unit_probe(self, seed, d_s, d_f, d_r, full_rank):
+        enc = random_isometric_encoding(d_s, d_f, d_r, np.random.default_rng(seed), full_rank)
+        eye = np.eye(d_s)
+        # reference: column a + d_s*b is the encoded matrix unit E_ab
+        probe = np.stack(
+            [vec(enc.encode(np.outer(eye[a], eye[b]))) for b in range(d_s) for a in range(d_s)],
+            axis=1,
+        )
+        s = enc.superoperator()
+        assert (s.dim_in, s.dim_out) == (d_s, enc.dim_physical)
+        assert np.abs(s.matrix - probe).max() <= 1e-14
