@@ -496,12 +496,18 @@ class UnitaryCorrectabilityResult:
     image_support_dim: int
 
 
-def _paired_unitary(target_cols: np.ndarray, source_cols: np.ndarray, d_p: int):
-    """Unitary mapping each source column onto the matching target column."""
+def _paired_unitary(target_cols: np.ndarray, source_cols: np.ndarray):
+    """Unitary mapping each source column onto the matching target column.
+
+    The source complement goes onto the target complement through the polar
+    factor of their overlap, so the result does not depend on the bases the
+    two completions pick.
+    """
     v = target_cols @ source_cols.conj().T
     t_comp = _orthonormal_completion(target_cols)[:, target_cols.shape[1] :]
     s_comp = _orthonormal_completion(source_cols)[:, source_cols.shape[1] :]
-    return v + t_comp @ s_comp.conj().T
+    u, _, vh = np.linalg.svd(t_comp.conj().T @ s_comp)
+    return v + t_comp @ (u @ vh) @ s_comp.conj().T
 
 
 def unitary_correctability(
@@ -533,7 +539,6 @@ def _unitary_correctability(encoding, channel, composite, img: StructureReport, 
     d_s = enc_min.decomposition.d_s
     r_f = enc_min.decomposition.d_f
     d_g = img.decomposition.d_f
-    d_p = enc_min.decomposition.d_p
     code_dim, image_dim = d_s * r_f, d_s * d_g
     w1 = img.decomposition.block_columns
     u_min = enc_min.decomposition.block_columns
@@ -543,7 +548,7 @@ def _unitary_correctability(encoding, channel, composite, img: StructureReport, 
         target = np.stack(
             [u_min[:, s * r_f + a] for s in range(d_s) for a in range(d_g)], axis=1
         )
-        v = _paired_unitary(target, w1, d_p)
+        v = _paired_unitary(target, w1)
         loop = compose(KrausChannel.from_unitary(v), channel)
         try:
             ns_ok, _, ns_res = check_ns_factorization(
@@ -569,7 +574,7 @@ def _unitary_correctability(encoding, channel, composite, img: StructureReport, 
             else:
                 grid.append(comp[:, (a - r_f) * d_s + s])
     target = np.stack(grid, axis=1)
-    v = _paired_unitary(target, w1, d_p)
+    v = _paired_unitary(target, w1)
     # verify the loop restores an encoding on the extended decomposition
     sigma_ext = np.diag(img.weights).astype(complex)[None]
     lhs = v @ _hermitian_images(composite) @ v.conj().T

@@ -95,6 +95,11 @@ class KrausChannel:
 
     Complete positivity is structural; trace preservation is verified at
     construction (``sum_k M_k^dag M_k = I`` within ``tp_tol``).
+
+    The operators are also kept stacked, shape (K, dim_out, dim_in), and
+    the three kernels work on that stack: :meth:`apply` is one batched
+    product ``M rho M^dag`` summed over k, and :meth:`superoperator` and
+    :meth:`tp_defect` are one matrix product each of a reshaped stack.
     """
 
     kraus: list[np.ndarray]
@@ -121,7 +126,8 @@ class KrausChannel:
         return self.kraus[0].shape[0]
 
     def tp_defect(self) -> float:
-        acc = np.einsum("kij,kil->jl", self._stack.conj(), self._stack)
+        rows = self._stack.reshape(-1, self.dim_in)  # the M_k stacked vertically
+        acc = rows.conj().T @ rows
         return float(np.abs(acc - np.eye(self.dim_in)).max())
 
     @classmethod
@@ -138,14 +144,19 @@ class KrausChannel:
             raise ContractViolation(
                 f"state shape {rho.shape}, expected ({self.dim_in}, {self.dim_in})"
             )
-        return np.einsum("kij,jl,kml->im", self._stack, rho, self._stack.conj())
+        m = self._stack
+        return (m @ rho @ m.conj().transpose(0, 2, 1)).sum(axis=0)
 
     def __call__(self, rho) -> np.ndarray:
         return self.apply(rho)
 
     def superoperator(self) -> Superoperator:
-        m = sum(np.kron(k.conj(), k) for k in self.kraus)
-        return Superoperator(self.dim_in, self.dim_out, m)
+        # gram[i, j, m, l] = sum_k conj(M_k[i, j]) M_k[m, l], which is the
+        # entry (i*n + m, j*d + l) of sum_k conj(M_k) kron M_k
+        n, d = self.dim_out, self.dim_in
+        flat = self._stack.reshape(-1, n * d)
+        gram = (flat.conj().T @ flat).reshape(n, d, n, d)
+        return Superoperator(d, n, gram.transpose(0, 2, 1, 3).reshape(n * n, d * d))
 
     def prune(self, norm_tol: float) -> "KrausChannel":
         """Drop Kraus operators with Frobenius norm below ``norm_tol``.
@@ -321,7 +332,8 @@ def trace_norm_contraction_witness(
     """Max observed ratio ||E(r1)-E(r2)||_1 / ||r1-r2||_1 over random pairs.
 
     CPTP maps never increase trace distance, so the result must not exceed
-    1 beyond rounding. Pairs closer than 1e-12 in trace norm are resampled.
+    1 beyond rounding. Pairs closer than ``PAIR_DISTANCE_FLOOR`` in trace
+    norm are resampled.
     ``state_sampler(rng) -> ndarray`` overrides the default Haar-mixed
     sampler (useful for restricting to encoded states).
     """
@@ -335,7 +347,7 @@ def trace_norm_contraction_witness(
         for _attempt in range(100):
             r1, r2 = state_sampler(rng), state_sampler(rng)
             dist = trace_norm(r1 - r2)
-            if dist > 1e-12:
+            if dist > tol.PAIR_DISTANCE_FLOOR:
                 break
         else:
             raise ConvergenceError("could not sample a non-degenerate state pair")

@@ -19,6 +19,7 @@ from .codes import IsometricEncoding, PerturbedEncoding
 from .errors import ContractViolation
 from .opcore import as_matrix, trace_norm
 from .sampling import random_density, random_pure_state
+from . import tolerances as tol
 
 
 @dataclass(eq=False)
@@ -133,7 +134,7 @@ def simulate_iterated(
 
     The residual used for contraction estimates is the deviation of each
     iterate from its projection onto the fixed points of the round map;
-    ratios are skipped once residuals fall below 1e-12.
+    ratios are skipped once residuals fall below ``CONTRACTION_RESIDUAL_FLOOR``.
     """
     if n < 1:
         raise ContractViolation("need at least one iteration")
@@ -156,7 +157,7 @@ def simulate_iterated(
     residual_norms = [trace_norm(s - p_fix(s)) for s in states]
     alphas = np.full(n, np.nan)
     for i in range(n):
-        if residual_norms[i] >= 1e-12:
+        if residual_norms[i] >= tol.CONTRACTION_RESIDUAL_FLOOR:
             alphas[i] = residual_norms[i + 1] / residual_norms[i]
     finite = alphas[np.isfinite(alphas)]
     alpha_max = float(finite.max()) if finite.size else None
@@ -234,7 +235,7 @@ def perturbed_encoding_correctability(
 
     nominal = perturbed.nominal
     loop = compose(recovery, channel)
-    fixed_ok, fixed_res = is_fixed(nominal, loop, max(tol_, 1e-8))
+    fixed_ok, fixed_res = is_fixed(nominal, loop, max(tol_, tol.LOOP_FIXED_FLOOR))
     if not fixed_ok:
         raise ContractViolation(
             f"nominal code is not fixed by the correction loop (residual {fixed_res:.3e})"

@@ -24,6 +24,7 @@ TP_TOL = 1e-10              # max-abs deviation of sum_k M_k^dag M_k from I
 WEIGHT_SUM_TOL = 1e-12      # convex-mixture weights must sum to 1 this tightly
 KERNEL_TOL = 1e-10          # singular-value cutoff for fixed-point kernels
 KRAUS_WEIGHT_CUT = 1e-12    # absolute and relative Choi-eigenvalue cut of minimal_kraus
+PAIR_DISTANCE_FLOOR = 1e-12  # contraction-witness state pairs closer than this are resampled
 
 # Structure detection and classification.
 DETECTION_TOL = 1e-8        # default trace-norm reconstruction residual
@@ -34,3 +35,7 @@ SPECTRUM_FLOOR = 1e-9       # spectral spread across basis-state images always a
 GRAM_CUTOFF = 0.5           # candidate blocks whose Gram defect exceeds this are dropped
 COFACTOR_FALLBACK_TOL = 1e-8  # time reversal falls back to replacement above this
 INVARIANCE_FLOOR = 1e-9      # block-leak residual always allowed in an NS split
+
+# Iterated noise-plus-recovery rounds.
+CONTRACTION_RESIDUAL_FLOOR = 1e-12  # no contraction ratio from a residual below this
+LOOP_FIXED_FLOOR = 1e-8     # fixed-code residual always allowed before iterating a perturbed code

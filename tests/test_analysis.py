@@ -281,6 +281,22 @@ class TestUnitaryCorrectability:
         with pytest.raises(NotCorrectableError):
             unitary_correctability(enc, random_channel(4, rng, kraus_count=3))
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 4, 2), (3, 4, 3)])
+    def test_independent_of_kraus_representation(self, dims, seed):
+        # mixing the Kraus operators by a unitary gives the same channel, so
+        # the unitary, off the image support too, must not move; the two
+        # recoveries' Kraus arrays are a gauge choice, their maps are not
+        rng = np.random.default_rng(seed)
+        enc, channel = random_preserved_system(*dims, rng)
+        mix = haar_unitary(len(channel.kraus), rng)
+        mixed = KrausChannel(list(np.einsum("jk,kab->jab", mix, np.stack(channel.kraus))))
+        u = unitary_correctability(enc, channel).unitary
+        assert np.abs(unitary_correctability(enc, mixed).unitary - u).max() <= 1e-12
+        r = build_correction(enc, channel).superoperator().matrix
+        r_mixed = build_correction(enc, mixed).superoperator().matrix
+        assert np.abs(r_mixed - r).max() <= 1e-12
+
 
 class TestNsFactorization:
     def test_protect_loop_factors_with_sigma_image(self, repetition):

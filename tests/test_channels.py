@@ -296,3 +296,37 @@ class TestMinimalKraus:
         assert all(k.shape == (d_out, d_in) for k in minimal)
         diff = _kraus_superoperator(minimal) - _kraus_superoperator(ops)
         assert np.abs(diff).max() <= 1e-12
+
+
+class TestStackedKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_in=st.integers(1, 5),
+        d_out=st.integers(1, 5),
+        count=st.integers(1, 6),
+        scale=st.floats(0.5, 2.0),
+    )
+    def test_match_per_operator_references(self, seed, d_in, d_out, count, scale):
+        rng = np.random.default_rng(seed)
+        count = max(count, -(-d_in // d_out))  # room for trace preservation
+        shape = (count * d_out, d_in)
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u, _, vh = np.linalg.svd(rows, full_matrices=False)
+        ops = list((u @ vh).reshape(count, d_out, d_in))  # sum_k M_k^dag M_k = I
+        channel = KrausChannel(ops)
+        rho = random_density(d_in, rng)
+
+        out = channel.apply(rho)
+        assert np.abs(out - sum(k @ rho @ k.conj().T for k in ops)).max() <= 1e-13
+        s = channel.superoperator()
+        assert (s.dim_in, s.dim_out) == (d_in, d_out)
+        assert np.abs(s.matrix - _kraus_superoperator(ops)).max() <= 1e-13
+        assert np.abs(s.apply(rho) - out).max() <= 1e-13
+
+        # a defect far from zero, so the comparison is not of two roundings
+        scaled = KrausChannel([scale * k for k in ops], tp_tol=np.inf)
+        stack = scale * np.stack(ops)
+        acc = np.einsum("kij,kil->jl", stack.conj(), stack)
+        assert abs(scaled.tp_defect() - np.abs(acc - np.eye(d_in)).max()) <= 1e-13
+        assert channel.tp_defect() <= 1e-13
