@@ -22,6 +22,8 @@ from .channels import (
     check_support_invariance,
     compose,
     minimal_kraus,
+    trace_norm_certificate,
+    transpose_superoperator,
 )
 from .codes import IsometricEncoding, SubsystemDecomposition
 from .errors import ContractViolation, NotCorrectableError, NumericError
@@ -43,9 +45,10 @@ class StructureReport:
     When ``found``, the encoding reconstructs as
     ``basis (rho kron cofactor (+) 0) basis^dag`` (with ``rho`` transposed
     first when ``conjugation == 'anti-unitary'``), the decomposition is
-    minimal, and ``residual`` is the max trace-norm reconstruction error
-    over the verification states. When not found, ``stage`` names the
-    first failing step.
+    minimal, and ``residual`` bounds the trace-norm reconstruction error
+    over every state (the :func:`trace_norm_certificate` of the difference
+    between the map and the detected encoding). When not found, ``stage``
+    names the first failing step and ``residual`` the quantity it rejected.
     """
 
     found: bool
@@ -69,19 +72,6 @@ def _orthonormal_completion(block: np.ndarray) -> np.ndarray:
         return block
     u, _, _ = np.linalg.svd(block)
     return np.concatenate([block, u[:, n:]], axis=1)
-
-
-def _verification_states(d: int, count: int, rng: np.random.Generator):
-    from .sampling import random_density, random_pure_state
-
-    states = []
-    for i in range(count):
-        if i % 2 == 0:
-            v = random_pure_state(d, rng)
-            states.append(np.outer(v, v.conj()))
-        else:
-            states.append(random_density(d, rng, rank=int(rng.integers(1, d + 1))))
-    return states
 
 
 def _assemble_candidate(rho0_vecs, weights, offdiag_images, d_q, d_p, adjoint: bool):
@@ -115,7 +105,6 @@ def _assemble_candidate(rho0_vecs, weights, offdiag_images, d_q, d_p, adjoint: b
 def detect_structure(
     phi: Superoperator,
     detection_tol: float | None = None,
-    seed: int = 0,
 ) -> StructureReport:
     """Detect the subsystem structure of a linear state encoding.
 
@@ -124,13 +113,14 @@ def detect_structure(
     orthogonal supports, (3) checking a common spectrum, (4) aligning the
     eigenbases across logical slots through the off-diagonal matrix-unit
     images, (5) assembling the basis unitary and cofactor, and (6) verifying
-    the reconstruction on 20 random pure and mixed states under both the
-    unitary and the anti-unitary reading. Never raises on well-formed
-    input; failures come back as ``found=False`` with the failing stage.
+    the reconstruction under both the unitary and the anti-unitary reading:
+    the trace-norm certificate of ``phi`` minus each candidate encoding
+    bounds the error on every state, so the verdict is deterministic. Never
+    raises on well-formed input; failures come back as ``found=False`` with
+    the failing stage.
     """
     dtol = tol.DETECTION_TOL if detection_tol is None else detection_tol
     d_q, d_p = phi.dim_in, phi.dim_out
-    rng = np.random.default_rng(seed)
 
     # stage: input map must preserve Hermiticity and trace
     herm = _hermitian_images(phi)
@@ -194,8 +184,7 @@ def detect_structure(
     if not candidates:
         return StructureReport(False, "alignment", best_gram)
 
-    # stage: verification on random states, trying both conjugation flavors
-    states = _verification_states(d_q, 20, rng)
+    # stage: verification against each candidate map, both conjugation flavors
     tau = np.diag(weights).astype(complex)
     best = None
     for flavor, block in candidates.items():
@@ -205,10 +194,10 @@ def detect_structure(
             enc = IsometricEncoding(dec, tau)
         except ContractViolation:
             continue
-        residual = 0.0
-        for rho in states:
-            probe = rho.T if flavor == "anti-unitary" else rho
-            residual = max(residual, trace_norm(phi(rho) - enc.encode(probe)))
+        candidate = enc.superoperator().matrix
+        if flavor == "anti-unitary":
+            candidate = candidate @ transpose_superoperator(d_q)
+        residual = trace_norm_certificate(Superoperator(d_q, d_p, phi.matrix - candidate))
         if best is None or residual < best[0]:
             best = (residual, flavor, dec)
     if best is None:
@@ -231,32 +220,36 @@ def is_fixed(phi, channel, tol_: float = tol.DETECTION_TOL):
     """Whether every encoded operator is a fixed point of the channel.
 
     ``phi`` and ``channel`` are any maps with ``.superoperator()``.
-    Linearity makes the check on a Hermitian operator basis sufficient; its
-    images under ``channel o phi - phi`` come from one matrix product.
-    Returns (ok, residual).
+    ``residual`` is the :func:`trace_norm_certificate` of
+    ``channel o phi - phi``, so it bounds how far the channel moves any
+    encoded state, in trace norm. Returns (ok, residual).
     """
     s_phi = phi.superoperator()
     s_e = channel.superoperator()
     moved = Superoperator(s_phi.dim_in, s_phi.dim_out, s_e.matrix @ s_phi.matrix - s_phi.matrix)
-    residual = max(trace_norm(img) for img in _hermitian_images(moved))
+    residual = trace_norm_certificate(moved)
     return residual <= tol_, residual
 
 
-def _image(encoding: IsometricEncoding, channel: KrausChannel, tol_: float, seed: int):
+def _image(encoding: IsometricEncoding, channel: KrausChannel, tol_: float):
     """The channel-after-encoding composite and its structure report."""
     composite = channel.superoperator() @ encoding.superoperator()
-    return composite, detect_structure(composite, detection_tol=tol_, seed=seed)
+    return composite, detect_structure(composite, detection_tol=tol_)
 
 
 def is_preserved(
     encoding: IsometricEncoding,
     channel: KrausChannel,
     tol_: float = tol.DETECTION_TOL,
-    seed: int = 0,
 ):
     """Whether the channel acts isometrically on the code. Returns (ok, report)."""
-    _, report = _image(encoding, channel, tol_, seed)
+    _, report = _image(encoding, channel, tol_)
     return report.found, report
+
+
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise ContractViolation(f"horizon must be at least 1, got {horizon}")
 
 
 @dataclass(eq=False)
@@ -274,7 +267,6 @@ def noiseless_certificate(
     channel: KrausChannel,
     horizon: int = 8,
     tol_: float = tol.DETECTION_TOL,
-    seed: int = 0,
 ) -> NoiselessCertificate:
     """Certify that a code stays isometric under all powers of the channel.
 
@@ -287,18 +279,19 @@ def noiseless_certificate(
     """
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("noiseless certificate requires a square channel")
+    _check_horizon(horizon)
     s_e = channel.superoperator()
     s_phi = encoding.superoperator()
     power = s_phi
     found, residuals = [], []
     for _k in range(horizon):
         power = s_e @ power
-        rep = detect_structure(power, detection_tol=tol_, seed=seed)
+        rep = detect_structure(power, detection_tol=tol_)
         found.append(rep.found)
         residuals.append(rep.residual)
     p_inf = cesaro_projector(s_e, method="spectral")
     c_inf = p_inf @ s_phi
-    rep_inf = detect_structure(c_inf, detection_tol=tol_, seed=seed)
+    rep_inf = detect_structure(c_inf, detection_tol=tol_)
     if rep_inf.found:
         _, fixed_residual = is_fixed(c_inf, s_e, tol_)
     else:
@@ -404,7 +397,6 @@ def build_correction(
     channel: KrausChannel,
     strategy: str = "time_reversal",
     tol_: float = tol.DETECTION_TOL,
-    seed: int = 0,
     return_details: bool = False,
 ):
     """Construct a CPTP recovery that makes the code a set of fixed points.
@@ -417,7 +409,7 @@ def build_correction(
     complement is routed to a fixed encoded reference state so the result
     is trace preserving everywhere.
     """
-    _, img = _image(encoding, channel, tol_, seed)
+    _, img = _image(encoding, channel, tol_)
     recovery, details = _correction(encoding, channel, img, strategy)
     return (recovery, details) if return_details else recovery
 
@@ -427,7 +419,6 @@ def derive_protectable_code(
     channel: KrausChannel,
     strategy: str = "time_reversal",
     tol_: float = tol.DETECTION_TOL,
-    seed: int = 0,
 ):
     """The image code of a preserved encoding, fixed by channel-then-recovery.
 
@@ -436,7 +427,7 @@ def derive_protectable_code(
     span, so the image code is protectable with the same recovery that
     corrects the original.
     """
-    composite, img = _image(encoding, channel, tol_, seed)
+    composite, img = _image(encoding, channel, tol_)
     recovery, _ = _correction(encoding, channel, img, strategy)
     _, residual = is_fixed(composite, compose(channel, recovery), tol_)
     return img, recovery, residual
@@ -514,7 +505,6 @@ def unitary_correctability(
     encoding: IsometricEncoding,
     channel: KrausChannel,
     tol_: float = tol.DETECTION_TOL,
-    seed: int = 0,
 ) -> UnitaryCorrectabilityResult:
     """Decide whether a unitary suffices to correct (or only recover) the code.
 
@@ -527,7 +517,7 @@ def unitary_correctability(
     decomposition: unitarily recoverable, with no guarantee under repeated
     noise-correction cycles.
     """
-    composite, img = _image(encoding, channel, tol_, seed)
+    composite, img = _image(encoding, channel, tol_)
     return _unitary_correctability(encoding, channel, composite, img, tol_)
 
 
@@ -627,12 +617,12 @@ def classify(
     channel: KrausChannel,
     horizon: int = 8,
     tol_: float = tol.DETECTION_TOL,
-    seed: int = 0,
     strategy: str = "time_reversal",
 ) -> ClassificationReport:
     """Run the full classification pipeline for one code and channel."""
+    _check_horizon(horizon)
     fixed_ok, fixed_res = is_fixed(encoding, channel, tol_)
-    composite, rep = _image(encoding, channel, tol_, seed)
+    composite, rep = _image(encoding, channel, tol_)
     residuals = {"fixed": fixed_res, "preservation": rep.residual}
 
     if not rep.found:
@@ -657,7 +647,7 @@ def classify(
 
     # correctability means noiselessness under the corrected loop; the
     # certificate witnesses that constructively
-    cert = noiseless_certificate(encoding, loop, horizon, tol_, seed)
+    cert = noiseless_certificate(encoding, loop, horizon, tol_)
     residuals["noiseless_power_max"] = max(cert.power_residuals)
     residuals["noiseless_fixed_code"] = cert.fixed_residual
 

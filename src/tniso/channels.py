@@ -180,6 +180,27 @@ def _hermitian_images(s: Superoperator) -> np.ndarray:
     return (s.matrix @ basis).reshape(n, n, -1, order="F").transpose(2, 0, 1)
 
 
+def trace_norm_certificate(s: Superoperator) -> float:
+    """Certified bound on ``||s(rho)||_1`` over every state rho.
+
+    For the Choi matrix ``J = sum_ab E_ab kron s(E_ab)`` of a
+    Hermiticity-preserving map this is ``lambda_max(Tr_out |J|)``: the
+    closed-form dual-feasible point ``Y0 = Y1 = |J|`` of the diamond-norm
+    SDP (Watrous, arXiv:1207.5726). Other maps take ``Y0 = (J J^dag)^(1/2)``,
+    ``Y1 = (J^dag J)^(1/2)``. The value is 1 on channels, and
+    ``d_in * d_out * eps * ||J||`` is added to absorb its own rounding.
+    """
+    d, n = s.dim_in, s.dim_out
+    choi = _unit_images(s).transpose(0, 2, 1, 3).reshape(d * n, d * n)
+    u, sv, vh = np.linalg.svd(choi)
+    bound = 0.0
+    for cols in (u, vh.conj().T):
+        c = cols.reshape(d, n, -1)
+        reduced = np.einsum("aik,k,bik->ab", c, sv, c.conj())
+        bound += float(np.linalg.eigvalsh((reduced + reduced.conj().T) / 2)[-1]) / 2
+    return bound + d * n * float(np.finfo(float).eps) * float(sv[0])
+
+
 def minimal_kraus(ops) -> list[np.ndarray]:
     """Minimal Kraus set of the CP map with Kraus operators ``ops``.
 
@@ -261,7 +282,7 @@ def cesaro_projector(
     channel: KrausChannel | Superoperator,
     method: str = "spectral",
     max_n: int = 2**48,
-    tol_: float = 1e-8,
+    tol_: float = tol.CESARO_TOL,
 ) -> Superoperator:
     """Projector onto the fixed points of a square channel.
 
@@ -309,7 +330,9 @@ def cesaro_projector(
     )
 
 
-def check_support_invariance(channel: KrausChannel, rho_bar, tol_: float = 1e-10):
+def check_support_invariance(
+    channel: KrausChannel, rho_bar, tol_: float = tol.SUPPORT_INVARIANCE_TOL
+):
     """Whether the channel maps states supported on supp(rho_bar) into it.
 
     Checks that every Kraus operator has a vanishing block from the support

@@ -42,6 +42,7 @@ EXIT_VERDICT = 1
 EXIT_INPUT = 2
 
 _STRATEGIES = {"petz": "time_reversal", "replace": "replace"}
+_SEED_HELP = "seed of the epsilon sampling only; other analyses are deterministic (default 0)"
 
 
 def _default_tol() -> float:
@@ -74,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if state:
             p.add_argument("--state", help="initial state JSON file")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
         p.add_argument("--out", help="output path for the JSON report")
 
     p = sub.add_parser("check-channel", help="validate a channel file")
@@ -105,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.05, help="phase-flip admixture")
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.add_argument("--out", default=".", help="output directory for generated files")
     return parser
 
@@ -175,7 +176,6 @@ def _cmd_classify(args, tol_):
         channel,
         horizon=args.horizon,
         tol_=tol_,
-        seed=args.seed,
         strategy=_STRATEGIES[args.strategy],
     )
     table = result.as_dict()
@@ -218,7 +218,6 @@ def _cmd_correct(args, tol_):
         channel,
         strategy=_STRATEGIES[args.strategy],
         tol_=tol_,
-        seed=args.seed,
         return_details=True,
     )
     _, residual = is_fixed(encoding, compose(recovery, channel), tol_)

@@ -327,7 +327,8 @@ def verify_faithfulness(
         for cluster in _eigen_clusters(w_a, spectral_gap_tol):
             lam = float(np.mean(w_a[cluster]))
             pa = v_a[:, cluster] @ v_a[:, cluster].conj().T
-            sel = np.abs(w_x - lam) <= spectral_gap_tol + 1e-9 * max(1.0, abs(lam))
+            window = spectral_gap_tol + tol.EIGENVALUE_WINDOW * max(1.0, abs(lam))
+            sel = np.abs(w_x - lam) <= window
             px = v_x[:, sel] @ v_x[:, sel].conj().T
             sand = px @ sigma @ px
             r_measure = max(

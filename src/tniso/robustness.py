@@ -3,9 +3,10 @@
 The perturbation size of an almost-isometric encoding is the worst
 trace-norm deviation over states. Since the deviation map is linear and the
 trace norm convex, pure states attain the supremum, so estimation samples
-pure states and refines locally; because sampling only lower-bounds, an
-operator-basis induced-norm upper bound is reported alongside and bound
-checks must consume the upper end of the bracket.
+pure states and refines locally. Sampling only lower-bounds, so the
+deviation map's trace-norm certificate (a closed-form Choi bound, see
+:func:`tniso.channels.trace_norm_certificate`) is reported alongside as the
+upper end of the bracket, and bound checks must consume that upper end.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, Superoperator, _unit_images, cesaro_projector, compose
+from .channels import KrausChannel, Superoperator, cesaro_projector, compose, trace_norm_certificate
 from .codes import IsometricEncoding, PerturbedEncoding
 from .errors import ContractViolation
 from .opcore import as_matrix, trace_norm
@@ -28,7 +29,8 @@ class EpsilonEstimate:
 
     ``epsilon`` is the best sampled value (a lower bound on the true
     supremum) and equals the deviation of ``witness_state`` exactly;
-    ``upper_bound`` dominates the supremum.
+    ``upper_bound`` is the deviation map's trace-norm certificate, which
+    dominates the supremum and does not depend on ``seed``.
     """
 
     epsilon: float
@@ -60,6 +62,10 @@ def estimate_epsilon(
     refinement of the best state vector. The returned ``epsilon`` is
     recomputed from the witness at emission.
     """
+    if samples < 1:
+        raise ContractViolation(f"samples must be at least 1, got {samples}")
+    if refine_steps < 0:
+        raise ContractViolation(f"refine_steps must be nonnegative, got {refine_steps}")
     delta = _deviation_superoperator(perturbed, nominal)
     d = nominal.dim_logical
     rng = np.random.default_rng(seed)
@@ -84,12 +90,11 @@ def estimate_epsilon(
         else:
             step *= 0.95
 
-    upper = sum(trace_norm(x) for row in _unit_images(delta) for x in row)
     witness = np.outer(best_v, best_v.conj())
     return EpsilonEstimate(
         epsilon=trace_norm(delta(witness)),
         witness_state=witness,
-        upper_bound=float(upper),
+        upper_bound=trace_norm_certificate(delta),
         samples=samples,
         refine_steps=refine_steps,
         seed=seed,
@@ -180,16 +185,17 @@ def simulate_iterated(
     )
 
 
-def check_prop3_bound(trace: SimulationTrace, epsilon: float, slack: float = 1e-6):
+def check_prop3_bound(trace: SimulationTrace, epsilon: float):
     """Check the linear accumulation bound error_n <= n * epsilon.
 
     ``epsilon`` must be a certified per-round bound (the upper end of an
-    estimate bracket), not a sampled lower bound. Returns (ok, margin)
-    with margin = min over n of (n * epsilon - error_n).
+    estimate bracket), not a sampled lower bound. Errors may exceed the
+    bound by ``BOUND_SLACK``. Returns (ok, margin) with margin = min over n
+    of (n * epsilon - error_n).
     """
     n = np.arange(len(trace.errors), dtype=float)
     margins = n * epsilon - trace.errors
-    return bool((trace.errors <= n * epsilon + slack).all()), float(margins.min())
+    return bool((trace.errors <= n * epsilon + tol.BOUND_SLACK).all()), float(margins.min())
 
 
 @dataclass(eq=False)
@@ -200,18 +206,17 @@ class GeometricBoundResult:
     bound: float | None
 
 
-def check_geometric_bound(
-    trace: SimulationTrace, epsilon: float, slack: float = 1e-6
-) -> GeometricBoundResult:
+def check_geometric_bound(trace: SimulationTrace, epsilon: float) -> GeometricBoundResult:
     """Check errors against epsilon / (1 - alpha) for strictly contractive loops.
 
-    Not applicable when the observed contraction factor reaches 1 (or no
-    residual steps were measurable).
+    Errors may exceed the bound by ``BOUND_SLACK``. Not applicable when the
+    observed contraction factor reaches 1 (or no residual steps were
+    measurable).
     """
     if trace.alpha_max is None or trace.alpha_max >= 1.0:
         return GeometricBoundResult(False, None, trace.alpha_max, None)
     bound = epsilon / (1.0 - trace.alpha_max)
-    ok = bool((trace.errors <= bound + slack).all())
+    ok = bool((trace.errors <= bound + tol.BOUND_SLACK).all())
     return GeometricBoundResult(True, ok, trace.alpha_max, bound)
 
 
@@ -220,7 +225,7 @@ def perturbed_encoding_correctability(
     channel: KrausChannel,
     recovery: KrausChannel,
     horizon: int = 20,
-    tol_: float = 1e-8,
+    tol_: float = tol.DETECTION_TOL,
     seed: int = 0,
     verify_states: int = 8,
 ):

@@ -23,12 +23,15 @@ EIG_CLAMP_TOL = 1e-12
 TP_TOL = 1e-10              # max-abs deviation of sum_k M_k^dag M_k from I
 WEIGHT_SUM_TOL = 1e-12      # convex-mixture weights must sum to 1 this tightly
 KERNEL_TOL = 1e-10          # singular-value cutoff for fixed-point kernels
+CESARO_TOL = 1e-8           # iterative Cesaro averaging stops at this successive change
+SUPPORT_INVARIANCE_TOL = 1e-10  # Kraus block leaking out of a state's support
 KRAUS_WEIGHT_CUT = 1e-12    # absolute and relative Choi-eigenvalue cut of minimal_kraus
 PAIR_DISTANCE_FLOOR = 1e-12  # contraction-witness state pairs closer than this are resampled
 
 # Structure detection and classification.
 DETECTION_TOL = 1e-8        # default trace-norm reconstruction residual
 SPECTRAL_GAP_TOL = 1e-8     # eigenvalue clustering width for eigenprojectors
+EIGENVALUE_WINDOW = 1e-9    # eigenvalue matching widens by this times max(1, |lambda|)
 INPUT_MAP_TOL = 1e-8        # Hermiticity/trace defect of a map handed to detection
 STATE_IMAGE_FLOOR = 1e-10   # negative eigenvalue of a basis-state image always allowed
 SPECTRUM_FLOOR = 1e-9       # spectral spread across basis-state images always allowed
@@ -39,3 +42,4 @@ INVARIANCE_FLOOR = 1e-9      # block-leak residual always allowed in an NS split
 # Iterated noise-plus-recovery rounds.
 CONTRACTION_RESIDUAL_FLOOR = 1e-12  # no contraction ratio from a residual below this
 LOOP_FIXED_FLOOR = 1e-8     # fixed-code residual always allowed before iterating a perturbed code
+BOUND_SLACK = 1e-6          # iterated errors may exceed the linear or geometric bound by this

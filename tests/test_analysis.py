@@ -43,7 +43,7 @@ class TestDetectStructure:
     def test_constructed_encoding_roundtrip(self, rng):
         dec = SubsystemDecomposition(2, 2, 1, haar_unitary(5, rng))
         enc = IsometricEncoding(dec, np.diag([0.7, 0.3]))
-        report = detect_structure(enc.superoperator(), seed=1)
+        report = detect_structure(enc.superoperator())
         assert report.found and report.conjugation == "unitary"
         assert report.residual <= 1e-9
         np.testing.assert_allclose(np.sort(report.weights)[::-1], [0.7, 0.3], atol=1e-9)
@@ -51,7 +51,7 @@ class TestDetectStructure:
     def test_repetition_image_structure(self, repetition):
         enc, channel, _, _ = repetition
         composite = channel.superoperator() @ enc.superoperator()
-        report = detect_structure(composite, seed=1)
+        report = detect_structure(composite)
         assert report.found
         np.testing.assert_allclose(
             np.sort(report.weights)[::-1],
@@ -75,14 +75,14 @@ class TestDetectStructure:
             dec = SubsystemDecomposition(2, 2, 1, haar_unitary(5, rng))
             enc = IsometricEncoding(dec, random_density(2, rng))
             flipped = enc.superoperator() @ Superoperator(2, 2, transpose_superoperator(2))
-            report = detect_structure(flipped, seed=2)
+            report = detect_structure(flipped)
             assert report.found and report.conjugation == "anti-unitary"
             assert report.residual <= 1e-8
 
     def test_rank_deficient_cofactor_detected_minimal(self, rng):
         dec = SubsystemDecomposition(2, 3, 0, haar_unitary(6, rng))
         enc = IsometricEncoding(dec, np.diag([0.8, 0.2, 0.0]))
-        report = detect_structure(enc.superoperator(), seed=1)
+        report = detect_structure(enc.superoperator())
         assert report.found
         assert report.decomposition.d_f == 2
         assert report.decomposition.d_r == 2
@@ -160,6 +160,14 @@ class TestNoiselessCertificate:
     def test_rejects_rectangular_channel(self, rng):
         with pytest.raises(ContractViolation):
             noiseless_certificate(IsometricEncoding.trivial(2), random_channel(2, rng, dim_out=4))
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_rejects_horizon_below_one(self, repetition, horizon):
+        enc, channel, recovery, _ = repetition
+        with pytest.raises(ContractViolation, match="horizon"):
+            noiseless_certificate(enc, compose(recovery, channel), horizon=horizon)
+        with pytest.raises(ContractViolation, match="horizon"):
+            classify(enc, channel, horizon=horizon)
 
 
 class TestBuildCorrection:

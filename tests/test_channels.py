@@ -5,19 +5,28 @@ from hypothesis import strategies as st
 
 from tniso.channels import (
     KrausChannel,
+    Superoperator,
     cesaro_projector,
     check_support_invariance,
     compose,
     convex_mix,
     minimal_kraus,
     power_mix,
+    trace_norm_certificate,
     trace_norm_contraction_witness,
+    transpose_superoperator,
     unvec,
     vec,
 )
 from tniso.errors import ContractViolation, ConvergenceError
-from tniso.opcore import hermitian_basis
-from tniso.sampling import random_channel, random_density, random_unital_channel
+from tniso.opcore import hermitian_basis, trace_norm
+from tniso.sampling import (
+    random_channel,
+    random_density,
+    random_isometric_encoding,
+    random_pure_state,
+    random_unital_channel,
+)
 from tniso import serialize
 
 from conftest import PAULI_X
@@ -330,3 +339,50 @@ class TestStackedKernels:
         acc = np.einsum("kij,kil->jl", stack.conj(), stack)
         assert abs(scaled.tp_defect() - np.abs(acc - np.eye(d_in)).max()) <= 1e-13
         assert channel.tp_defect() <= 1e-13
+
+
+def _assert_bounds_sampled_states(s, cert, rng):
+    for i in range(12):
+        if i % 2 == 0:
+            v = random_pure_state(s.dim_in, rng)
+            rho = np.outer(v, v.conj())
+        else:
+            rho = random_density(s.dim_in, rng, rank=int(rng.integers(1, s.dim_in + 1)))
+        value = trace_norm(s(rho))
+        # at d_in = 1 the bound is attained, and both sides are roundings of
+        # one sum of singular values: allow the oracle's SVD its own ulps
+        assert value <= cert + 4 * s.dim_out * np.finfo(float).eps * value
+
+
+class TestTraceNormCertificate:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000), d_in=st.integers(1, 4), d_out=st.integers(1, 4))
+    def test_channel_differences(self, seed, d_in, d_out):
+        rng = np.random.default_rng(seed)
+        e1 = random_channel(d_in, rng, dim_out=d_out).superoperator()
+        e2 = random_channel(d_in, rng, dim_out=d_out).superoperator()
+        for channel in (e1, e2):
+            assert abs(trace_norm_certificate(channel) - 1.0) <= 1e-12
+        delta = Superoperator(d_in, d_out, e1.matrix - e2.matrix)
+        cert = trace_norm_certificate(delta)
+        assert type(cert) is float
+        _assert_bounds_sampled_states(delta, cert, rng)
+        zero = Superoperator(d_in, d_out, np.zeros_like(delta.matrix))
+        assert trace_norm_certificate(zero) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 4),
+        d_f=st.integers(1, 4),
+        d_r=st.integers(0, 3),
+    )
+    def test_encodings_after_a_transpose(self, seed, d_s, d_f, d_r):
+        # for d_S > 1 the map is positive but not completely positive: its
+        # Choi matrix has a negative part, and the bound must still hold
+        d_f = min(d_f, 4 // d_s)
+        d_r = min(d_r, 4 - d_s * d_f)
+        rng = np.random.default_rng(seed)
+        enc = random_isometric_encoding(d_s, d_f, d_r, rng)
+        flipped = enc.superoperator() @ Superoperator(d_s, d_s, transpose_superoperator(d_s))
+        _assert_bounds_sampled_states(flipped, trace_norm_certificate(flipped), rng)

@@ -120,6 +120,13 @@ class TestClassify:
         assert main(["epsilon", "--channel", str(small), "--code", generated["code"]]) == 2
         assert "channel and code dimensions do not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", ["0", "-2"])
+    def test_horizon_below_one_exits_2(self, generated, capsys, horizon):
+        argv = ["classify", "--channel", generated["channel"], "--code", generated["code"]]
+        assert main(argv + ["--horizon", horizon]) == 2
+        err = capsys.readouterr().err
+        assert "horizon" in err and "Traceback" not in err
+
     def test_non_integer_code_dimension_exits_2(self, generated, tmp_path, capsys):
         payload = read(generated["code"])
         payload["d_S"] = "two"
@@ -254,6 +261,23 @@ class TestEpsilonCommand:
         results = read(out)["results"]
         assert results["epsilon_witness"] == pytest.approx(0.04, rel=0.01)
         assert results["epsilon_upper"] >= results["epsilon_witness"]
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--samples", "0", "samples"), ("--samples", "-3", "samples"), ("--refine", "-1", "refine_steps")],
+    )
+    def test_bad_sampling_budget_exits_2(self, generated, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "eps.json"
+        argv = [
+            "epsilon",
+            "--channel", generated["mixture"],
+            "--code", generated["code"],
+            "--out", str(out),
+            flag, value,
+        ]
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExampleCommand:

@@ -86,9 +86,27 @@ class TestEstimateEpsilon:
         # per-round coherence damping of the mixture model: 2*eps*p
         assert est.epsilon == pytest.approx(0.04, rel=0.01)
 
+    def test_upper_bound_of_mixture_round_is_tight(self, repetition):
+        # the deviation map of one round is exactly the coherence damping
+        # 2*eps*p = 0.04 of the mixture model, and so is its certificate
+        enc, _, recovery, _ = repetition
+        loop = compose(recovery, make_example2_channel(0.4, 0.05))
+        est = estimate_epsilon(loop.superoperator() @ enc.superoperator(), enc)
+        assert abs(est.upper_bound - 0.04) <= 1e-12
+        assert est.upper_bound >= est.epsilon
+
     def test_dimension_mismatch(self, repetition):
         with pytest.raises(ContractViolation):
             estimate_epsilon(Superoperator.identity(3), repetition.encoding)
+
+    @pytest.mark.parametrize(
+        "budget,field",
+        [({"samples": 0}, "samples"), ({"samples": -3}, "samples"), ({"refine_steps": -1}, "refine_steps")],
+    )
+    def test_rejects_bad_sampling_budget(self, repetition, budget, field):
+        enc = repetition.encoding
+        with pytest.raises(ContractViolation, match=field):
+            estimate_epsilon(enc.superoperator(), enc, **budget)
 
 
 class TestSimulateIterated:
