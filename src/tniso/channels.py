@@ -158,14 +158,6 @@ class KrausChannel:
         gram = (flat.conj().T @ flat).reshape(n, d, n, d)
         return Superoperator(d, n, gram.transpose(0, 2, 1, 3).reshape(n * n, d * d))
 
-    def prune(self, norm_tol: float) -> "KrausChannel":
-        """Drop Kraus operators with Frobenius norm below ``norm_tol``.
-
-        Pruning is never automatic: it changes the TP residual.
-        """
-        kept = [k for k in self.kraus if np.linalg.norm(k) >= norm_tol]
-        return KrausChannel(kept if kept else [self.kraus[0]], tp_tol=self.tp_tol)
-
 
 def _unit_images(s: Superoperator) -> np.ndarray:
     """Images of the matrix units as slices of the matrix: ``[a, b] = s(E_ab)``."""
@@ -226,7 +218,8 @@ def compose(e2: KrausChannel, e1: KrausChannel) -> KrausChannel:
     return KrausChannel(ops)
 
 
-def _check_weights(weights) -> np.ndarray:
+def convex_mix(weights, channels: list[KrausChannel]) -> KrausChannel:
+    """Convex mixture sum_k p_k E_k as one channel, Kraus {sqrt(p_k) M_ki}."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ContractViolation("weights must be a nonempty 1-D list")
@@ -234,12 +227,6 @@ def _check_weights(weights) -> np.ndarray:
         raise ContractViolation("weights must be nonnegative")
     if abs(w.sum() - 1.0) > tol.WEIGHT_SUM_TOL:
         raise ContractViolation(f"weights sum to {w.sum()!r}, expected 1")
-    return w
-
-
-def convex_mix(weights, channels: list[KrausChannel]) -> KrausChannel:
-    """Convex mixture sum_k p_k E_k as one channel, Kraus {sqrt(p_k) M_ki}."""
-    w = _check_weights(weights)
     if len(channels) != w.size:
         raise ContractViolation("one weight per channel required")
     dims = {(c.dim_in, c.dim_out) for c in channels}
@@ -247,20 +234,6 @@ def convex_mix(weights, channels: list[KrausChannel]) -> KrausChannel:
         raise ContractViolation("mixed channels must share dimensions")
     ops = [np.sqrt(p) * k for p, c in zip(w, channels) for k in c.kraus]
     return KrausChannel(ops)
-
-
-def power_mix(channel: KrausChannel, p) -> Superoperator:
-    """Superoperator of sum_i p_i E^i, with p_0 weighting the identity."""
-    w = _check_weights(p)
-    if channel.dim_in != channel.dim_out:
-        raise ContractViolation("powers require a square channel")
-    s = channel.superoperator().matrix
-    acc = np.zeros_like(s)
-    term = np.eye(s.shape[0], dtype=complex)
-    for p_i in w:
-        acc = acc + p_i * term
-        term = s @ term
-    return Superoperator(channel.dim_in, channel.dim_out, acc)
 
 
 def _spectral_fixed_point_projector(s: np.ndarray) -> np.ndarray:

@@ -45,16 +45,20 @@ _STRATEGIES = {"petz": "time_reversal", "replace": "replace"}
 _SEED_HELP = "seed of the epsilon sampling only; other analyses are deterministic (default 0)"
 
 
-def _default_tol() -> float:
-    env = os.environ.get("TNISO_TOL")
-    if env is None:
-        return tol.DETECTION_TOL
-    try:
-        value = float(env)
-    except ValueError as exc:
-        raise ContractViolation(f"TNISO_TOL is not a number: {env!r}") from exc
-    if value <= 0:
-        raise ContractViolation("TNISO_TOL must be positive")
+def _resolve_tol(args) -> float:
+    """``--tol`` if given, else ``TNISO_TOL``, else the default; must be positive."""
+    if getattr(args, "tol", None) is not None:
+        value, name = args.tol, "tol"
+    else:
+        env = os.environ.get("TNISO_TOL")
+        if env is None:
+            return tol.DETECTION_TOL
+        try:
+            value, name = float(env), "TNISO_TOL"
+        except ValueError as exc:
+            raise ContractViolation(f"TNISO_TOL is not a number: {env!r}") from exc
+    if not value > 0:
+        raise ContractViolation(f"{name} must be positive, got {value!r}")
     return value
 
 
@@ -484,7 +488,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        tol_ = args.tol if getattr(args, "tol", None) is not None else _default_tol()
+        tol_ = _resolve_tol(args)
+        if getattr(args, "iters", 1) < 1:
+            raise ContractViolation(f"iters must be at least 1, got {args.iters}")
         code, report = _DISPATCH[args.command](args, tol_)
     except NotCorrectableError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -153,8 +153,9 @@ class IsometricEncoding:
     def minimalize(self) -> "IsometricEncoding":
         """Shrink the cofactor to its support, growing the remainder.
 
-        The returned encoding has a full-rank diagonal cofactor; columns of
-        the basis are reordered so dropped cofactor directions join the
+        The returned encoding has a full-rank diagonal cofactor, rescaled to
+        unit trace when the rank cut drops small weights; columns of the
+        basis are reordered so dropped cofactor directions join the
         remainder.
         """
         dec = self.decomposition
@@ -162,6 +163,8 @@ class IsometricEncoding:
         order = np.argsort(w)[::-1]
         w, v = w[order], v[:, order]
         rank = int(np.count_nonzero(above_rank_cut(w)))
+        if rank < dec.d_f:
+            w = w / w[:rank].sum()
         # rotate cofactor coordinates to the eigenbasis
         rot = np.kron(np.eye(dec.d_s), v)
         u1 = dec.block_columns @ rot

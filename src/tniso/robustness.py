@@ -142,7 +142,7 @@ def simulate_iterated(
     ratios are skipped once residuals fall below ``CONTRACTION_RESIDUAL_FLOOR``.
     """
     if n < 1:
-        raise ContractViolation("need at least one iteration")
+        raise ContractViolation(f"n must be at least 1, got {n}")
     rho0 = as_matrix(rho0)
     loop = compose(recovery, channel)
     if loop.dim_in != loop.dim_out or rho0.shape != (loop.dim_in, loop.dim_in):

@@ -20,7 +20,7 @@ RANK_TOL = 1e-9
 EIG_CLAMP_TOL = 1e-12
 
 # Channel invariants.
-TP_TOL = 1e-10              # max-abs deviation of sum_k M_k^dag M_k from I
+TP_TOL = 1e-10              # max-abs deviation of sum_k M_k^dag M_k from I; time reversal falls back above it
 WEIGHT_SUM_TOL = 1e-12      # convex-mixture weights must sum to 1 this tightly
 KERNEL_TOL = 1e-10          # singular-value cutoff for fixed-point kernels
 CESARO_TOL = 1e-8           # iterative Cesaro averaging stops at this successive change
@@ -36,7 +36,7 @@ INPUT_MAP_TOL = 1e-8        # Hermiticity/trace defect of a map handed to detect
 STATE_IMAGE_FLOOR = 1e-10   # negative eigenvalue of a basis-state image always allowed
 SPECTRUM_FLOOR = 1e-9       # spectral spread across basis-state images always allowed
 GRAM_CUTOFF = 0.5           # candidate blocks whose Gram defect exceeds this are dropped
-COFACTOR_FALLBACK_TOL = 1e-8  # time reversal falls back to replacement above this
+COFACTOR_FALLBACK_TOL = 1e-8  # time reversal falls back to replacement when it misses the cofactor by more
 INVARIANCE_FLOOR = 1e-9      # block-leak residual always allowed in an NS split
 
 # Iterated noise-plus-recovery rounds.

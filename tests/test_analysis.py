@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tniso import analysis
+from tniso import tolerances as tol
 from tniso.analysis import (
     build_correction,
     check_ns_factorization,
@@ -37,6 +40,15 @@ from tniso.sampling import (
 )
 
 from conftest import PAULI_Z
+
+
+def _admixed_system(dims, seed, weight):
+    """A random preserved system with a ``weight`` admixture of random noise."""
+    d_s, d_f, d_r, d_g = dims
+    rng = np.random.default_rng(seed)
+    enc, channel = random_preserved_system(d_s, d_f, d_r, rng, d_g=d_g)
+    noise = random_channel(enc.dim_physical, rng)
+    return enc, convex_mix([1.0 - weight, weight], [channel, noise])
 
 
 class TestDetectStructure:
@@ -161,6 +173,16 @@ class TestNoiselessCertificate:
         with pytest.raises(ContractViolation):
             noiseless_certificate(IsometricEncoding.trivial(2), random_channel(2, rng, dim_out=4))
 
+    def test_undetected_projection_reports_its_detection_residual(self):
+        # a 1e-10 admixture leaves the code preserved, but projecting it on the
+        # corrected loop's fixed points gives no encoding: the certificate
+        # reports the residual that rejected the projection, not infinity
+        enc, near = _admixed_system((2, 3, 1, None), seed=0, weight=1e-10)
+        cert = noiseless_certificate(enc, compose(build_correction(enc, near), near))
+        assert not cert.accepted and not cert.fixed_code.found
+        assert cert.fixed_residual == cert.fixed_code.residual
+        assert np.isfinite(cert.fixed_residual)
+
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_rejects_horizon_below_one(self, repetition, horizon):
         enc, channel, recovery, _ = repetition
@@ -233,6 +255,33 @@ class TestBuildCorrection:
                 ok, res = is_fixed(enc, compose(recovery, channel), 1e-8)
                 assert ok, (strategy, res, (d_s, d_f, d_r, d_g))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sandwich_outside_the_tp_gate_falls_back(self, seed):
+        # a 1e-9 admixture leaves the sandwich's TP defect near 5e-10: inside
+        # COFACTOR_FALLBACK_TOL but outside the gate every KrausChannel passes
+        enc, near = _admixed_system((2, 3, 1, None), seed, weight=1e-9)
+        assert is_preserved(enc, near)[0]
+        recovery, details = build_correction(enc, near, return_details=True)
+        assert details.fell_back and details.strategy_used == "replace"
+        assert details.cofactor_tp_defect > tol.TP_TOL
+        assert recovery.tp_defect() <= tol.TP_TOL
+        report = classify(enc, near)
+        assert report.correctable and report.residuals["correction"] <= 1e-8
+
+    @pytest.mark.parametrize("strategy", ["time_reversal", "replace"])
+    def test_cofactor_weight_below_the_rank_cut(self, strategy, rng):
+        # the 5e-10 weight is dropped as a zero; the kept weight must still
+        # sum to one, or recovery and routing miss the TP gate by 5e-10
+        enc, channel = random_preserved_system(2, 2, 1, rng)
+        enc = enc.with_cofactor(np.diag([1.0 - 5e-10, 5e-10]))
+        recovery = build_correction(enc, channel, strategy)
+        assert recovery.tp_defect() <= tol.TP_TOL
+        report = classify(enc, channel, strategy=strategy)
+        assert report.preserved and report.noiseless_certificate
+        # the minimal code keeps one cofactor slot and the image two
+        assert report.unitarily_recoverable and not report.unitarily_correctable
+        assert report.residuals["correction"] <= 1e-8
+
 
 class TestProtectableCode:
     def test_repetition_image_is_protectable(self, repetition):
@@ -304,6 +353,42 @@ class TestUnitaryCorrectability:
         r = build_correction(enc, channel).superoperator().matrix
         r_mixed = build_correction(enc, mixed).superoperator().matrix
         assert np.abs(r_mixed - r).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dims=st.sampled_from(
+            [(2, 2, 1, None), (2, 3, 1, None), (2, 2, 2, 3), (2, 3, 2, 2), (3, 2, 3, 1)]
+        ),
+        seed=st.integers(0, 10_000),
+        log_weight=st.floats(-14.0, -10.0),
+    )
+    def test_sub_tolerance_admixture_keeps_the_verdicts(self, dims, seed, log_weight):
+        # the certificate scales with the noise weight, like the preservation
+        # residual, so a preserved code keeps its unitary verdicts
+        enc, near = _admixed_system(dims, seed, weight=10.0**log_weight)
+        report = classify(enc, near)
+        result = unitary_correctability(enc, near)
+        assert report.preserved
+        assert report.unitarily_recoverable and result.unitarily_recoverable
+        fits = result.image_support_dim <= result.code_support_dim
+        assert report.unitarily_correctable == result.unitarily_correctable == fits
+        assert np.isfinite(list(report.residuals.values())).all()
+        assert abs(report.residuals["unitary"] - report.residuals["preservation"]) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 1, None), (2, 3, 0, None), (3, 4, 3, None), (2, 3, 2, 2), (3, 2, 3, 1)]
+    )
+    def test_kraus_level_ns_split_accepts_correctable_codes(self, dims, seed):
+        # oracle: on an image no larger than the code, the noise-plus-unitary
+        # loop must factor as identity on the logical factor, operator by operator
+        d_s, d_f, d_r, d_g = dims
+        enc, channel = random_preserved_system(d_s, d_f, d_r, np.random.default_rng(seed), d_g=d_g)
+        result = unitary_correctability(enc, channel)
+        assert result.unitarily_correctable
+        loop = compose(KrausChannel.from_unitary(result.unitary), channel)
+        ok, _, ns_res = check_ns_factorization(loop, enc.minimalize().decomposition)
+        assert ok, ns_res
 
 
 class TestNsFactorization:
@@ -454,6 +539,28 @@ class TestAnalysisPass:
         report = classify(repetition.encoding, repetition.channel, horizon=horizon)
         assert report.preserved
         assert len(calls) == horizon + 2
+
+    def test_preserved_classify_builds_each_superoperator_once(self, monkeypatch, rng):
+        # S_E and S_phi once each, the corrected loop once, and the recovery
+        # once for the protection check: no compose(channel, recovery)
+        enc, channel = random_preserved_system(2, 3, 1, rng)
+        built, composed = [], []
+        real_kraus, real_enc = KrausChannel.superoperator, IsometricEncoding.superoperator
+        monkeypatch.setattr(
+            KrausChannel, "superoperator", lambda self: built.append(self) or real_kraus(self)
+        )
+        monkeypatch.setattr(
+            IsometricEncoding, "superoperator", lambda self: built.append(self) or real_enc(self)
+        )
+        real_compose = analysis.compose
+        monkeypatch.setattr(
+            analysis, "compose", lambda *ops: composed.append(ops) or real_compose(*ops)
+        )
+        assert classify(enc, channel).preserved
+        assert sum(x is channel for x in built) == 1
+        assert sum(x is enc for x in built) == 1
+        assert len(composed) == 1 and composed[0][1] is channel
+        assert sum(isinstance(x, KrausChannel) for x in built) == 3
 
     def test_near_miss_classify_detects_once(self, monkeypatch, rng):
         enc, channel = random_preserved_system(2, 2, 1, rng)

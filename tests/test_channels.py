@@ -11,7 +11,6 @@ from tniso.channels import (
     compose,
     convex_mix,
     minimal_kraus,
-    power_mix,
     trace_norm_certificate,
     trace_norm_contraction_witness,
     transpose_superoperator,
@@ -83,11 +82,6 @@ class TestKrausChannel:
             assert complex(np.trace(out)).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(out).min() >= -1e-12
 
-    def test_prune_drops_zero_weight_operators(self):
-        mixed = convex_mix([1.0, 0.0], [KrausChannel.identity(2), bit_flip(0.3)])
-        assert len(mixed.kraus) == 3
-        assert len(mixed.prune(1e-12).kraus) == 1
-
 
 class TestSuperoperator:
     def test_vec_roundtrip(self, rng):
@@ -146,27 +140,6 @@ class TestComposeAndMix:
     def test_compose_dimension_check(self, rng):
         with pytest.raises(ContractViolation):
             compose(KrausChannel.identity(2), KrausChannel.identity(3))
-
-
-class TestPowerMix:
-    def test_delta_at_zero_is_identity(self, rng):
-        e = random_channel(3, rng)
-        s = power_mix(e, [1.0])
-        np.testing.assert_allclose(s.matrix, np.eye(9), atol=1e-14)
-
-    def test_delta_at_one_is_channel(self, rng):
-        e = random_channel(3, rng)
-        s = power_mix(e, [0.0, 1.0])
-        np.testing.assert_allclose(s.matrix, e.superoperator().matrix, atol=1e-14)
-
-    def test_uniform_average_of_powers(self, rng):
-        # oracle: explicit matrix powers
-        e = random_channel(2, rng)
-        n = 4
-        s = power_mix(e, [1.0 / (n + 1)] * (n + 1))
-        m = e.superoperator().matrix
-        expected = sum(np.linalg.matrix_power(m, i) for i in range(n + 1)) / (n + 1)
-        np.testing.assert_allclose(s.matrix, expected, atol=1e-12)
 
 
 class TestCesaroProjector:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from tniso import serialize
+from tniso.channels import convex_mix
 from tniso.cli import main
 from tniso.codes import make_example2_channel, make_repetition_example
+from tniso.sampling import random_channel, random_preserved_system
 
 
 @pytest.fixture(scope="module")
@@ -346,3 +348,84 @@ class TestReportContract:
     def test_bad_env_tolerance_exits_2(self, generated, monkeypatch):
         monkeypatch.setenv("TNISO_TOL", "not-a-number")
         assert main(["check-channel", "--channel", generated["channel"]]) == 2
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_non_positive_tol_exits_2(self, generated, tmp_path, capsys, value):
+        out = tmp_path / "c.json"
+        argv = ["classify", "--channel", generated["channel"], "--code", generated["code"]]
+        assert main(argv + ["--tol", value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "tol must be positive" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_positive_env_tol_exits_2(self, generated, monkeypatch, capsys):
+        monkeypatch.setenv("TNISO_TOL", "0")
+        assert main(["check-channel", "--channel", generated["channel"]]) == 2
+        assert "TNISO_TOL must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "example"])
+    def test_zero_iters_exits_2(self, generated, tmp_path, capsys, command):
+        if command == "simulate":
+            argv = [
+                "simulate",
+                "--channel", generated["mixture"],
+                "--code", generated["code"],
+                "--recovery", generated["recovery"],
+                "--out", str(tmp_path / "sim.json"),
+            ]
+        else:
+            argv = ["example", "example2", "--out", str(tmp_path)]
+        assert main(argv + ["--iters", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "iters must be at least 1" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-finite number {token} in a report")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJsonReports:
+    def test_every_report_body_is_finite(self, generated, tmp_path, capsys):
+        # a 1e-10 admixture keeps the (2, 3, 1) code preserved, while its
+        # corrected loop's fixed-point projection of the code is no encoding
+        rng = np.random.default_rng(0)
+        enc, channel = random_preserved_system(2, 3, 1, rng)
+        near = convex_mix([1.0 - 1e-10, 1e-10], [channel, random_channel(enc.dim_physical, rng)])
+        near_files = {k: str(tmp_path / f"near_{k}.json") for k in ("channel", "code", "recovery")}
+        serialize.dump_json(serialize.channel_to_dict(near), near_files["channel"])
+        serialize.dump_json(serialize.encoding_to_dict(enc), near_files["code"])
+
+        reports = []
+        for name in ("repetition", "example2"):
+            assert main(["example", name, "--out", str(tmp_path)]) == 0
+            reports.append(tmp_path / f"{name}_report.json")
+        for label, files in (
+            ("rep", generated),
+            ("mix", {**generated, "channel": generated["mixture"]}),
+            ("near", near_files),
+        ):
+            pair = ["--channel", files["channel"], "--code", files["code"]]
+            if label == "near":
+                capsys.readouterr()
+                assert main(["correct", *pair, "--out", files["recovery"]]) == 0
+                _strict_json(capsys.readouterr().out)
+            looped = [*pair, "--recovery", files["recovery"]]
+            runs = {
+                "check": ["check-channel", "--channel", files["channel"]],
+                "petz": ["classify", *pair, "--strategy", "petz"],
+                "replace": ["classify", *pair, "--strategy", "replace"],
+                "sim": ["simulate", *looped],
+                "eps": ["epsilon", *looped, "--samples", "20", "--refine", "20"],
+            }
+            for kind, argv in runs.items():
+                out = tmp_path / f"{label}_{kind}.json"
+                assert main(argv + ["--out", str(out)]) == 0
+                reports.append(out)
+        for path in reports:
+            _strict_json(path.read_text())

@@ -125,6 +125,15 @@ class TestIsometryProperties:
         rho = random_density(2, rng)
         np.testing.assert_allclose(minimal.encode(rho), enc.encode(rho), atol=1e-12)
 
+    def test_minimalize_rescales_weights_below_the_rank_cut(self, rng):
+        # a 5e-10 weight counts as zero, so the kept weight is rescaled to a
+        # unit-trace cofactor instead of failing the density check
+        dec = SubsystemDecomposition(2, 2, 1, haar_unitary(5, rng))
+        enc = IsometricEncoding(dec, np.diag([1.0 - 5e-10, 5e-10]))
+        minimal = enc.minimalize()
+        assert minimal.decomposition.d_f == 1 and minimal.decomposition.d_r == 3
+        np.testing.assert_allclose(minimal.cofactor, [[1.0]], rtol=0, atol=1e-15)
+
 
 class TestObservableEncoding:
     def test_identity_maps_to_identity(self, repetition):
