@@ -9,6 +9,7 @@ builders (cofactor time reversal and cofactor replacement).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from .channels import (
     cesaro_projector,
     check_support_invariance,
     compose,
+    fixed_point_image,
     minimal_kraus,
     trace_norm_certificate,
     transpose_superoperator,
@@ -36,6 +38,8 @@ from .opcore import (
     trace_norm,
 )
 from . import tolerances as tol
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(eq=False)
@@ -257,12 +261,32 @@ def _check_horizon(horizon: int) -> None:
 
 @dataclass(eq=False)
 class NoiselessCertificate:
+    """Outcome of :func:`noiseless_certificate`.
+
+    ``projector`` names the path that produced the projected code:
+    ``"krylov"`` (:func:`fixed_point_image` on the code's Krylov space) or
+    ``"full"`` (the fixed-point projector of the whole channel).
+    ``krylov_dim`` is the dimension the Krylov space reached, whether it
+    closed or was given up.
+    """
+
     accepted: bool
     horizon: int
     power_found: list[bool]
     power_residuals: list[float]
     fixed_code: StructureReport | None
     fixed_residual: float
+    projector: str
+    krylov_dim: int
+
+
+def _projected_code(c_inf: Superoperator, s_e: Superoperator, tol_: float):
+    """Detection report of a projected code and its fixed residual (or the
+    detection residual when the projection is no encoding)."""
+    rep = detect_structure(c_inf, detection_tol=tol_)
+    if not rep.found:
+        return rep, rep.residual
+    return rep, is_fixed(c_inf, s_e, tol_)[1]
 
 
 def noiseless_certificate(
@@ -283,6 +307,17 @@ def noiseless_certificate(
     ``fixed_residual`` is the fixed-point residual of the projected code,
     or, when the projection is no encoding, the detection residual that
     rejected it.
+
+    The projection is first taken on the code's Krylov space
+    (:func:`fixed_point_image`), whose size is set by the code, not by the
+    physical space. Acceptance never rests on that projector: it rests on
+    detection of the projected code and on its fixed-point certificate under
+    the channel itself, which hold or fail whatever produced the projection.
+    When the Krylov space does not close, or its projection fails those
+    checks (its kernel cut can split an eigenvalue-1 cluster that the full
+    spectrum keeps whole), the code is projected with the full
+    :func:`cesaro_projector` instead, so no code that projector accepts is
+    rejected.
     """
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("noiseless certificate requires a square channel")
@@ -296,16 +331,20 @@ def noiseless_certificate(
         rep = detect_structure(power, detection_tol=tol_)
         found.append(rep.found)
         residuals.append(rep.residual)
-    p_inf = cesaro_projector(s_e, method="spectral")
-    c_inf = p_inf @ s_phi
-    rep_inf = detect_structure(c_inf, detection_tol=tol_)
-    if rep_inf.found:
-        _, fixed_residual = is_fixed(c_inf, s_e, tol_)
-    else:
-        fixed_residual = rep_inf.residual
+    image, krylov_dim = fixed_point_image(s_e, s_phi.matrix)
+    projector = "krylov"
+    if image is not None:
+        rep_inf, fixed_residual = _projected_code(
+            Superoperator(s_phi.dim_in, s_phi.dim_out, image), s_e, tol_
+        )
+    if image is None or not (rep_inf.found and fixed_residual <= tol_):
+        projector = "full"
+        rep_inf, fixed_residual = _projected_code(
+            cesaro_projector(s_e, method="spectral") @ s_phi, s_e, tol_
+        )
     accepted = all(found) and rep_inf.found and fixed_residual <= tol_
     return NoiselessCertificate(
-        accepted, horizon, found, residuals, rep_inf, fixed_residual
+        accepted, horizon, found, residuals, rep_inf, fixed_residual, projector, krylov_dim
     )
 
 
@@ -595,7 +634,9 @@ class ClassificationReport:
     for a minimal code the noiseless-subsystem factorization of the
     noise-plus-unitary loop is implied, not checked separately.
     ``horizon`` is the power sweep depth of the noiseless certificate.
-    Every residual is finite.
+    Every residual is finite. ``meta`` says how the verdicts were reached
+    (for a preserved code, the noiseless certificate's ``projector`` and
+    ``krylov_dim``); it is not part of :meth:`as_dict`.
     """
 
     fixed: bool
@@ -608,6 +649,7 @@ class ClassificationReport:
     unitarily_recoverable: bool
     horizon: int
     residuals: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -656,7 +698,7 @@ def classify(
     recovery, _ = _correction(encoding, channel, rep, strategy)
     prot_res = _protection_residual(s_e, recovery, composite)
     residuals["protection"] = prot_res
-    del s_e  # the fixed-point projector below sets the peak memory
+    del s_e  # the corrected loop below sets the peak memory
 
     loop = compose(recovery, channel).superoperator()
     _, corr_res = is_fixed(s_phi, loop, tol_)
@@ -667,6 +709,11 @@ def classify(
     cert = noiseless_certificate(s_phi, loop, horizon, tol_)
     residuals["noiseless_power_max"] = max(cert.power_residuals)
     residuals["noiseless_fixed_code"] = cert.fixed_residual
+    logger.debug(
+        "noiseless certificate: %s projector, Krylov dimension %d",
+        cert.projector,
+        cert.krylov_dim,
+    )
 
     uc = _unitary_correctability(encoding, composite, rep, tol_)
     residuals["unitary"] = uc.residual
@@ -682,4 +729,5 @@ def classify(
         unitarily_recoverable=uc.unitarily_recoverable,
         horizon=horizon,
         residuals=residuals,
+        meta={"projector": cert.projector, "krylov_dim": cert.krylov_dim},
     )

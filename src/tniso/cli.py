@@ -124,7 +124,7 @@ def _load_code(path):
 
 
 def _emit(report: dict, out_path, started: float) -> None:
-    report["meta"] = {"duration_s": time.perf_counter() - started}
+    report["meta"] = {**report.get("meta", {}), "duration_s": time.perf_counter() - started}
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
@@ -209,6 +209,7 @@ def _cmd_classify(args, tol_):
         },
     )
     report["results"] = table
+    report["meta"] = result.meta
     return EXIT_OK, report
 
 
@@ -367,13 +368,13 @@ def _example_goldens_repetition(system, p, tol_):
     block = system.encoding.decomposition.restrict(image)[:4, :4]
     spectrum = np.sort(np.linalg.eigvalsh(block))[::-1]
     expected = np.sort([1.0 - p, p / 3.0, p / 3.0, p / 3.0])[::-1]
-    if np.abs(spectrum - expected).max() > 1e-12:
+    if np.abs(spectrum - expected).max() > tol.GOLDEN_EXACT_TOL:
         deltas.append(
             f"cofactor image spectrum {spectrum.tolist()} != {expected.tolist()}"
         )
     protect_loop = compose(system.channel, system.recovery)
     ns_ok, cof, ns_res = check_ns_factorization(
-        protect_loop, system.encoding.decomposition, max(tol_, 1e-9)
+        protect_loop, system.encoding.decomposition, max(tol_, tol.GOLDEN_NS_FLOOR)
     )
     if not ns_ok:
         deltas.append(
@@ -384,17 +385,17 @@ def _example_goldens_repetition(system, p, tol_):
         ref = np.zeros((4, 4), dtype=complex)
         ref[0, 0] = 1.0
         dev = np.abs(cof(ref) - np.diag([1.0 - p, p / 3.0, p / 3.0, p / 3.0])).max()
-        if dev > 1e-12:
+        if dev > tol.GOLDEN_EXACT_TOL:
             deltas.append(f"cofactor channel image deviates by {dev:.3e}")
     _, fixed_res = is_fixed(
-        system.encoding, compose(system.recovery, system.channel), 1e-10
+        system.encoding, compose(system.recovery, system.channel), tol.GOLDEN_FIXED_TOL
     )
-    if fixed_res > 1e-10:
+    if fixed_res > tol.GOLDEN_FIXED_TOL:
         deltas.append(f"code not fixed under correction (residual {fixed_res:.3e})")
     if p == 0.0:
         ident = Superoperator.identity(8).matrix
         dev = np.abs(system.channel.superoperator().matrix - ident).max()
-        if dev > 1e-12:
+        if dev > tol.GOLDEN_EXACT_TOL:
             deltas.append(f"p=0 channel is not the identity (deviation {dev:.3e})")
     return deltas
 
@@ -416,13 +417,13 @@ def _example_goldens_example2(system, channel, p, eps, iters, seed):
         deltas.append(f"linear error bound violated (margin {margin:.3e})")
     final = system.encoding.decode(trace.states[-1])
     offdiag = [abs(system.encoding.decode(s)[0, 1]) for s in trace.states]
-    if any(b > a + 1e-12 for a, b in zip(offdiag, offdiag[1:])):
+    if any(b > a + tol.GOLDEN_EXACT_TOL for a, b in zip(offdiag, offdiag[1:])):
         deltas.append("decoded coherence is not non-increasing")
     if (p, eps, iters) == (0.4, 0.05, 10):
-        if abs(abs(final[0, 1]) - 0.332) > 1e-3:
+        if abs(abs(final[0, 1]) - 0.332) > tol.GOLDEN_DIGITS_TOL:
             deltas.append(f"decoded off-diagonal {abs(final[0, 1]):.6f} != 0.332 +- 0.001")
         err = trace.decoded_errors[-1]
-        if abs(err - 0.335) > 1e-3:
+        if abs(err - 0.335) > tol.GOLDEN_DIGITS_TOL:
             deltas.append(f"decoded error {err:.6f} != 0.335 +- 0.001")
     return deltas, trace, est
 

@@ -24,6 +24,8 @@ TP_TOL = 1e-10              # max-abs deviation of sum_k M_k^dag M_k from I; tim
 WEIGHT_SUM_TOL = 1e-12      # convex-mixture weights must sum to 1 this tightly
 KERNEL_TOL = 1e-10          # singular-value cutoff for fixed-point kernels
 CESARO_TOL = 1e-8           # iterative Cesaro averaging stops at this successive change
+KRYLOV_CLOSURE_TOL = 1e-12  # a Krylov block adds no direction below this share of its norm
+KRYLOV_DIM_FRACTION = 0.25  # fixed_point_image gives up past this share of the superoperator's dimension
 SUPPORT_INVARIANCE_TOL = 1e-10  # Kraus block leaking out of a state's support
 KRAUS_WEIGHT_CUT = 1e-12    # absolute and relative Choi-eigenvalue cut of minimal_kraus
 PAIR_DISTANCE_FLOOR = 1e-12  # contraction-witness state pairs closer than this are resampled
@@ -43,3 +45,9 @@ INVARIANCE_FLOOR = 1e-9      # block-leak residual always allowed in an NS split
 CONTRACTION_RESIDUAL_FLOOR = 1e-12  # no contraction ratio from a residual below this
 LOOP_FIXED_FLOOR = 1e-8     # fixed-code residual always allowed before iterating a perturbed code
 BOUND_SLACK = 1e-6          # iterated errors may exceed the linear or geometric bound by this
+
+# Golden checks of the bundled paper examples (``tniso example``).
+GOLDEN_EXACT_TOL = 1e-12    # closed-form golden spectra and images match, and decoded coherence never grows, this tightly
+GOLDEN_NS_FLOOR = 1e-9      # lowest tolerance of the repetition example's noiseless-subsystem split
+GOLDEN_FIXED_TOL = 1e-10    # the repetition code is fixed by its correction this tightly
+GOLDEN_DIGITS_TOL = 1e-3    # the paper's goldens (0.332, 0.335) are printed to three digits

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tniso.codes import make_example2_channel, make_repetition_example
+
+# CI replays the same examples on every run; per-test max_examples still apply
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tniso import analysis
+from tniso import analysis, channels
 from tniso import tolerances as tol
 from tniso.analysis import (
     build_correction,
@@ -19,8 +21,10 @@ from tniso.analysis import (
 from tniso.channels import (
     KrausChannel,
     Superoperator,
+    cesaro_projector,
     compose,
     convex_mix,
+    fixed_point_image,
     transpose_superoperator,
     vec,
 )
@@ -190,6 +194,77 @@ class TestNoiselessCertificate:
             noiseless_certificate(enc, compose(recovery, channel), horizon=horizon)
         with pytest.raises(ContractViolation, match="horizon"):
             classify(enc, channel, horizon=horizon)
+
+
+class TestKrylovProjection:
+    """The noiseless certificate projects the code on its Krylov space and
+    falls back to the full fixed-point projector only when that fails."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(2, 3),
+        d_f=st.integers(1, 3),
+        d_r=st.integers(0, 3),
+        d_g=st.integers(1, 3),
+        strategy=st.sampled_from(["time_reversal", "replace"]),
+    )
+    def test_corrected_loop_projects_on_krylov_space(self, seed, d_s, d_f, d_r, d_g, strategy):
+        if d_s * d_g > d_s * d_f + d_r:
+            d_g = d_f
+        enc, channel = random_preserved_system(d_s, d_f, d_r, np.random.default_rng(seed), d_g=d_g)
+        loop = compose(build_correction(enc, channel, strategy), channel)
+        s_phi = enc.superoperator().matrix
+        image, dim = fixed_point_image(loop, s_phi)
+        assert dim == d_s**2
+        expected = cesaro_projector(loop).matrix @ s_phi
+        assert np.abs(image - expected).max() <= 1e-12
+        cert = noiseless_certificate(enc, loop)
+        assert cert.accepted and cert.projector == "krylov"
+
+    def test_preserved_classify_takes_no_full_size_projector(self, monkeypatch):
+        enc, channel = random_preserved_system(2, 4, 2, np.random.default_rng(0))
+        shapes = []
+        real = channels._spectral_fixed_point_projector
+
+        def recorded(s):
+            shapes.append(s.shape)
+            return real(s)
+
+        monkeypatch.setattr(channels, "_spectral_fixed_point_projector", recorded)
+        report = classify(enc, channel)
+        assert report.noiseless_certificate
+        assert shapes and all(shape[0] < enc.dim_physical**2 for shape in shapes)
+
+    def test_admixture_in_the_eigenvalue_one_cluster_stays_certified(self):
+        # a 1e-10 admixture spreads eigenvalue 1 of the corrected loop into a
+        # cluster as wide as KERNEL_TOL; a kernel cut on the Krylov space can
+        # split it where the full one does not, and the full projector decides
+        enc, near = _admixed_system((2, 4, 2, None), seed=0, weight=1e-10)
+        report = classify(enc, near, strategy="replace")
+        assert report.preserved and report.noiseless_certificate
+
+    def test_raw_repetition_channel_falls_back_to_full_projector(self, repetition):
+        # the bit flips close a Krylov space of dimension 8, but its
+        # projection of the code is no encoding, so the full projector decides
+        cert = noiseless_certificate(repetition.encoding, repetition.channel)
+        assert not cert.accepted
+        assert cert.projector == "full" and cert.krylov_dim == 8
+
+    def test_unclosed_krylov_space_falls_back_to_full_projector(self):
+        enc, channel = random_preserved_system(2, 3, 1, np.random.default_rng(0))
+        image, dim = fixed_point_image(channel, enc.superoperator().matrix)
+        assert image is None
+        assert dim <= tol.KRYLOV_DIM_FRACTION * enc.dim_physical**2
+        cert = noiseless_certificate(enc, channel)
+        assert cert.projector == "full" and cert.krylov_dim == dim
+
+    def test_classify_reports_projector_under_meta(self, repetition, caplog):
+        with caplog.at_level(logging.DEBUG, logger="tniso.analysis"):
+            report = classify(repetition.encoding, repetition.channel)
+        assert report.meta == {"projector": "krylov", "krylov_dim": 4}
+        assert "meta" not in report.as_dict()
+        assert "krylov projector, Krylov dimension 4" in caplog.text
 
 
 class TestBuildCorrection:

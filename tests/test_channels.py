@@ -10,6 +10,7 @@ from tniso.channels import (
     check_support_invariance,
     compose,
     convex_mix,
+    fixed_point_image,
     minimal_kraus,
     trace_norm_certificate,
     trace_norm_contraction_witness,
@@ -196,6 +197,35 @@ class TestCesaroProjector:
     def test_unknown_method(self):
         with pytest.raises(ContractViolation):
             cesaro_projector(KrausChannel.identity(2), method="magic")
+
+
+class TestFixedPointImage:
+    def test_identity_channel_fixes_everything(self, rng):
+        x = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+        image, dim = fixed_point_image(KrausChannel.identity(3), x)
+        assert dim == 2
+        assert np.abs(image - x).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.49])
+    def test_flip_of_one_qubit_in_three_matches_full_projector(self, p, rng):
+        # the Krylov space of rho is span{rho, X rho X}
+        flip = KrausChannel(
+            [np.sqrt(1 - p) * np.eye(8), np.sqrt(p) * np.kron(PAULI_X, np.eye(4))]
+        )
+        x = vec(random_density(8, rng))[:, None]
+        image, dim = fixed_point_image(flip, x)
+        assert dim == 2
+        assert np.abs(image - cesaro_projector(flip).matrix @ x).max() <= 1e-12
+
+    def test_gives_up_past_the_dimension_bound(self, rng):
+        # three states of a qubit already pass a quarter of its 4 dimensions
+        x = np.stack([vec(random_density(2, rng)) for _ in range(3)], axis=1)
+        image, dim = fixed_point_image(bit_flip(0.3), x)
+        assert image is None and dim == 3
+
+    def test_requires_square_channel(self, rng):
+        with pytest.raises(ContractViolation):
+            fixed_point_image(random_channel(2, rng, dim_out=3), np.eye(4))
 
 
 class TestSupportInvariance:

@@ -111,6 +111,16 @@ class TestClassify:
         assert code == 0
         assert read(out)["results"]["preserved"] is False
 
+    def test_projector_path_is_reported_under_meta(self, generated, tmp_path):
+        out = tmp_path / "classify.json"
+        argv = ["classify", "--channel", generated["channel"], "--code", generated["code"]]
+        assert main(argv + ["--out", str(out)]) == 0
+        report = read(out)
+        assert report["meta"]["projector"] == "krylov"
+        assert report["meta"]["krylov_dim"] == 4
+        assert report["meta"]["duration_s"] >= 0
+        assert "projector" not in json.dumps(report["results"])
+
     def test_dimension_mismatch_exits_2(self, generated, tmp_path, capsys):
         small = tmp_path / "small.json"
         serialize.dump_json(
