@@ -266,8 +266,8 @@ class NoiselessCertificate:
     ``projector`` names the path that produced the projected code:
     ``"krylov"`` (:func:`fixed_point_image` on the code's Krylov space) or
     ``"full"`` (the fixed-point projector of the whole channel).
-    ``krylov_dim`` is the dimension the Krylov space reached, whether it
-    closed or was given up.
+    ``krylov_dim`` is the dimension of the code's span, on which the Krylov
+    projection was tried whether or not it was used.
     """
 
     accepted: bool
@@ -308,14 +308,15 @@ def noiseless_certificate(
     or, when the projection is no encoding, the detection residual that
     rejected it.
 
-    The projection is first taken on the code's Krylov space
-    (:func:`fixed_point_image`), whose size is set by the code, not by the
+    The projection is first taken on the code's span, which a corrected
+    loop maps into itself, so that it is the code's whole Krylov space
+    (:func:`fixed_point_image`); its size is set by the code, not by the
     physical space. Acceptance never rests on that projector: it rests on
     detection of the projected code and on its fixed-point certificate under
     the channel itself, which hold or fail whatever produced the projection.
-    When the Krylov space does not close, or its projection fails those
-    checks (its kernel cut can split an eigenvalue-1 cluster that the full
-    spectrum keeps whole), the code is projected with the full
+    When the channel moves the code's span off itself, or the projection
+    fails those checks (its kernel cut can split an eigenvalue-1 cluster
+    that the full spectrum keeps whole), the code is projected with the full
     :func:`cesaro_projector` instead, so no code that projector accepts is
     rejected.
     """

@@ -251,56 +251,33 @@ def _spectral_fixed_point_projector(s: np.ndarray) -> np.ndarray:
     return right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
 
 
-def _new_directions(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Orthonormal directions of ``w``'s columns off span(q).
-
-    ``w`` is projected off the orthonormal columns of ``q`` twice, and its
-    left singular vectors are kept where the singular value exceeds
-    ``KRYLOV_CLOSURE_TOL`` times the norm of ``w`` before projection. A kept
-    direction can be small against that norm and so lose orthogonality to
-    ``q`` in rounding; one more projection and a QR restore it.
-    """
-    scale = float(np.linalg.norm(w))
-    for _ in range(2):
-        w = w - q @ (q.conj().T @ w)
-    u, sv, _ = np.linalg.svd(w, full_matrices=False)
-    new = u[:, sv > tol.KRYLOV_CLOSURE_TOL * scale]
-    return np.linalg.qr(new - q @ (q.conj().T @ new))[0]
-
-
 def fixed_point_image(channel, x: np.ndarray) -> tuple[np.ndarray | None, int]:
     """``P @ x`` for the fixed-point projector P of a square channel.
 
     ``channel`` is any map with ``.superoperator()``, S its matrix, and ``x``
-    has S's row count. Q, an orthonormal basis of the Krylov space
-    span{x, S x, S^2 x, ...}, grows one block of new directions at a time.
-    Once S maps the last block into span(Q) (no new direction above
-    ``KRYLOV_CLOSURE_TOL``), span(Q) is invariant and
+    has S's row count. Q is an orthonormal basis of span(x) (directions cut
+    at ``KRYLOV_CLOSURE_TOL`` of x's norm). When S maps span(Q) into itself
+    (the part of S Q off span(Q) is below ``KRYLOV_CLOSURE_TOL`` of its
+    norm), span(Q) is the whole Krylov space span{x, S x, S^2 x, ...} and
     ``P x = Q P_H Q^H x``, with P_H the spectral projector of the small
     matrix ``H = Q^H S Q``: eigenvalue 1 of a channel has no Jordan blocks,
-    so P restricted to span(Q) is P_H (the Arnoldi argument). Its cost is
-    thin products with S instead of an SVD of S - I.
+    so P restricted to an invariant subspace is P_H (the Arnoldi argument).
+    Its cost is one thin product with S instead of an SVD of S - I.
 
-    Returns ``(P @ x, dim Q)``, or ``(None, dim Q)`` when the space has not
-    closed within ``KRYLOV_DIM_FRACTION`` of S's dimension or H shows no
-    eigenvalue 1 within ``KERNEL_TOL``.
+    Returns ``(P @ x, dim Q)``, or ``(None, dim Q)`` when S moves span(Q)
+    off itself or H shows no eigenvalue 1 within ``KERNEL_TOL``.
     """
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("fixed points require a square channel")
     s = channel.superoperator().matrix
-    max_dim = int(tol.KRYLOV_DIM_FRACTION * s.shape[0])
-    q = _new_directions(np.empty((s.shape[0], 0), dtype=complex), x)
-    block, images = q, []
-    while True:
-        images.append(s @ block)
-        block = _new_directions(q, images[-1])
-        if block.shape[1] == 0:
-            break
-        if q.shape[1] + block.shape[1] > max_dim:
-            return None, q.shape[1]
-        q = np.concatenate([q, block], axis=1)
+    u, sv, _ = np.linalg.svd(x, full_matrices=False)
+    q = u[:, sv > tol.KRYLOV_CLOSURE_TOL * float(np.linalg.norm(x))]
+    image = s @ q
+    off = image - q @ (q.conj().T @ image)
+    if np.linalg.norm(off, 2) > tol.KRYLOV_CLOSURE_TOL * float(np.linalg.norm(image)):
+        return None, q.shape[1]
     try:
-        p_h = _spectral_fixed_point_projector(q.conj().T @ np.concatenate(images, axis=1))
+        p_h = _spectral_fixed_point_projector(q.conj().T @ image)
     except ConvergenceError:
         return None, q.shape[1]
     return q @ (p_h @ (q.conj().T @ x)), q.shape[1]

@@ -24,8 +24,7 @@ TP_TOL = 1e-10              # max-abs deviation of sum_k M_k^dag M_k from I; tim
 WEIGHT_SUM_TOL = 1e-12      # convex-mixture weights must sum to 1 this tightly
 KERNEL_TOL = 1e-10          # singular-value cutoff for fixed-point kernels
 CESARO_TOL = 1e-8           # iterative Cesaro averaging stops at this successive change
-KRYLOV_CLOSURE_TOL = 1e-12  # a Krylov block adds no direction below this share of its norm
-KRYLOV_DIM_FRACTION = 0.25  # fixed_point_image gives up past this share of the superoperator's dimension
+KRYLOV_CLOSURE_TOL = 1e-12  # a code's span is invariant when the channel moves it off itself by less than this share
 SUPPORT_INVARIANCE_TOL = 1e-10  # Kraus block leaking out of a state's support
 KRAUS_WEIGHT_CUT = 1e-12    # absolute and relative Choi-eigenvalue cut of minimal_kraus
 PAIR_DISTANCE_FLOOR = 1e-12  # contraction-witness state pairs closer than this are resampled

@@ -245,17 +245,16 @@ class TestKrylovProjection:
         assert report.preserved and report.noiseless_certificate
 
     def test_raw_repetition_channel_falls_back_to_full_projector(self, repetition):
-        # the bit flips close a Krylov space of dimension 8, but its
-        # projection of the code is no encoding, so the full projector decides
+        # the bit flips move the code's span off itself, so the full
+        # projector decides
         cert = noiseless_certificate(repetition.encoding, repetition.channel)
         assert not cert.accepted
-        assert cert.projector == "full" and cert.krylov_dim == 8
+        assert cert.projector == "full" and cert.krylov_dim == 4
 
-    def test_unclosed_krylov_space_falls_back_to_full_projector(self):
+    def test_uncorrected_channel_falls_back_to_full_projector(self):
         enc, channel = random_preserved_system(2, 3, 1, np.random.default_rng(0))
         image, dim = fixed_point_image(channel, enc.superoperator().matrix)
-        assert image is None
-        assert dim <= tol.KRYLOV_DIM_FRACTION * enc.dim_physical**2
+        assert image is None and dim == 4
         cert = noiseless_certificate(enc, channel)
         assert cert.projector == "full" and cert.krylov_dim == dim
 

@@ -208,20 +208,26 @@ class TestFixedPointImage:
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.49])
     def test_flip_of_one_qubit_in_three_matches_full_projector(self, p, rng):
-        # the Krylov space of rho is span{rho, X rho X}
-        flip = KrausChannel(
-            [np.sqrt(1 - p) * np.eye(8), np.sqrt(p) * np.kron(PAULI_X, np.eye(4))]
-        )
-        x = vec(random_density(8, rng))[:, None]
+        # the flip maps span{rho, X rho X} into itself
+        flip_op = np.kron(PAULI_X, np.eye(4))
+        flip = KrausChannel([np.sqrt(1 - p) * np.eye(8), np.sqrt(p) * flip_op])
+        rho = random_density(8, rng)
+        x = np.stack([vec(rho), vec(flip_op @ rho @ flip_op)], axis=1)
         image, dim = fixed_point_image(flip, x)
         assert dim == 2
         assert np.abs(image - cesaro_projector(flip).matrix @ x).max() <= 1e-12
 
-    def test_gives_up_past_the_dimension_bound(self, rng):
-        # three states of a qubit already pass a quarter of its 4 dimensions
-        x = np.stack([vec(random_density(2, rng)) for _ in range(3)], axis=1)
+    def test_gives_up_when_the_span_is_not_invariant(self, rng):
+        # the flip moves a generic state off its own span
+        x = vec(random_density(2, rng))[:, None]
         image, dim = fixed_point_image(bit_flip(0.3), x)
-        assert image is None and dim == 3
+        assert image is None and dim == 1
+
+    def test_rank_deficient_columns_give_their_span(self, rng):
+        x = vec(random_density(3, rng))[:, None] * np.array([[1.0, -2.0]])
+        image, dim = fixed_point_image(KrausChannel.identity(3), x)
+        assert dim == 1
+        assert np.abs(image - x).max() <= 1e-12
 
     def test_requires_square_channel(self, rng):
         with pytest.raises(ContractViolation):
