@@ -254,11 +254,6 @@ def is_preserved(
     return report.found, report
 
 
-def _check_horizon(horizon: int) -> None:
-    if horizon < 1:
-        raise ContractViolation(f"horizon must be at least 1, got {horizon}")
-
-
 @dataclass(eq=False)
 class NoiselessCertificate:
     """Outcome of :func:`noiseless_certificate`.
@@ -271,9 +266,6 @@ class NoiselessCertificate:
     """
 
     accepted: bool
-    horizon: int
-    power_found: list[bool]
-    power_residuals: list[float]
     fixed_code: StructureReport | None
     fixed_residual: float
     projector: str
@@ -292,21 +284,26 @@ def _projected_code(c_inf: Superoperator, s_e: Superoperator, tol_: float):
 def noiseless_certificate(
     encoding: IsometricEncoding,
     channel: KrausChannel,
-    horizon: int = 8,
     tol_: float = tol.DETECTION_TOL,
 ) -> NoiselessCertificate:
     """Certify that a code stays isometric under all powers of the channel.
 
     ``encoding`` and ``channel`` are any maps with ``.superoperator()``,
-    the channel square. Accepts iff
-    (a) every power up to ``horizon`` preserves the code and (b) projecting
-    the code onto the channel's fixed-point set yields a valid encoding
-    that the channel fixes. The finite-horizon sweep is a
-    certificate, not a proof; (b) is the load-bearing check, and on
-    acceptance the projected code realizes a common fixed decomposition.
-    ``fixed_residual`` is the fixed-point residual of the projected code,
-    or, when the projection is no encoding, the detection residual that
-    rejected it.
+    the channel square and CPTP. Accepts iff projecting the code onto the
+    channel's fixed-point set yields a valid encoding that the channel
+    fixes; on acceptance the projected code realizes a common fixed
+    decomposition. ``fixed_residual`` is the fixed-point residual of the
+    projected code, or, when the projection is no encoding, the detection
+    residual that rejected it.
+
+    One check covers every power L^k of the channel L. The fixed-point
+    projector P of a CPTP map is CPTP and satisfies P L^k = P, and CPTP
+    maps contract the trace norm on Hermitian operators, so for every
+    Hermitian X, ``||P phi(X)||_1 <= ||L^k phi(X)||_1 <= ||phi(X)||_1``.
+    When the projected code ``P o phi`` is isometric within the detection
+    residual, every ``L^k o phi`` is isometric within the same residual, for
+    all k. The argument needs complete positivity and trace preservation;
+    for any other square map acceptance says nothing about its powers.
 
     The projection is first taken on the code's span, which a corrected
     loop maps into itself, so that it is the code's whole Krylov space
@@ -322,16 +319,8 @@ def noiseless_certificate(
     """
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("noiseless certificate requires a square channel")
-    _check_horizon(horizon)
     s_e = channel.superoperator()
     s_phi = encoding.superoperator()
-    power = s_phi
-    found, residuals = [], []
-    for _k in range(horizon):
-        power = s_e @ power
-        rep = detect_structure(power, detection_tol=tol_)
-        found.append(rep.found)
-        residuals.append(rep.residual)
     image, krylov_dim = fixed_point_image(s_e, s_phi.matrix)
     projector = "krylov"
     if image is not None:
@@ -343,10 +332,8 @@ def noiseless_certificate(
         rep_inf, fixed_residual = _projected_code(
             cesaro_projector(s_e, method="spectral") @ s_phi, s_e, tol_
         )
-    accepted = all(found) and rep_inf.found and fixed_residual <= tol_
-    return NoiselessCertificate(
-        accepted, horizon, found, residuals, rep_inf, fixed_residual, projector, krylov_dim
-    )
+    accepted = rep_inf.found and fixed_residual <= tol_
+    return NoiselessCertificate(accepted, rep_inf, fixed_residual, projector, krylov_dim)
 
 
 @dataclass(eq=False)
@@ -634,7 +621,6 @@ class ClassificationReport:
     certificate, ``residuals["unitary"]`` (see :func:`unitary_correctability`);
     for a minimal code the noiseless-subsystem factorization of the
     noise-plus-unitary loop is implied, not checked separately.
-    ``horizon`` is the power sweep depth of the noiseless certificate.
     Every residual is finite. ``meta`` says how the verdicts were reached
     (for a preserved code, the noiseless certificate's ``projector`` and
     ``krylov_dim``); it is not part of :meth:`as_dict`.
@@ -648,7 +634,6 @@ class ClassificationReport:
     protectable: bool
     unitarily_correctable: bool
     unitarily_recoverable: bool
-    horizon: int
     residuals: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
@@ -662,7 +647,6 @@ class ClassificationReport:
             "protectable": self.protectable,
             "unitarily_correctable": self.unitarily_correctable,
             "unitarily_recoverable": self.unitarily_recoverable,
-            "horizon": self.horizon,
             "residuals": {k: float(v) for k, v in self.residuals.items()},
         }
 
@@ -670,19 +654,16 @@ class ClassificationReport:
 def classify(
     encoding: IsometricEncoding,
     channel: KrausChannel,
-    horizon: int = 8,
     tol_: float = tol.DETECTION_TOL,
     strategy: str = "time_reversal",
 ) -> ClassificationReport:
     """Run the full classification pipeline for one code and channel."""
-    _check_horizon(horizon)
     s_e, s_phi = channel.superoperator(), encoding.superoperator()
     fixed_ok, fixed_res = is_fixed(s_phi, s_e, tol_)
     composite, rep = _image(s_phi, s_e, tol_)
     residuals = {"fixed": fixed_res, "preservation": rep.residual}
 
     if not rep.found:
-        residuals["noiseless_power_max"] = rep.residual
         return ClassificationReport(
             fixed=fixed_ok,
             preserved=False,
@@ -692,7 +673,6 @@ def classify(
             protectable=False,
             unitarily_correctable=False,
             unitarily_recoverable=False,
-            horizon=horizon,
             residuals=residuals,
         )
 
@@ -707,8 +687,7 @@ def classify(
 
     # correctability means noiselessness under the corrected loop; the
     # certificate witnesses that constructively
-    cert = noiseless_certificate(s_phi, loop, horizon, tol_)
-    residuals["noiseless_power_max"] = max(cert.power_residuals)
+    cert = noiseless_certificate(s_phi, loop, tol_)
     residuals["noiseless_fixed_code"] = cert.fixed_residual
     logger.debug(
         "noiseless certificate: %s projector, Krylov dimension %d",
@@ -728,7 +707,6 @@ def classify(
         protectable=prot_res <= tol_,
         unitarily_correctable=uc.unitarily_correctable,
         unitarily_recoverable=uc.unitarily_recoverable,
-        horizon=horizon,
         residuals=residuals,
         meta={"projector": cert.projector, "krylov_dim": cert.krylov_dim},
     )

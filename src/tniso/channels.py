@@ -81,13 +81,6 @@ class Superoperator:
             raise ContractViolation("superoperator dimension mismatch in composition")
         return Superoperator(other.dim_in, self.dim_out, self.matrix @ other.matrix)
 
-    def power(self, k: int) -> "Superoperator":
-        if self.dim_in != self.dim_out:
-            raise ContractViolation("powers require a square superoperator")
-        return Superoperator(
-            self.dim_in, self.dim_out, np.linalg.matrix_power(self.matrix, k)
-        )
-
 
 @dataclass(eq=False)
 class KrausChannel:

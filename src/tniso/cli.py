@@ -28,6 +28,7 @@ from .analysis import (
 from .channels import Superoperator, compose
 from .codes import make_example2_channel, make_repetition_example
 from .errors import ContractViolation, NotCorrectableError, TnisoError
+from .opcore import DensityOperator
 from .robustness import (
     check_geometric_bound,
     check_prop3_bound,
@@ -87,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full code classification table")
     add_common(p, channel=True, code=True)
-    p.add_argument("--horizon", type=int, default=8, help="power sweep depth")
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="petz")
 
     p = sub.add_parser("correct", help="construct and write a recovery channel")
@@ -175,13 +175,7 @@ def _cmd_classify(args, tol_):
     encoding = _load_code(args.code)
     if channel.dim_in != encoding.dim_physical or channel.dim_in != channel.dim_out:
         raise ContractViolation("channel and code dimensions do not match")
-    result = classify(
-        encoding,
-        channel,
-        horizon=args.horizon,
-        tol_=tol_,
-        strategy=_STRATEGIES[args.strategy],
-    )
+    result = classify(encoding, channel, tol_=tol_, strategy=_STRATEGIES[args.strategy])
     table = result.as_dict()
     print(f"{'property':<24}{'verdict':<9}")
     for key in (
@@ -202,7 +196,6 @@ def _cmd_classify(args, tol_):
         {
             "channel": args.channel,
             "code": args.code,
-            "horizon": args.horizon,
             "strategy": args.strategy,
             "tol": tol_,
             "seed": args.seed,
@@ -257,6 +250,10 @@ def _cmd_simulate(args, tol_):
     recovery = _load_channel(args.recovery)
     if args.state:
         rho = serialize.state_from_json(serialize.load_json(args.state))
+        try:
+            DensityOperator(rho)
+        except ContractViolation as exc:
+            raise ContractViolation(f"state is not a density operator: {exc}") from exc
         if rho.shape[0] == encoding.dim_logical:
             rho = encoding.encode(rho)
         elif rho.shape[0] != encoding.dim_physical:

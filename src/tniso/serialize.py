@@ -43,12 +43,15 @@ def channel_to_dict(channel: KrausChannel) -> dict:
 
 
 def _int_field(payload: dict, key: str, kind: str) -> int:
-    try:
-        return int(payload[key])
-    except ValueError as exc:
+    """An integral JSON number; floats count only without a fractional part."""
+    value = payload[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ContractViolation(
-            f"malformed {kind} payload: {key!r} must be an integer, got {payload[key]!r}"
-        ) from exc
+            f"malformed {kind} payload: {key!r} must be an integer, got {value!r}"
+        )
+    return value
 
 
 def channel_from_dict(payload: dict, tp_tol: float | None = None) -> KrausChannel:

@@ -114,12 +114,6 @@ class TestSuperoperator:
         rhs = sum(p * c.superoperator().matrix for p, c in zip(w, channels))
         assert np.abs(lhs - rhs).max() <= 1e-10
 
-    def test_power_matches_repeated_composition(self, rng):
-        s = random_channel(2, rng).superoperator()
-        np.testing.assert_allclose(
-            s.power(3).matrix, (s @ s @ s).matrix, atol=1e-13
-        )
-
 
 class TestComposeAndMix:
     def test_compose_with_identity(self, rng):

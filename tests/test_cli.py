@@ -132,21 +132,35 @@ class TestClassify:
         assert main(["epsilon", "--channel", str(small), "--code", generated["code"]]) == 2
         assert "channel and code dimensions do not match" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("horizon", ["0", "-2"])
-    def test_horizon_below_one_exits_2(self, generated, capsys, horizon):
-        argv = ["classify", "--channel", generated["channel"], "--code", generated["code"]]
-        assert main(argv + ["--horizon", horizon]) == 2
-        err = capsys.readouterr().err
-        assert "horizon" in err and "Traceback" not in err
-
-    def test_non_integer_code_dimension_exits_2(self, generated, tmp_path, capsys):
-        payload = read(generated["code"])
-        payload["d_S"] = "two"
-        bad = tmp_path / "bad_code.json"
+    @pytest.mark.parametrize(
+        "kind,field,value",
+        [
+            ("code", "d_S", "two"),
+            ("code", "d_S", "2"),
+            ("code", "d_S", 2.7),
+            ("code", "d_S", True),
+            ("channel", "dim_in", 2.7),
+            ("channel", "dim_in", True),
+        ],
+    )
+    def test_non_integer_code_dimension_exits_2(
+        self, generated, tmp_path, capsys, kind, field, value
+    ):
+        payload = read(generated[kind])
+        payload[field] = value
+        bad = tmp_path / f"bad_{kind}.json"
         serialize.dump_json(payload, bad)
-        assert main(["classify", "--channel", generated["channel"], "--code", str(bad)]) == 2
+        files = {"channel": generated["channel"], "code": generated["code"], kind: str(bad)}
+        assert main(["classify", "--channel", files["channel"], "--code", files["code"]]) == 2
         err = capsys.readouterr().err
-        assert "'d_S'" in err and "Traceback" not in err
+        assert f"'{field}' must be an integer" in err and "Traceback" not in err
+
+    def test_integral_float_dimension_loads(self, generated, tmp_path):
+        payload = read(generated["code"])
+        payload["d_S"] = 2.0
+        code = tmp_path / "float_code.json"
+        serialize.dump_json(payload, code)
+        assert main(["classify", "--channel", generated["channel"], "--code", str(code)]) == 0
 
 
 class TestCorrect:
@@ -239,6 +253,28 @@ class TestSimulate:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.eye(2), np.array([[0.5, 0.5], [0.0, 0.5]]), np.diag([1.5, -0.5])],
+        ids=["trace-2", "non-hermitian", "negative"],
+    )
+    def test_non_state_exits_2(self, generated, tmp_path, capsys, matrix):
+        state = tmp_path / "bad_state.json"
+        serialize.dump_json(serialize.state_to_json(matrix), state)
+        out = tmp_path / "sim_bad.json"
+        argv = [
+            "simulate",
+            "--channel", generated["channel"],
+            "--code", generated["code"],
+            "--recovery", generated["recovery"],
+            "--state", str(state),
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "state" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_wrong_state_dimension_exits_2(self, generated, tmp_path):
         state = tmp_path / "state3.json"
