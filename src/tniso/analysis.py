@@ -22,7 +22,7 @@ from .channels import (
     cesaro_projector,
     check_support_invariance,
     compose,
-    fixed_point_image,
+    fixes_span,
     minimal_kraus,
     trace_norm_certificate,
     transpose_superoperator,
@@ -259,17 +259,15 @@ class NoiselessCertificate:
     """Outcome of :func:`noiseless_certificate`.
 
     ``projector`` names the path that produced the projected code:
-    ``"krylov"`` (:func:`fixed_point_image` on the code's Krylov space) or
-    ``"full"`` (the fixed-point projector of the whole channel).
-    ``krylov_dim`` is the dimension of the code's span, on which the Krylov
-    projection was tried whether or not it was used.
+    ``"fixed"`` (the channel fixes the code's span, so the code is its own
+    projection) or ``"full"`` (the fixed-point projector of the whole
+    channel).
     """
 
     accepted: bool
     fixed_code: StructureReport | None
     fixed_residual: float
     projector: str
-    krylov_dim: int
 
 
 def _projected_code(c_inf: Superoperator, s_e: Superoperator, tol_: float):
@@ -305,35 +303,31 @@ def noiseless_certificate(
     all k. The argument needs complete positivity and trace preservation;
     for any other square map acceptance says nothing about its powers.
 
-    The projection is first taken on the code's span, which a corrected
-    loop maps into itself, so that it is the code's whole Krylov space
-    (:func:`fixed_point_image`); its size is set by the code, not by the
-    physical space. Acceptance never rests on that projector: it rests on
-    detection of the projected code and on its fixed-point certificate under
-    the channel itself, which hold or fail whatever produced the projection.
-    When the channel moves the code's span off itself, or the projection
-    fails those checks (its kernel cut can split an eigenvalue-1 cluster
-    that the full spectrum keeps whole), the code is projected with the full
-    :func:`cesaro_projector` instead, so no code that projector accepts is
-    rejected.
+    When the channel fixes the code's span (:func:`fixes_span`, one thin
+    product), P is the identity there and the projected code is the code
+    itself. No other projection on the span could be accepted: on a span
+    the channel maps into itself the projected code is ``phi o P_M``, with
+    P_M the fixed-point projector of the induced logical map, and an
+    idempotent map that preserves the trace norm is injective, hence the
+    identity. Acceptance never rests on that test: it rests on detection of
+    the projected code and on its fixed-point certificate under the channel
+    itself. When the channel does not fix the span, or the code fails those
+    checks, the code is projected with the full :func:`cesaro_projector`
+    instead, so no code that projector accepts is rejected.
     """
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("noiseless certificate requires a square channel")
     s_e = channel.superoperator()
     s_phi = encoding.superoperator()
-    image, krylov_dim = fixed_point_image(s_e, s_phi.matrix)
-    projector = "krylov"
-    if image is not None:
-        rep_inf, fixed_residual = _projected_code(
-            Superoperator(s_phi.dim_in, s_phi.dim_out, image), s_e, tol_
-        )
-    if image is None or not (rep_inf.found and fixed_residual <= tol_):
-        projector = "full"
-        rep_inf, fixed_residual = _projected_code(
-            cesaro_projector(s_e, method="spectral") @ s_phi, s_e, tol_
-        )
+    if fixes_span(s_e, s_phi.matrix):
+        rep_inf, fixed_residual = _projected_code(s_phi, s_e, tol_)
+        if rep_inf.found and fixed_residual <= tol_:
+            return NoiselessCertificate(True, rep_inf, fixed_residual, "fixed")
+    rep_inf, fixed_residual = _projected_code(
+        cesaro_projector(s_e, method="spectral") @ s_phi, s_e, tol_
+    )
     accepted = rep_inf.found and fixed_residual <= tol_
-    return NoiselessCertificate(accepted, rep_inf, fixed_residual, projector, krylov_dim)
+    return NoiselessCertificate(accepted, rep_inf, fixed_residual, "full")
 
 
 @dataclass(eq=False)
@@ -622,8 +616,8 @@ class ClassificationReport:
     for a minimal code the noiseless-subsystem factorization of the
     noise-plus-unitary loop is implied, not checked separately.
     Every residual is finite. ``meta`` says how the verdicts were reached
-    (for a preserved code, the noiseless certificate's ``projector`` and
-    ``krylov_dim``); it is not part of :meth:`as_dict`.
+    (for a preserved code, the noiseless certificate's ``projector``); it is
+    not part of :meth:`as_dict`.
     """
 
     fixed: bool
@@ -689,11 +683,7 @@ def classify(
     # certificate witnesses that constructively
     cert = noiseless_certificate(s_phi, loop, tol_)
     residuals["noiseless_fixed_code"] = cert.fixed_residual
-    logger.debug(
-        "noiseless certificate: %s projector, Krylov dimension %d",
-        cert.projector,
-        cert.krylov_dim,
-    )
+    logger.debug("noiseless certificate: %s projector", cert.projector)
 
     uc = _unitary_correctability(encoding, composite, rep, tol_)
     residuals["unitary"] = uc.residual
@@ -708,5 +698,5 @@ def classify(
         unitarily_correctable=uc.unitarily_correctable,
         unitarily_recoverable=uc.unitarily_recoverable,
         residuals=residuals,
-        meta={"projector": cert.projector, "krylov_dim": cert.krylov_dim},
+        meta={"projector": cert.projector},
     )

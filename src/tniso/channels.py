@@ -244,36 +244,28 @@ def _spectral_fixed_point_projector(s: np.ndarray) -> np.ndarray:
     return right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
 
 
-def fixed_point_image(channel, x: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """``P @ x`` for the fixed-point projector P of a square channel.
+def fixes_span(channel, x: np.ndarray) -> bool:
+    """Whether a square channel fixes every vector in span(x).
 
     ``channel`` is any map with ``.superoperator()``, S its matrix, and ``x``
     has S's row count. Q is an orthonormal basis of span(x) (directions cut
-    at ``KRYLOV_CLOSURE_TOL`` of x's norm). When S maps span(Q) into itself
-    (the part of S Q off span(Q) is below ``KRYLOV_CLOSURE_TOL`` of its
-    norm), span(Q) is the whole Krylov space span{x, S x, S^2 x, ...} and
-    ``P x = Q P_H Q^H x``, with P_H the spectral projector of the small
-    matrix ``H = Q^H S Q``: eigenvalue 1 of a channel has no Jordan blocks,
-    so P restricted to an invariant subspace is P_H (the Arnoldi argument).
-    Its cost is one thin product with S instead of an SVD of S - I.
-
-    Returns ``(P @ x, dim Q)``, or ``(None, dim Q)`` when S moves span(Q)
-    off itself or H shows no eigenvalue 1 within ``KERNEL_TOL``.
+    at ``SPAN_CLOSURE_TOL`` of x's norm). S fixes span(Q) when it maps it
+    into itself (the part of S Q off span(Q) is below ``SPAN_CLOSURE_TOL`` of
+    its norm) and every singular value of ``Q^H S Q - I`` is below
+    ``KERNEL_TOL``, the kernel cut of :func:`cesaro_projector`, so the
+    fixed-point projector is the identity on span(Q). Its cost is one thin
+    product with S instead of an SVD of S - I.
     """
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("fixed points require a square channel")
     s = channel.superoperator().matrix
     u, sv, _ = np.linalg.svd(x, full_matrices=False)
-    q = u[:, sv > tol.KRYLOV_CLOSURE_TOL * float(np.linalg.norm(x))]
+    q = u[:, sv > tol.SPAN_CLOSURE_TOL * float(np.linalg.norm(x))]
     image = s @ q
-    off = image - q @ (q.conj().T @ image)
-    if np.linalg.norm(off, 2) > tol.KRYLOV_CLOSURE_TOL * float(np.linalg.norm(image)):
-        return None, q.shape[1]
-    try:
-        p_h = _spectral_fixed_point_projector(q.conj().T @ image)
-    except ConvergenceError:
-        return None, q.shape[1]
-    return q @ (p_h @ (q.conj().T @ x)), q.shape[1]
+    h = q.conj().T @ image
+    if np.linalg.norm(image - q @ h, 2) > tol.SPAN_CLOSURE_TOL * float(np.linalg.norm(image)):
+        return False
+    return bool((np.linalg.svd(h - np.eye(q.shape[1]), compute_uv=False) < tol.KERNEL_TOL).all())
 
 
 def cesaro_projector(

@@ -119,8 +119,20 @@ def _load_channel(path):
     return serialize.channel_from_dict(serialize.load_json(path))
 
 
-def _load_code(path):
-    return serialize.encoding_from_dict(serialize.load_json(path))
+def _load_system(args):
+    """Channel, code and recovery (None without ``--recovery``), every
+    channel square on the code's physical space."""
+    channel = _load_channel(args.channel)
+    encoding = serialize.encoding_from_dict(serialize.load_json(args.code))
+    d = encoding.dim_physical
+    if (channel.dim_in, channel.dim_out) != (d, d):
+        raise ContractViolation("channel and code dimensions do not match")
+    recovery = None
+    if getattr(args, "recovery", None):
+        recovery = _load_channel(args.recovery)
+        if (recovery.dim_in, recovery.dim_out) != (d, d):
+            raise ContractViolation("recovery and code dimensions do not match")
+    return channel, encoding, recovery
 
 
 def _emit(report: dict, out_path, started: float) -> None:
@@ -171,10 +183,7 @@ def _cmd_check_channel(args, tol_):
 
 
 def _cmd_classify(args, tol_):
-    channel = _load_channel(args.channel)
-    encoding = _load_code(args.code)
-    if channel.dim_in != encoding.dim_physical or channel.dim_in != channel.dim_out:
-        raise ContractViolation("channel and code dimensions do not match")
+    channel, encoding, _ = _load_system(args)
     result = classify(encoding, channel, tol_=tol_, strategy=_STRATEGIES[args.strategy])
     table = result.as_dict()
     print(f"{'property':<24}{'verdict':<9}")
@@ -207,10 +216,7 @@ def _cmd_classify(args, tol_):
 
 
 def _cmd_correct(args, tol_):
-    channel = _load_channel(args.channel)
-    encoding = _load_code(args.code)
-    if channel.dim_in != encoding.dim_physical or channel.dim_in != channel.dim_out:
-        raise ContractViolation("channel and code dimensions do not match")
+    channel, encoding, _ = _load_system(args)
     recovery, details = build_correction(
         encoding,
         channel,
@@ -243,11 +249,9 @@ def _round_epsilon(channel, recovery, encoding, samples, refine, seed):
 
 
 def _cmd_simulate(args, tol_):
-    channel = _load_channel(args.channel)
-    encoding = _load_code(args.code)
     if not args.recovery:
         raise ContractViolation("simulate requires --recovery")
-    recovery = _load_channel(args.recovery)
+    channel, encoding, recovery = _load_system(args)
     if args.state:
         rho = serialize.state_from_json(serialize.load_json(args.state))
         try:
@@ -264,8 +268,6 @@ def _cmd_simulate(args, tol_):
     else:
         d = encoding.dim_logical
         rho = encoding.encode(np.full((d, d), 1.0 / d, dtype=complex))
-    if channel.dim_in != encoding.dim_physical:
-        raise ContractViolation("channel and code dimensions do not match")
 
     est = _round_epsilon(channel, recovery, encoding, 200, 200, args.seed)
     trace = simulate_iterated(
@@ -324,11 +326,7 @@ def _cmd_simulate(args, tol_):
 
 
 def _cmd_epsilon(args, tol_):
-    channel = _load_channel(args.channel)
-    encoding = _load_code(args.code)
-    recovery = _load_channel(args.recovery) if args.recovery else None
-    if channel.dim_in != encoding.dim_physical or channel.dim_in != channel.dim_out:
-        raise ContractViolation("channel and code dimensions do not match")
+    channel, encoding, recovery = _load_system(args)
     est = _round_epsilon(
         channel, recovery, encoding, args.samples, args.refine, args.seed
     )

@@ -226,15 +226,15 @@ def perturbed_encoding_correctability(
     recovery: KrausChannel,
     horizon: int = 20,
     tol_: float = tol.DETECTION_TOL,
-    seed: int = 0,
-    verify_states: int = 8,
 ):
     """Check that exact-model correction never amplifies encoding errors.
 
     The nominal code must be fixed by recovery-after-channel; then each
     round acts on the perturbation alone and trace-norm contraction keeps
     every iterate within the certified perturbation size of the nominal
-    image. Returns (ok, max error, per-round max errors).
+    image. The errors are measured on the maximally mixed state, the logical
+    basis states and 8 random states drawn with seed 0. Returns (ok, max
+    error, per-round max errors).
     """
     from .analysis import is_fixed
 
@@ -245,14 +245,14 @@ def perturbed_encoding_correctability(
         raise ContractViolation(
             f"nominal code is not fixed by the correction loop (residual {fixed_res:.3e})"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     d = nominal.dim_logical
     test_states = [np.eye(d, dtype=complex) / d]
     for i in range(d):
         e = np.zeros((d, d), dtype=complex)
         e[i, i] = 1.0
         test_states.append(e)
-    for i in range(verify_states):
+    for i in range(8):
         if i % 2 == 0:
             v = random_pure_state(d, rng)
             test_states.append(np.outer(v, v.conj()))

@@ -8,6 +8,7 @@ IEEE-754 doubles exactly, so parse-then-emit is lossless.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -22,15 +23,24 @@ def matrix_to_json(m) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
-def matrix_from_json(rows) -> np.ndarray:
+def matrix_from_json(rows, field: str) -> np.ndarray:
+    """The complex matrix of a payload whose entries are JSON numbers;
+    ``field`` names the payload in error messages."""
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ContractViolation(f"malformed matrix payload: {exc}") from exc
+        raise ContractViolation(f"malformed {field} payload: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ContractViolation(
-            f"matrix payload must be rows of [re, im] pairs, got shape {arr.shape}"
+            f"{field} payload must be rows of [re, im] pairs, got shape {arr.shape}"
         )
+    # asarray converts strings such as "1", booleans and null
+    bad = set(map(type, chain.from_iterable(chain.from_iterable(rows)))) - {int, float}
+    if bad:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        raise ContractViolation(f"malformed {field} payload: entries must be numbers, not {names}")
+    if not np.isfinite(arr).all():  # json reads NaN and Infinity as floats
+        raise ContractViolation(f"malformed {field} payload: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -56,7 +66,7 @@ def _int_field(payload: dict, key: str, kind: str) -> int:
 
 def channel_from_dict(payload: dict, tp_tol: float | None = None) -> KrausChannel:
     try:
-        kraus = [matrix_from_json(k) for k in payload["kraus"]]
+        kraus = [matrix_from_json(k, "kraus") for k in payload["kraus"]]
         dim_in, dim_out = [_int_field(payload, k, "channel") for k in ("dim_in", "dim_out")]
     except (KeyError, TypeError) as exc:
         raise ContractViolation(f"malformed channel payload: {exc}") from exc
@@ -83,8 +93,8 @@ def encoding_to_dict(encoding: IsometricEncoding) -> dict:
 def encoding_from_dict(payload: dict) -> IsometricEncoding:
     try:
         dims = [_int_field(payload, k, "code") for k in ("d_S", "d_F", "d_R")]
-        dec = SubsystemDecomposition(*dims, matrix_from_json(payload["basis"]))
-        return IsometricEncoding(dec, matrix_from_json(payload["tau"]))
+        dec = SubsystemDecomposition(*dims, matrix_from_json(payload["basis"], "basis"))
+        return IsometricEncoding(dec, matrix_from_json(payload["tau"], "tau"))
     except (KeyError, TypeError) as exc:
         raise ContractViolation(f"malformed code payload: {exc}") from exc
 
@@ -96,7 +106,7 @@ def state_to_json(rho) -> list:
 def state_from_json(payload) -> np.ndarray:
     if isinstance(payload, dict) and "matrix" in payload:
         payload = payload["matrix"]
-    return matrix_from_json(payload)
+    return matrix_from_json(payload, "state")
 
 
 def dump_json(obj, path) -> None:

@@ -24,7 +24,7 @@ from tniso.channels import (
     cesaro_projector,
     compose,
     convex_mix,
-    fixed_point_image,
+    fixes_span,
     transpose_superoperator,
     vec,
 )
@@ -222,9 +222,10 @@ class TestNoiselessCertificate:
             assert all(_powers_found(enc, channel, 8))
 
 
-class TestKrylovProjection:
-    """The noiseless certificate projects the code on its Krylov space and
-    falls back to the full fixed-point projector only when that fails."""
+class TestFixedSpanPath:
+    """The noiseless certificate takes the code as its own projection when
+    the channel fixes the code's span, and falls back to the full
+    fixed-point projector otherwise."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -235,18 +236,16 @@ class TestKrylovProjection:
         d_g=st.integers(1, 3),
         strategy=st.sampled_from(["time_reversal", "replace"]),
     )
-    def test_corrected_loop_projects_on_krylov_space(self, seed, d_s, d_f, d_r, d_g, strategy):
+    def test_corrected_loop_fixes_the_code(self, seed, d_s, d_f, d_r, d_g, strategy):
         if d_s * d_g > d_s * d_f + d_r:
             d_g = d_f
         enc, channel = random_preserved_system(d_s, d_f, d_r, np.random.default_rng(seed), d_g=d_g)
         loop = compose(build_correction(enc, channel, strategy), channel)
-        s_phi = enc.superoperator().matrix
-        image, dim = fixed_point_image(loop, s_phi)
-        assert dim == d_s**2
-        expected = cesaro_projector(loop).matrix @ s_phi
-        assert np.abs(image - expected).max() <= 1e-12
         cert = noiseless_certificate(enc, loop)
-        assert cert.accepted and cert.projector == "krylov"
+        assert cert.accepted and cert.projector == "fixed"
+        s_phi = enc.superoperator().matrix
+        assert np.abs(cesaro_projector(loop).matrix @ s_phi - s_phi).max() <= 1e-12
+        assert cert.fixed_residual == is_fixed(enc, loop)[1]
 
     def test_preserved_classify_takes_no_full_size_projector(self, monkeypatch):
         enc, channel = random_preserved_system(2, 4, 2, np.random.default_rng(0))
@@ -260,36 +259,44 @@ class TestKrylovProjection:
         monkeypatch.setattr(channels, "_spectral_fixed_point_projector", recorded)
         report = classify(enc, channel)
         assert report.noiseless_certificate
-        assert shapes and all(shape[0] < enc.dim_physical**2 for shape in shapes)
+        assert shapes == []
 
     def test_admixture_in_the_eigenvalue_one_cluster_stays_certified(self):
         # a 1e-10 admixture spreads eigenvalue 1 of the corrected loop into a
-        # cluster as wide as KERNEL_TOL; a kernel cut on the Krylov space can
-        # split it where the full one does not, and the full projector decides
+        # cluster as wide as KERNEL_TOL, so the loop does not fix the code's
+        # span and the full projector decides
         enc, near = _admixed_system((2, 4, 2, None), seed=0, weight=1e-10)
         report = classify(enc, near, strategy="replace")
         assert report.preserved and report.noiseless_certificate
+
+    def test_admixture_that_splits_the_kernel_cut_goes_straight_to_full(self, monkeypatch):
+        # Q^H S Q - I has singular values near 1e-10 on both sides of
+        # KERNEL_TOL: the image and the full projection are the only detections
+        enc, near = _admixed_system((4, 4, 4, None), seed=0, weight=1e-10)
+        calls = _count_detections(monkeypatch)
+        report = classify(enc, near, strategy="replace")
+        assert report.preserved and report.noiseless_certificate
+        assert report.meta == {"projector": "full"}
+        assert len(calls) == 2
 
     def test_raw_repetition_channel_falls_back_to_full_projector(self, repetition):
         # the bit flips move the code's span off itself, so the full
         # projector decides
         cert = noiseless_certificate(repetition.encoding, repetition.channel)
         assert not cert.accepted
-        assert cert.projector == "full" and cert.krylov_dim == 4
+        assert cert.projector == "full"
 
     def test_uncorrected_channel_falls_back_to_full_projector(self):
         enc, channel = random_preserved_system(2, 3, 1, np.random.default_rng(0))
-        image, dim = fixed_point_image(channel, enc.superoperator().matrix)
-        assert image is None and dim == 4
-        cert = noiseless_certificate(enc, channel)
-        assert cert.projector == "full" and cert.krylov_dim == dim
+        assert not fixes_span(channel, enc.superoperator().matrix)
+        assert noiseless_certificate(enc, channel).projector == "full"
 
     def test_classify_reports_projector_under_meta(self, repetition, caplog):
         with caplog.at_level(logging.DEBUG, logger="tniso.analysis"):
             report = classify(repetition.encoding, repetition.channel)
-        assert report.meta == {"projector": "krylov", "krylov_dim": 4}
+        assert report.meta == {"projector": "fixed"}
         assert "meta" not in report.as_dict()
-        assert "krylov projector, Krylov dimension 4" in caplog.text
+        assert "noiseless certificate: fixed projector" in caplog.text
 
 
 class TestBuildCorrection:

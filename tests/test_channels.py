@@ -10,7 +10,7 @@ from tniso.channels import (
     check_support_invariance,
     compose,
     convex_mix,
-    fixed_point_image,
+    fixes_span,
     minimal_kraus,
     trace_norm_certificate,
     trace_norm_contraction_witness,
@@ -193,39 +193,31 @@ class TestCesaroProjector:
             cesaro_projector(KrausChannel.identity(2), method="magic")
 
 
-class TestFixedPointImage:
-    def test_identity_channel_fixes_everything(self, rng):
+class TestFixesSpan:
+    def test_identity_channel_fixes_any_span(self, rng):
         x = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
-        image, dim = fixed_point_image(KrausChannel.identity(3), x)
-        assert dim == 2
-        assert np.abs(image - x).max() <= 1e-12
+        assert fixes_span(KrausChannel.identity(3), x)
+
+    def test_identity_channel_fixes_rank_deficient_columns(self, rng):
+        x = vec(random_density(3, rng))[:, None] * np.array([[1.0, -2.0]])
+        assert fixes_span(KrausChannel.identity(3), x)
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.49])
-    def test_flip_of_one_qubit_in_three_matches_full_projector(self, p, rng):
-        # the flip maps span{rho, X rho X} into itself
+    def test_flip_of_one_qubit_maps_its_span_into_itself_without_fixing_it(self, p, rng):
         flip_op = np.kron(PAULI_X, np.eye(4))
         flip = KrausChannel([np.sqrt(1 - p) * np.eye(8), np.sqrt(p) * flip_op])
         rho = random_density(8, rng)
         x = np.stack([vec(rho), vec(flip_op @ rho @ flip_op)], axis=1)
-        image, dim = fixed_point_image(flip, x)
-        assert dim == 2
-        assert np.abs(image - cesaro_projector(flip).matrix @ x).max() <= 1e-12
+        image = flip.superoperator().matrix @ x
+        assert np.abs(image - x @ np.linalg.lstsq(x, image, rcond=None)[0]).max() <= 1e-12
+        assert not fixes_span(flip, x)
 
-    def test_gives_up_when_the_span_is_not_invariant(self, rng):
-        # the flip moves a generic state off its own span
-        x = vec(random_density(2, rng))[:, None]
-        image, dim = fixed_point_image(bit_flip(0.3), x)
-        assert image is None and dim == 1
-
-    def test_rank_deficient_columns_give_their_span(self, rng):
-        x = vec(random_density(3, rng))[:, None] * np.array([[1.0, -2.0]])
-        image, dim = fixed_point_image(KrausChannel.identity(3), x)
-        assert dim == 1
-        assert np.abs(image - x).max() <= 1e-12
+    def test_bit_flip_moves_a_generic_state_off_its_span(self, rng):
+        assert not fixes_span(bit_flip(0.3), vec(random_density(2, rng))[:, None])
 
     def test_requires_square_channel(self, rng):
         with pytest.raises(ContractViolation):
-            fixed_point_image(random_channel(2, rng, dim_out=3), np.eye(4))
+            fixes_span(random_channel(2, rng, dim_out=3), np.eye(4))
 
 
 class TestSupportInvariance:
@@ -278,6 +270,14 @@ class TestChannelJson:
     def test_malformed_payload(self):
         with pytest.raises(ContractViolation):
             serialize.channel_from_dict({"dim_in": 2, "kraus": [[[0.0]]]})
+
+    @pytest.mark.parametrize(
+        "entry", ["1", True, None, float("nan"), float("inf")],
+        ids=["string", "boolean", "null", "nan", "infinity"],
+    )
+    def test_non_numeric_entry_names_the_field(self, entry):
+        with pytest.raises(ContractViolation, match="malformed kraus payload"):
+            serialize.channel_from_dict({"dim_in": 1, "dim_out": 1, "kraus": [[[[entry, 0]]]]})
 
 
 def _kraus_superoperator(ops):
