@@ -229,10 +229,14 @@ def is_fixed(phi, channel, tol_: float = tol.DETECTION_TOL):
     encoded state, in trace norm. Returns (ok, residual).
     """
     s_phi = phi.superoperator()
-    s_e = channel.superoperator()
-    moved = Superoperator(s_phi.dim_in, s_phi.dim_out, s_e.matrix @ s_phi.matrix - s_phi.matrix)
-    residual = trace_norm_certificate(moved)
+    residual = _distance(channel.superoperator() @ s_phi, s_phi)
     return residual <= tol_, residual
+
+
+def _distance(a: Superoperator, b: Superoperator) -> float:
+    """The :func:`trace_norm_certificate` of ``a - b``: how far apart the
+    two maps can take any state, in trace norm."""
+    return trace_norm_certificate(Superoperator(b.dim_in, b.dim_out, a.matrix - b.matrix))
 
 
 def _image(encoding, channel, tol_: float):
@@ -270,15 +274,6 @@ class NoiselessCertificate:
     projector: str
 
 
-def _projected_code(c_inf: Superoperator, s_e: Superoperator, tol_: float):
-    """Detection report of a projected code and its fixed residual (or the
-    detection residual when the projection is no encoding)."""
-    rep = detect_structure(c_inf, detection_tol=tol_)
-    if not rep.found:
-        return rep, rep.residual
-    return rep, is_fixed(c_inf, s_e, tol_)[1]
-
-
 def noiseless_certificate(
     encoding: IsometricEncoding,
     channel: KrausChannel,
@@ -303,8 +298,8 @@ def noiseless_certificate(
     all k. The argument needs complete positivity and trace preservation;
     for any other square map acceptance says nothing about its powers.
 
-    When the channel fixes the code's span (:func:`fixes_span`, one thin
-    product), P is the identity there and the projected code is the code
+    When the channel fixes the code's span (:func:`fixes_span` on the code's
+    image), P is the identity there and the projected code is the code
     itself. No other projection on the span could be accepted: on a span
     the channel maps into itself the projected code is ``phi o P_M``, with
     P_M the fixed-point projector of the induced logical map, and an
@@ -317,17 +312,25 @@ def noiseless_certificate(
     """
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("noiseless certificate requires a square channel")
-    s_e = channel.superoperator()
-    s_phi = encoding.superoperator()
-    if fixes_span(s_e, s_phi.matrix):
-        rep_inf, fixed_residual = _projected_code(s_phi, s_e, tol_)
-        if rep_inf.found and fixed_residual <= tol_:
-            return NoiselessCertificate(True, rep_inf, fixed_residual, "fixed")
-    rep_inf, fixed_residual = _projected_code(
-        cesaro_projector(s_e, method="spectral") @ s_phi, s_e, tol_
-    )
-    accepted = rep_inf.found and fixed_residual <= tol_
-    return NoiselessCertificate(accepted, rep_inf, fixed_residual, "full")
+    s_e, s_phi = channel.superoperator(), encoding.superoperator()
+    image = s_e @ s_phi
+    return _certificate(s_phi, image, _distance(image, s_phi), lambda: s_e, tol_)
+
+
+def _certificate(s_phi, image, moved: float, loop, tol_: float) -> NoiselessCertificate:
+    """Body of :func:`noiseless_certificate` on the code's ``image`` under the
+    loop: ``moved`` is its fixed residual ``_distance(image, s_phi)``, and
+    ``loop()`` builds the loop's superoperator, which only the full
+    projector needs."""
+    if fixes_span(s_phi.matrix, image.matrix):
+        rep = detect_structure(s_phi, detection_tol=tol_)
+        if rep.found and moved <= tol_:
+            return NoiselessCertificate(True, rep, moved, "fixed")
+    s_loop = loop()
+    c_inf = cesaro_projector(s_loop, method="spectral") @ s_phi
+    rep = detect_structure(c_inf, detection_tol=tol_)
+    fixed_residual = is_fixed(c_inf, s_loop, tol_)[1] if rep.found else rep.residual
+    return NoiselessCertificate(rep.found and fixed_residual <= tol_, rep, fixed_residual, "full")
 
 
 @dataclass(eq=False)
@@ -462,14 +465,7 @@ def derive_protectable_code(
     s_e = channel.superoperator()
     composite, img = _image(encoding, s_e, tol_)
     recovery, _ = _correction(encoding, channel, img, strategy)
-    return img, recovery, _protection_residual(s_e, recovery, composite)
-
-
-def _protection_residual(s_e: Superoperator, recovery: KrausChannel, composite: Superoperator):
-    """Certificate of channel-after-recovery moving the image code, from two
-    thin products ``S_E (S_R composite)`` instead of a composed Kraus list."""
-    moved = s_e.matrix @ (recovery.superoperator().matrix @ composite.matrix) - composite.matrix
-    return trace_norm_certificate(Superoperator(composite.dim_in, composite.dim_out, moved))
+    return img, recovery, _distance(s_e @ (recovery.superoperator() @ composite), composite)
 
 
 def check_ns_factorization(
@@ -616,8 +612,9 @@ class ClassificationReport:
     for a minimal code the noiseless-subsystem factorization of the
     noise-plus-unitary loop is implied, not checked separately.
     Every residual is finite. ``meta`` says how the verdicts were reached
-    (for a preserved code, the noiseless certificate's ``projector``); it is
-    not part of :meth:`as_dict`.
+    (for a preserved code, the noiseless certificate's ``projector`` and
+    whether the recovery ``fell_back`` from time reversal to replacement);
+    it is not part of :meth:`as_dict`.
     """
 
     fixed: bool
@@ -651,15 +648,20 @@ def classify(
     tol_: float = tol.DETECTION_TOL,
     strategy: str = "time_reversal",
 ) -> ClassificationReport:
-    """Run the full classification pipeline for one code and channel."""
+    """Run the full classification pipeline for one code and channel.
+
+    The fixed, correction and protection residuals each compare two links of
+    the chain ``S_phi -> S_E S_phi -> S_R S_E S_phi -> S_E S_R S_E S_phi``;
+    the corrected loop itself is built only if the full projector decides.
+    """
     s_e, s_phi = channel.superoperator(), encoding.superoperator()
-    fixed_ok, fixed_res = is_fixed(s_phi, s_e, tol_)
     composite, rep = _image(s_phi, s_e, tol_)
-    residuals = {"fixed": fixed_res, "preservation": rep.residual}
+    residuals = {"fixed": _distance(composite, s_phi), "preservation": rep.residual}
+    fixed = residuals["fixed"] <= tol_
 
     if not rep.found:
         return ClassificationReport(
-            fixed=fixed_ok,
+            fixed=fixed,
             preserved=False,
             noiseless_certificate=False,
             correctable=False,
@@ -670,18 +672,16 @@ def classify(
             residuals=residuals,
         )
 
-    recovery, _ = _correction(encoding, channel, rep, strategy)
-    prot_res = _protection_residual(s_e, recovery, composite)
-    residuals["protection"] = prot_res
-    del s_e  # the corrected loop below sets the peak memory
-
-    loop = compose(recovery, channel).superoperator()
-    _, corr_res = is_fixed(s_phi, loop, tol_)
-    residuals["correction"] = corr_res
+    recovery, details = _correction(encoding, channel, rep, strategy)
+    corrected = recovery.superoperator() @ composite
+    residuals["protection"] = _distance(s_e @ corrected, composite)
+    residuals["correction"] = _distance(corrected, s_phi)
+    del s_e  # a full-projector fallback builds the corrected loop, which sets the peak memory
 
     # correctability means noiselessness under the corrected loop; the
     # certificate witnesses that constructively
-    cert = noiseless_certificate(s_phi, loop, tol_)
+    loop = lambda: compose(recovery, channel).superoperator()
+    cert = _certificate(s_phi, corrected, residuals["correction"], loop, tol_)
     residuals["noiseless_fixed_code"] = cert.fixed_residual
     logger.debug("noiseless certificate: %s projector", cert.projector)
 
@@ -689,14 +689,14 @@ def classify(
     residuals["unitary"] = uc.residual
 
     return ClassificationReport(
-        fixed=fixed_ok,
+        fixed=fixed,
         preserved=True,
         noiseless_certificate=cert.accepted,
         correctable=True,
         completely_correctable=True,
-        protectable=prot_res <= tol_,
+        protectable=residuals["protection"] <= tol_,
         unitarily_correctable=uc.unitarily_correctable,
         unitarily_recoverable=uc.unitarily_recoverable,
         residuals=residuals,
-        meta={"projector": cert.projector},
+        meta={"projector": cert.projector, "fell_back": details.fell_back},
     )

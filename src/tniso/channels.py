@@ -244,26 +244,26 @@ def _spectral_fixed_point_projector(s: np.ndarray) -> np.ndarray:
     return right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
 
 
-def fixes_span(channel, x: np.ndarray) -> bool:
-    """Whether a square channel fixes every vector in span(x).
+def fixes_span(x: np.ndarray, image: np.ndarray) -> bool:
+    """Whether a square map S fixes every vector in span(x), given ``image = S x``.
 
-    ``channel`` is any map with ``.superoperator()``, S its matrix, and ``x``
-    has S's row count. Q is an orthonormal basis of span(x) (directions cut
-    at ``SPAN_CLOSURE_TOL`` of x's norm). S fixes span(Q) when it maps it
-    into itself (the part of S Q off span(Q) is below ``SPAN_CLOSURE_TOL`` of
-    its norm) and every singular value of ``Q^H S Q - I`` is below
-    ``KERNEL_TOL``, the kernel cut of :func:`cesaro_projector`, so the
-    fixed-point projector is the identity on span(Q). Its cost is one thin
-    product with S instead of an SVD of S - I.
+    Q is an orthonormal basis of span(x): the left singular vectors of
+    ``x = U Sigma V^H`` above ``SPAN_CLOSURE_TOL`` of x's norm, so S Q is
+    read off the image as ``image V Sigma^-1`` and S itself is never needed.
+    S fixes span(Q) when it maps it into itself (the part of S Q off span(Q)
+    is below ``SPAN_CLOSURE_TOL`` of its norm) and every singular value of
+    ``Q^H S Q - I`` is below ``KERNEL_TOL``, the kernel cut of
+    :func:`cesaro_projector`, so the fixed-point projector is the identity
+    on span(Q). Its cost is thin products instead of an SVD of S - I.
     """
-    if channel.dim_in != channel.dim_out:
-        raise ContractViolation("fixed points require a square channel")
-    s = channel.superoperator().matrix
-    u, sv, _ = np.linalg.svd(x, full_matrices=False)
-    q = u[:, sv > tol.SPAN_CLOSURE_TOL * float(np.linalg.norm(x))]
-    image = s @ q
-    h = q.conj().T @ image
-    if np.linalg.norm(image - q @ h, 2) > tol.SPAN_CLOSURE_TOL * float(np.linalg.norm(image)):
+    if image.shape != x.shape:
+        raise ContractViolation(f"image shape {image.shape}, expected {x.shape} (a square map)")
+    u, sv, vh = np.linalg.svd(x, full_matrices=False)
+    keep = sv > tol.SPAN_CLOSURE_TOL * float(np.linalg.norm(x))
+    q = u[:, keep]
+    s_q = image @ (vh[keep].conj().T / sv[keep])
+    h = q.conj().T @ s_q
+    if np.linalg.norm(s_q - q @ h, 2) > tol.SPAN_CLOSURE_TOL * float(np.linalg.norm(s_q)):
         return False
     return bool((np.linalg.svd(h - np.eye(q.shape[1]), compute_uv=False) < tol.KERNEL_TOL).all())
 

@@ -159,11 +159,13 @@ def _base_report(command: str, config: dict) -> dict:
 
 
 def _cmd_check_channel(args, tol_):
-    # validation is the point here, so load without the TP gate
+    # validation is the point here, so load without the TP gate and judge
+    # the defect against the gate every other command loads channels through
     channel = serialize.channel_from_dict(
         serialize.load_json(args.channel), tp_tol=float("inf")
     )
     residual = channel.tp_defect()
+    trace_preserving = residual <= tol.TP_TOL
     report = _base_report(
         "check-channel", {"channel": args.channel, "tol": tol_, "seed": args.seed}
     )
@@ -172,14 +174,13 @@ def _cmd_check_channel(args, tol_):
         "dim_out": channel.dim_out,
         "kraus_count": len(channel.kraus),
         "tp_residual": float(residual),
-        "trace_preserving": bool(residual <= tol_),
+        "trace_preserving": trace_preserving,
     }
     print(
         f"channel {args.channel}: {len(channel.kraus)} Kraus operators, "
         f"{channel.dim_in} -> {channel.dim_out}, TP residual {residual:.3e}"
     )
-    code = EXIT_OK if residual <= tol_ else EXIT_VERDICT
-    return code, report
+    return (EXIT_OK if trace_preserving else EXIT_VERDICT), report
 
 
 def _cmd_classify(args, tol_):

@@ -122,10 +122,6 @@ class SimulationTrace:
     linear_bound: np.ndarray | None
     geometric_bound: float | None
 
-    @property
-    def steps(self) -> int:
-        return len(self.errors) - 1
-
 
 def simulate_iterated(
     channel: KrausChannel,

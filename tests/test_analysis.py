@@ -271,13 +271,17 @@ class TestFixedSpanPath:
 
     def test_admixture_that_splits_the_kernel_cut_goes_straight_to_full(self, monkeypatch):
         # Q^H S Q - I has singular values near 1e-10 on both sides of
-        # KERNEL_TOL: the image and the full projection are the only detections
+        # KERNEL_TOL: the image and the full projection are the only
+        # detections, and the full projector needs the composed loop
         enc, near = _admixed_system((4, 4, 4, None), seed=0, weight=1e-10)
         calls = _count_detections(monkeypatch)
+        built, composed = _record_builds(monkeypatch)
         report = classify(enc, near, strategy="replace")
         assert report.preserved and report.noiseless_certificate
-        assert report.meta == {"projector": "full"}
+        assert report.meta == {"projector": "full", "fell_back": False}
         assert len(calls) == 2
+        assert len(composed) == 1 and composed[0][1] is near
+        assert sum(isinstance(x, KrausChannel) for x in built) == 3
 
     def test_raw_repetition_channel_falls_back_to_full_projector(self, repetition):
         # the bit flips move the code's span off itself, so the full
@@ -288,15 +292,48 @@ class TestFixedSpanPath:
 
     def test_uncorrected_channel_falls_back_to_full_projector(self):
         enc, channel = random_preserved_system(2, 3, 1, np.random.default_rng(0))
-        assert not fixes_span(channel, enc.superoperator().matrix)
+        s_phi = enc.superoperator().matrix
+        assert not fixes_span(s_phi, channel.superoperator().matrix @ s_phi)
         assert noiseless_certificate(enc, channel).projector == "full"
 
     def test_classify_reports_projector_under_meta(self, repetition, caplog):
         with caplog.at_level(logging.DEBUG, logger="tniso.analysis"):
             report = classify(repetition.encoding, repetition.channel)
-        assert report.meta == {"projector": "fixed"}
+        assert report.meta == {"projector": "fixed", "fell_back": False}
         assert "meta" not in report.as_dict()
         assert "noiseless certificate: fixed projector" in caplog.text
+
+
+class TestImageChain:
+    """classify reads every loop residual off the chain S_phi -> S_E S_phi ->
+    S_R S_E S_phi; the public wrappers build the composed loop instead."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 3),
+        d_f=st.integers(1, 3),
+        d_r=st.integers(0, 3),
+        d_g=st.integers(1, 3),
+        admixture=st.one_of(st.just(0.0), st.floats(-12.0, -2.0).map(lambda e: 10.0**e)),
+        strategy=st.sampled_from(["time_reversal", "replace"]),
+    )
+    def test_chain_matches_the_composed_loop(self, seed, d_s, d_f, d_r, d_g, admixture, strategy):
+        if d_s * d_g > d_s * d_f + d_r:
+            d_g = d_f
+        enc, channel = _admixed_system((d_s, d_f, d_r, d_g), seed, admixture)
+        report = classify(enc, channel, strategy=strategy)
+        if not report.preserved:
+            return
+        loop = compose(build_correction(enc, channel, strategy), channel)
+        cert = noiseless_certificate(enc, loop)
+        assert report.noiseless_certificate == cert.accepted
+        assert report.meta["projector"] == cert.projector
+        moved = is_fixed(enc, loop)[1]
+        assert abs(report.residuals["correction"] - moved) <= 1e-12
+        assert abs(report.residuals["noiseless_fixed_code"] - cert.fixed_residual) <= 1e-12
+        if cert.projector == "fixed":
+            assert abs(report.residuals["noiseless_fixed_code"] - moved) <= 1e-12
 
 
 class TestBuildCorrection:
@@ -374,6 +411,7 @@ class TestBuildCorrection:
         assert recovery.tp_defect() <= tol.TP_TOL
         report = classify(enc, near)
         assert report.correctable and report.residuals["correction"] <= 1e-8
+        assert report.meta["fell_back"] is True
 
     @pytest.mark.parametrize("strategy", ["time_reversal", "replace"])
     def test_cofactor_weight_below_the_rank_cut(self, strategy, rng):
@@ -637,6 +675,23 @@ def _count_detections(monkeypatch) -> list:
     return calls
 
 
+def _record_builds(monkeypatch):
+    """Lists of the maps whose superoperator is built and of compose calls."""
+    built, composed = [], []
+    real_kraus, real_enc = KrausChannel.superoperator, IsometricEncoding.superoperator
+    monkeypatch.setattr(
+        KrausChannel, "superoperator", lambda self: built.append(self) or real_kraus(self)
+    )
+    monkeypatch.setattr(
+        IsometricEncoding, "superoperator", lambda self: built.append(self) or real_enc(self)
+    )
+    real_compose = analysis.compose
+    monkeypatch.setattr(
+        analysis, "compose", lambda *ops: composed.append(ops) or real_compose(*ops)
+    )
+    return built, composed
+
+
 class TestAnalysisPass:
     def test_preserved_classify_detects_the_image_once(self, monkeypatch, repetition):
         # one image detection, then the fixed-point projection inside the
@@ -647,26 +702,16 @@ class TestAnalysisPass:
         assert len(calls) == 2
 
     def test_preserved_classify_builds_each_superoperator_once(self, monkeypatch, rng):
-        # S_E and S_phi once each, the corrected loop once, and the recovery
-        # once for the protection check: no compose(channel, recovery)
+        # S_E, S_phi and the recovery's S_R once each; the loop fixes the
+        # code, so no corrected loop is composed
         enc, channel = random_preserved_system(2, 3, 1, rng)
-        built, composed = [], []
-        real_kraus, real_enc = KrausChannel.superoperator, IsometricEncoding.superoperator
-        monkeypatch.setattr(
-            KrausChannel, "superoperator", lambda self: built.append(self) or real_kraus(self)
-        )
-        monkeypatch.setattr(
-            IsometricEncoding, "superoperator", lambda self: built.append(self) or real_enc(self)
-        )
-        real_compose = analysis.compose
-        monkeypatch.setattr(
-            analysis, "compose", lambda *ops: composed.append(ops) or real_compose(*ops)
-        )
-        assert classify(enc, channel).preserved
+        built, composed = _record_builds(monkeypatch)
+        report = classify(enc, channel)
+        assert report.preserved and report.meta["projector"] == "fixed"
         assert sum(x is channel for x in built) == 1
         assert sum(x is enc for x in built) == 1
-        assert len(composed) == 1 and composed[0][1] is channel
-        assert sum(isinstance(x, KrausChannel) for x in built) == 3
+        assert composed == []
+        assert sum(isinstance(x, KrausChannel) for x in built) == 2
 
     def test_near_miss_classify_detects_once(self, monkeypatch, rng):
         enc, channel = random_preserved_system(2, 2, 1, rng)
@@ -687,17 +732,24 @@ class TestAnalysisPass:
         else:
             enc, channel = random_preserved_system(2, 3, 1, rng)
         report = classify(enc, channel, strategy=strategy)
-        loop = compose(build_correction(enc, channel, strategy), channel)
-        cert = noiseless_certificate(enc, loop)
+        recovery = build_correction(enc, channel, strategy)
         expected = {
             "fixed": is_fixed(enc, channel)[1],
             "preservation": is_preserved(enc, channel)[1].residual,
-            "correction": is_fixed(enc, loop)[1],
-            "noiseless_fixed_code": cert.fixed_residual,
             "protection": derive_protectable_code(enc, channel, strategy)[2],
             "unitary": unitary_correctability(enc, channel).residual,
         }
-        assert report.residuals == expected
+        assert {k: report.residuals[k] for k in expected} == expected
+        # the correction residual is the chain S_R (S_E S_phi) against S_phi,
+        # and within rounding of the composed loop's
+        s_phi = enc.superoperator()
+        chain = recovery.superoperator() @ (channel.superoperator() @ s_phi)
+        moved = Superoperator(s_phi.dim_in, s_phi.dim_out, chain.matrix - s_phi.matrix)
+        assert report.residuals["correction"] == channels.trace_norm_certificate(moved)
+        loop = compose(recovery, channel)
+        assert abs(report.residuals["correction"] - is_fixed(enc, loop)[1]) <= 1e-12
+        cert = noiseless_certificate(enc, loop)
+        assert abs(report.residuals["noiseless_fixed_code"] - cert.fixed_residual) <= 1e-12
 
 
 def _count_kraus_applications(monkeypatch) -> list:

@@ -62,6 +62,29 @@ class TestCheckChannel:
         serialize.dump_json(payload, bad)
         assert main(["check-channel", "--channel", str(bad)]) == 1
 
+    def test_defect_outside_the_load_gate_fails_whatever_the_tolerance(
+        self, generated, tmp_path, capsys
+    ):
+        # a 3e-9 TP defect is inside --tol but outside the TP gate that
+        # classify loads the channel through
+        payload = read(generated["channel"])
+        scale = np.sqrt(1.0 + 3e-9)
+        payload["kraus"] = [
+            [[[scale * re, scale * im] for re, im in row] for row in k]
+            for k in payload["kraus"]
+        ]
+        bad = tmp_path / "bad.json"
+        serialize.dump_json(payload, bad)
+        out = tmp_path / "report.json"
+        assert main(["check-channel", "--channel", str(bad), "--out", str(out)]) == 1
+        assert read(out)["results"]["trace_preserving"] is False
+        assert 1e-9 < read(out)["results"]["tp_residual"] < 1e-8
+        assert main(["check-channel", "--channel", str(bad), "--tol", "1e-6"]) == 1
+        capsys.readouterr()
+        argv = ["classify", "--channel", str(bad), "--code", generated["code"]]
+        assert main(argv) == 2
+        assert "not trace preserving" in capsys.readouterr().err
+
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -116,8 +139,9 @@ class TestClassify:
         argv = ["classify", "--channel", generated["channel"], "--code", generated["code"]]
         assert main(argv + ["--out", str(out)]) == 0
         report = read(out)
-        assert report["meta"].keys() == {"projector", "duration_s"}
+        assert report["meta"].keys() == {"projector", "fell_back", "duration_s"}
         assert report["meta"]["projector"] == "fixed"
+        assert report["meta"]["fell_back"] is False
         assert report["meta"]["duration_s"] >= 0
         assert "projector" not in json.dumps(report["results"])
 
