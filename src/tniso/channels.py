@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ConvergenceError
+from .errors import ContractViolation, ConvergenceError, NumericError
 from .opcore import as_matrix, hermitian_basis, support_projector, trace_norm
 from . import tolerances as tol
 
@@ -82,6 +82,29 @@ class Superoperator:
         return Superoperator(other.dim_in, self.dim_out, self.matrix @ other.matrix)
 
 
+# Byte budget of one block of the Gram product in
+# :meth:`KrausChannel.superoperator`; a d_P = 10 superoperator (160 kB) is one block.
+_SUPEROP_BLOCK_BYTES = 1 << 18
+
+
+def _kraus_stack(ops) -> np.ndarray:
+    """``ops`` (a list of matrices or one stacked array) as one finite complex
+    array of shape (K, d_out, d_in), with the errors of :func:`as_matrix`."""
+    if isinstance(ops, np.ndarray):
+        stack = ops.astype(complex, copy=False)
+    else:
+        mats = [np.asarray(getattr(k, "matrix", k), dtype=complex) for k in ops]
+        if any(m.shape != mats[0].shape for m in mats):
+            for m in mats:
+                as_matrix(m)  # a malformed operator is reported before the mismatch
+            raise ContractViolation("Kraus operators must share one shape")
+        stack = np.stack(mats)
+    as_matrix(stack[0])  # the operators share its shape
+    if not np.isfinite(stack).all():
+        raise NumericError("matrix has non-finite entries")
+    return stack
+
+
 @dataclass(eq=False)
 class KrausChannel:
     """A CPTP map given by a nonempty list of Kraus operators.
@@ -91,8 +114,10 @@ class KrausChannel:
 
     The operators are also kept stacked, shape (K, dim_out, dim_in), and
     the three kernels work on that stack: :meth:`apply` is one batched
-    product ``M rho M^dag`` summed over k, and :meth:`superoperator` and
-    :meth:`tp_defect` are one matrix product each of a reshaped stack.
+    product ``M rho M^dag`` summed over k, :meth:`tp_defect` one matrix
+    product of the reshaped stack, and :meth:`superoperator` its Gram
+    product, filled in row blocks. The operators are checked on the stack
+    once; ``kraus`` holds views of it.
     """
 
     kraus: list[np.ndarray]
@@ -101,22 +126,19 @@ class KrausChannel:
     def __post_init__(self):
         if len(self.kraus) == 0:
             raise ContractViolation("Kraus list must be nonempty")
-        self.kraus = [as_matrix(k) for k in self.kraus]
-        shape = self.kraus[0].shape
-        if any(k.shape != shape for k in self.kraus):
-            raise ContractViolation("Kraus operators must share one shape")
-        self._stack = np.stack(self.kraus)
+        self._stack = _kraus_stack(self.kraus)
+        self.kraus = list(self._stack)
         residual = self.tp_defect()
         if residual > self.tp_tol:
             raise ContractViolation(f"not trace preserving (defect {residual:.3e})")
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self._stack.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self._stack.shape[1]
 
     def tp_defect(self) -> float:
         rows = self._stack.reshape(-1, self.dim_in)  # the M_k stacked vertically
@@ -144,12 +166,18 @@ class KrausChannel:
         return self.apply(rho)
 
     def superoperator(self) -> Superoperator:
-        # gram[i, j, m, l] = sum_k conj(M_k[i, j]) M_k[m, l], which is the
-        # entry (i*n + m, j*d + l) of sum_k conj(M_k) kron M_k
-        n, d = self.dim_out, self.dim_in
-        flat = self._stack.reshape(-1, n * d)
-        gram = (flat.conj().T @ flat).reshape(n, d, n, d)
-        return Superoperator(d, n, gram.transpose(0, 2, 1, 3).reshape(n * n, d * d))
+        # entry (i*n + m, j*d + l) of sum_k conj(M_k) kron M_k is
+        # sum_k conj(M_k[i, j]) M_k[m, l]: the Gram product of the flattened
+        # operators, filled for a few i at a time so that only one block of
+        # at most _SUPEROP_BLOCK_BYTES is ever held besides the result
+        k, n, d = self._stack.shape
+        flat = self._stack.reshape(k, n * d)
+        out = np.empty((n, n, d, d), dtype=complex)
+        rows = max(1, _SUPEROP_BLOCK_BYTES // (16 * n * d * d))
+        for i in range(0, n, rows):
+            block = flat[:, i * d : (i + rows) * d].conj().T @ flat
+            np.copyto(out[i : i + rows], block.reshape(-1, d, n, d).transpose(0, 2, 1, 3))
+        return Superoperator(d, n, out.reshape(n * n, d * d))
 
 
 def _unit_images(s: Superoperator) -> np.ndarray:
@@ -207,8 +235,8 @@ def compose(e2: KrausChannel, e1: KrausChannel) -> KrausChannel:
         raise ContractViolation(
             f"cannot compose: {e2.dim_in} != {e1.dim_out} (inner dims)"
         )
-    ops = [k2 @ k1 for k2 in e2.kraus for k1 in e1.kraus]
-    return KrausChannel(ops)
+    products = e2._stack[:, None] @ e1._stack[None]
+    return KrausChannel(products.reshape(-1, e2.dim_out, e1.dim_in))
 
 
 def convex_mix(weights, channels: list[KrausChannel]) -> KrausChannel:

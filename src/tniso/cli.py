@@ -166,9 +166,7 @@ def _cmd_check_channel(args, tol_):
     )
     residual = channel.tp_defect()
     trace_preserving = residual <= tol.TP_TOL
-    report = _base_report(
-        "check-channel", {"channel": args.channel, "tol": tol_, "seed": args.seed}
-    )
+    report = _base_report("check-channel", {"channel": args.channel, "seed": args.seed})
     report["results"] = {
         "dim_in": channel.dim_in,
         "dim_out": channel.dim_out,

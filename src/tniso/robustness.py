@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, Superoperator, cesaro_projector, compose, trace_norm_certificate
+from .channels import KrausChannel, Superoperator, compose, trace_norm_certificate
 from .codes import IsometricEncoding, PerturbedEncoding
 from .errors import ContractViolation
 from .opcore import as_matrix, trace_norm
@@ -108,9 +108,10 @@ class SimulationTrace:
     ``errors[i]`` is the trace-norm distance of the i-th iterate from the
     initial state on the physical space; ``decoded_errors`` measures decoded
     logical states when an encoding was supplied. ``alpha_estimates[i]`` is
-    the per-step contraction ratio of the residual trajectory (the part of
-    each iterate outside the fixed-point set of the round map); skipped
-    steps hold NaN. Bound arrays have length n+1.
+    the ratio ``||d_(i+1)||_1 / ||d_i||_1`` of successive steps
+    ``d_i = s_(i+1) - s_i`` of the trajectory, which the round map's
+    fixed-point projector annihilates; steps below
+    ``CONTRACTION_RESIDUAL_FLOOR`` give NaN. Bound arrays have length n+1.
     """
 
     states: list
@@ -133,21 +134,37 @@ def simulate_iterated(
 ) -> SimulationTrace:
     """Iterate recovery-after-channel from an initial state for n rounds.
 
-    The residual used for contraction estimates is the deviation of each
-    iterate from its projection onto the fixed points of the round map;
-    ratios are skipped once residuals fall below ``CONTRACTION_RESIDUAL_FLOOR``.
+    Each round is ``recovery(channel(x))``. The contraction estimates read
+    the steps ``d_i = s_(i+1) - s_i`` of the trajectory: the round map L
+    sends ``d_i`` to ``d_(i+1)``, and the fixed-point projector P of L has
+    ``P d_i = 0`` because ``P L = P``, so the steps are a trajectory of L off
+    its fixed points and no projector is needed. One round past the n-th is
+    run, not stored, for the last ratio ``alpha_(n-1)``; ratios from steps
+    below ``CONTRACTION_RESIDUAL_FLOOR`` are skipped.
+
+    A CPTP map contracts the trace norm of Hermitian operators, so every
+    ratio is at most 1 up to rounding, and a step below the floor keeps
+    every later step below it. By induction
+    ``||d_i||_1 <= max(alpha_max^i ||d_0||_1, floor)``, and summing the
+    steps gives
+    ``error_n <= sum_(i<n) ||d_i||_1 <= ||d_0||_1 / (1 - alpha_max) + n * floor``.
+    For an encoded ``rho0``, ``||d_0||_1`` is one round's deviation from the
+    encoding, at most the per-round ``epsilon`` of :func:`estimate_epsilon`'s
+    upper end; then ``geometric_bound`` is certified for the simulated
+    rounds (``BOUND_SLACK`` absorbs the floor term), though ``alpha_max`` is
+    read off this trajectory and says nothing of later rounds.
     """
     if n < 1:
         raise ContractViolation(f"n must be at least 1, got {n}")
     rho0 = as_matrix(rho0)
-    loop = compose(recovery, channel)
-    if loop.dim_in != loop.dim_out or rho0.shape != (loop.dim_in, loop.dim_in):
+    d = channel.dim_in
+    if (recovery.dim_in, recovery.dim_out) != (channel.dim_out, d) or rho0.shape != (d, d):
         raise ContractViolation("channel, recovery, and state dimensions must agree")
 
-    p_fix = cesaro_projector(loop, method="spectral")
     states = [rho0]
     for _ in range(n):
-        states.append(loop(states[-1]))
+        states.append(recovery(channel(states[-1])))
+    beyond = recovery(channel(states[-1]))
 
     errors = np.array([trace_norm(rho0 - s) for s in states])
     decoded = None
@@ -155,11 +172,11 @@ def simulate_iterated(
         logical = [encoding.decode(s) for s in states]
         decoded = np.array([trace_norm(logical[0] - l) for l in logical])
 
-    residual_norms = [trace_norm(s - p_fix(s)) for s in states]
+    steps = [trace_norm(b - a) for a, b in zip(states, states[1:] + [beyond])]
     alphas = np.full(n, np.nan)
     for i in range(n):
-        if residual_norms[i] >= tol.CONTRACTION_RESIDUAL_FLOOR:
-            alphas[i] = residual_norms[i + 1] / residual_norms[i]
+        if steps[i] >= tol.CONTRACTION_RESIDUAL_FLOOR:
+            alphas[i] = steps[i + 1] / steps[i]
     finite = alphas[np.isfinite(alphas)]
     alpha_max = float(finite.max()) if finite.size else None
 

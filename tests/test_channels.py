@@ -18,7 +18,7 @@ from tniso.channels import (
     unvec,
     vec,
 )
-from tniso.errors import ContractViolation, ConvergenceError
+from tniso.errors import ContractViolation, ConvergenceError, NumericError
 from tniso.opcore import hermitian_basis, trace_norm
 from tniso.sampling import (
     random_channel,
@@ -27,7 +27,7 @@ from tniso.sampling import (
     random_pure_state,
     random_unital_channel,
 )
-from tniso import serialize
+from tniso import channels, serialize
 
 from conftest import PAULI_X
 
@@ -68,6 +68,27 @@ class TestKrausChannel:
     def test_empty_kraus_rejected(self):
         with pytest.raises(ContractViolation):
             KrausChannel([])
+
+    def test_operators_are_checked_on_the_stack(self):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(ContractViolation, match="share one shape"):
+            KrausChannel([eye, np.eye(3)])
+        # a malformed operator is named before the shape mismatch
+        with pytest.raises(ContractViolation, match=r"expected a matrix, got shape \(2,\)"):
+            KrausChannel([eye, np.ones(2)])
+        with pytest.raises(ContractViolation, match=r"expected a matrix, got shape \(2,\)"):
+            KrausChannel(eye)  # one matrix, not a list of them
+        with pytest.raises(NumericError, match="non-finite"):
+            KrausChannel([eye, np.full((2, 2), np.nan)], tp_tol=np.inf)
+        with pytest.raises(NumericError, match="non-finite"):
+            KrausChannel([eye, [[0.0, 1.0], [np.inf, 0.0]]], tp_tol=np.inf)
+
+    def test_stacked_and_listed_operators_agree(self, rng):
+        listed = random_channel(3, rng, dim_out=4, kraus_count=3)
+        stacked = KrausChannel(np.stack(listed.kraus))
+        assert (stacked.dim_in, stacked.dim_out) == (3, 4)
+        assert all(np.array_equal(a, b) for a, b in zip(listed.kraus, stacked.kraus))
+        assert isinstance(stacked.kraus, list) and len(stacked.kraus) == 3
 
     def test_dimension_mismatch_on_apply(self):
         with pytest.raises(ContractViolation):
@@ -131,6 +152,15 @@ class TestComposeAndMix:
             convex_mix([0.5, 0.5 + 1e-9], [e, e])
         with pytest.raises(ContractViolation):
             convex_mix([-0.1, 1.1], [e, e])
+
+    def test_compose_keeps_the_per_pair_products(self, rng):
+        e1 = random_channel(3, rng, dim_out=4, kraus_count=3)
+        e2 = random_channel(4, rng, dim_out=2, kraus_count=2)
+        composed = compose(e2, e1)
+        expected = [k2 @ k1 for k2 in e2.kraus for k1 in e1.kraus]
+        assert (composed.dim_in, composed.dim_out) == (3, 2)
+        assert len(composed.kraus) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(composed.kraus, expected))
 
     def test_compose_dimension_check(self, rng):
         with pytest.raises(ContractViolation):
@@ -347,6 +377,31 @@ class TestStackedKernels:
         acc = np.einsum("kij,kil->jl", stack.conj(), stack)
         assert abs(scaled.tp_defect() - np.abs(acc - np.eye(d_in)).max()) <= 1e-13
         assert channel.tp_defect() <= 1e-13
+
+
+class TestBlockedSuperoperator:
+    # (d_in, d_out, count): one block up to d_P = 10, several from d_P = 20,
+    # uneven last blocks for rectangular maps, and a row over the budget at 26
+    @pytest.mark.parametrize(
+        "d_in,d_out,count,one_block",
+        [
+            (3, 3, 1, True),
+            (10, 10, 4, True),
+            (1, 40, 1, True),
+            (20, 20, 1, False),
+            (20, 20, 3, False),
+            (24, 6, 4, False),
+            (6, 24, 2, False),
+            (26, 26, 2, False),
+        ],
+    )
+    def test_matches_the_kron_sum(self, d_in, d_out, count, one_block, rng):
+        assert (d_out * d_out * d_in * d_in * 16 <= channels._SUPEROP_BLOCK_BYTES) == one_block
+        channel = random_channel(d_in, rng, dim_out=d_out, kraus_count=count)
+        assert len(channel.kraus) == count
+        s = channel.superoperator()
+        assert s.matrix.shape == (d_out * d_out, d_in * d_in)
+        assert np.abs(s.matrix - _kraus_superoperator(channel.kraus)).max() <= 1e-15
 
 
 def _assert_bounds_sampled_states(s, cert, rng):

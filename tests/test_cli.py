@@ -79,7 +79,9 @@ class TestCheckChannel:
         assert main(["check-channel", "--channel", str(bad), "--out", str(out)]) == 1
         assert read(out)["results"]["trace_preserving"] is False
         assert 1e-9 < read(out)["results"]["tp_residual"] < 1e-8
-        assert main(["check-channel", "--channel", str(bad), "--tol", "1e-6"]) == 1
+        assert main(["check-channel", "--channel", str(bad), "--tol", "1e-6", "--out", str(out)]) == 1
+        # the verdict reads no tolerance from the command line, so the report records none
+        assert "tol" not in read(out)["config"]
         capsys.readouterr()
         argv = ["classify", "--channel", str(bad), "--code", generated["code"]]
         assert main(argv) == 2

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tniso.channels import KrausChannel, Superoperator, compose, vec
+from tniso import channels, robustness
+from tniso import tolerances as tol
+from tniso.analysis import build_correction
+from tniso.channels import KrausChannel, Superoperator, compose, convex_mix, vec
 from tniso.codes import PerturbedEncoding, make_example2_channel
 from tniso.errors import ContractViolation
 from tniso.opcore import trace_norm
+from tniso.sampling import random_channel, random_density, random_preserved_system
 from tniso.robustness import (
     check_geometric_bound,
     check_prop3_bound,
@@ -153,6 +159,81 @@ class TestSimulateIterated:
             simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 0)
 
 
+def composed_loop_iterates(channel, recovery, rho0, n):
+    """Reference iterates of the composed Kraus loop, one product per round."""
+    loop = compose(recovery, channel)
+    states = [rho0]
+    for _ in range(n):
+        states.append(loop(states[-1]))
+    return states
+
+
+class TestSimulateIteratedSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 3),
+        d_f=st.integers(1, 4),
+        d_r=st.integers(0, 3),
+        admixture=st.one_of(st.just(0.0), st.floats(-6.0, -1.0).map(lambda e: 10.0**e)),
+        n=st.integers(1, 15),
+    )
+    def test_steps_bound_the_errors(self, seed, d_s, d_f, d_r, admixture, n):
+        d_r = min(d_r, 12 - d_s * d_f)
+        rng = np.random.default_rng(seed)
+        enc, exact = random_preserved_system(d_s, d_f, d_r, rng)
+        recovery = build_correction(enc, exact)
+        noise = exact
+        if admixture:
+            stray = random_channel(enc.dim_physical, rng)
+            noise = convex_mix([1.0 - admixture, admixture], [exact, stray])
+        composite = compose(recovery, noise).superoperator() @ enc.superoperator()
+        eps = estimate_epsilon(composite, enc, samples=1, refine_steps=0).upper_bound
+        rho0 = enc.encode(random_density(enc.dim_logical, rng))
+
+        trace = simulate_iterated(noise, recovery, rho0, n, encoding=enc, epsilon=eps)
+        reference = composed_loop_iterates(noise, recovery, rho0, n)
+        assert len(trace.states) == n + 1 and len(trace.alpha_estimates) == n
+        assert max(np.abs(a - b).max() for a, b in zip(trace.states, reference)) <= 1e-14
+
+        # a CPTP round contracts the trace norm of the Hermitian steps
+        finite = trace.alpha_estimates[np.isfinite(trace.alpha_estimates)]
+        assert (finite <= 1.0 + 1e-12).all()
+        # the error after k rounds is at most the sum of the first k steps
+        steps = [trace_norm(b - a) for a, b in zip(trace.states, trace.states[1:])]
+        summed = np.concatenate([[0.0], np.cumsum(steps)])
+        assert (trace.errors <= summed + 1e-13).all()
+        if admixture == 0.0:
+            assert trace.alpha_max is None and trace.geometric_bound is None
+        elif trace.geometric_bound is not None:
+            # for an encoded start the first step is at most eps
+            assert steps[0] <= eps + 1e-13
+            floor = n * tol.CONTRACTION_RESIDUAL_FLOOR
+            assert (trace.errors <= trace.geometric_bound + floor + 1e-13).all()
+
+    def test_uses_neither_the_fixed_point_projector_nor_a_composed_loop(
+        self, repetition, monkeypatch
+    ):
+        calls = []
+
+        def spy(name, original):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("cesaro_projector", "compose"):
+            original = getattr(channels, name)
+            for module in (channels, robustness):
+                monkeypatch.setattr(module, name, spy(name, original), raising=False)
+        enc, _, recovery, _ = repetition
+        channel = make_example2_channel(0.4, 0.05)
+        trace = simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 10, encoding=enc)
+        assert calls == []
+        assert trace.alpha_max == pytest.approx(0.96, abs=1e-12)
+
+
 class TestLinearBound:
     def test_exact_model_trivially_satisfied(self, repetition):
         enc, channel, recovery, _ = repetition
@@ -186,7 +267,7 @@ class TestGeometricBound:
         enc, channel, recovery, _ = repetition
         trace = simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 5)
         result = check_geometric_bound(trace, 0.01)
-        # residuals vanish along the whole trajectory, so no ratio exists
+        # the steps vanish along the whole trajectory, so no ratio exists
         assert not result.applicable
 
     def test_mixture_asymptote_within_bound(self, repetition):
@@ -200,8 +281,8 @@ class TestGeometricBound:
         assert trace.errors[-1] <= result.bound + 1e-6
 
     def test_constructed_contraction_with_known_alpha(self):
-        # round map T(rho) = 0.5 rho + 0.5 tr(rho) chi contracts residuals
-        # by exactly 1/2 toward its unique fixed state chi
+        # round map T(rho) = 0.5 rho + 0.5 tr(rho) chi halves every
+        # traceless step; its unique fixed state is chi
         rho0 = np.diag([0.5, 0.5]).astype(complex)
         chi = np.diag([0.51, 0.49]).astype(complex)
         ops = [np.sqrt(0.5) * np.eye(2, dtype=complex)]
