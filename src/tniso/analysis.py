@@ -223,13 +223,14 @@ def detect_structure(
 def is_fixed(phi, channel, tol_: float = tol.DETECTION_TOL):
     """Whether every encoded operator is a fixed point of the channel.
 
-    ``phi`` and ``channel`` are any maps with ``.superoperator()``.
-    ``residual`` is the :func:`trace_norm_certificate` of
+    ``phi`` is any map with ``.superoperator()``; ``channel`` is a
+    :class:`KrausChannel` or a :class:`Superoperator`, composed as
+    ``channel @ phi``. ``residual`` is the :func:`trace_norm_certificate` of
     ``channel o phi - phi``, so it bounds how far the channel moves any
     encoded state, in trace norm. Returns (ok, residual).
     """
     s_phi = phi.superoperator()
-    residual = _distance(channel.superoperator() @ s_phi, s_phi)
+    residual = _distance(channel @ s_phi, s_phi)
     return residual <= tol_, residual
 
 
@@ -242,9 +243,10 @@ def _distance(a: Superoperator, b: Superoperator) -> float:
 def _image(encoding, channel, tol_: float):
     """The channel-after-encoding composite and its structure report.
 
-    ``encoding`` and ``channel`` are any maps with ``.superoperator()``.
+    ``encoding`` is any map with ``.superoperator()``; ``channel`` is a
+    :class:`KrausChannel` or a :class:`Superoperator`.
     """
-    composite = channel.superoperator() @ encoding.superoperator()
+    composite = channel @ encoding
     return composite, detect_structure(composite, detection_tol=tol_)
 
 
@@ -276,13 +278,14 @@ class NoiselessCertificate:
 
 def noiseless_certificate(
     encoding: IsometricEncoding,
-    channel: KrausChannel,
+    channel: KrausChannel | Superoperator,
     tol_: float = tol.DETECTION_TOL,
 ) -> NoiselessCertificate:
     """Certify that a code stays isometric under all powers of the channel.
 
-    ``encoding`` and ``channel`` are any maps with ``.superoperator()``,
-    the channel square and CPTP. Accepts iff projecting the code onto the
+    ``encoding`` is any map with ``.superoperator()``; ``channel`` is a
+    square CPTP map given as a :class:`KrausChannel` or a
+    :class:`Superoperator`. Accepts iff projecting the code onto the
     channel's fixed-point set yields a valid encoding that the channel
     fixes; on acceptance the projected code realizes a common fixed
     decomposition. ``fixed_residual`` is the fixed-point residual of the
@@ -312,9 +315,9 @@ def noiseless_certificate(
     """
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("noiseless certificate requires a square channel")
-    s_e, s_phi = channel.superoperator(), encoding.superoperator()
-    image = s_e @ s_phi
-    return _certificate(s_phi, image, _distance(image, s_phi), lambda: s_e, tol_)
+    s_phi = encoding.superoperator()
+    image = channel @ s_phi
+    return _certificate(s_phi, image, _distance(image, s_phi), channel.superoperator, tol_)
 
 
 def _certificate(s_phi, image, moved: float, loop, tol_: float) -> NoiselessCertificate:
@@ -462,10 +465,9 @@ def derive_protectable_code(
     span, so the image code is protectable with the same recovery that
     corrects the original.
     """
-    s_e = channel.superoperator()
-    composite, img = _image(encoding, s_e, tol_)
+    composite, img = _image(encoding, channel, tol_)
     recovery, _ = _correction(encoding, channel, img, strategy)
-    return img, recovery, _distance(s_e @ (recovery.superoperator() @ composite), composite)
+    return img, recovery, _distance(channel @ (recovery @ composite), composite)
 
 
 def check_ns_factorization(
@@ -587,12 +589,7 @@ def _unitary_correctability(encoding, composite, img: StructureReport, tol_: flo
     v = _paired_unitary(target, img.decomposition.block_columns)
     target_dec = SubsystemDecomposition(d_s, d_g, d_p - image_dim, _orthonormal_completion(target))
     phi_target = IsometricEncoding(target_dec, img.cofactor).superoperator()
-    # V o composite in one batched product: row c of composite.matrix.T,
-    # read row-major, is image c transposed, and conj(V) X^T V^T re-flattens
-    # to vec(V X V^dag)
-    images_t = composite.matrix.T.reshape(-1, d_p, d_p)
-    rotated = (v.conj() @ images_t @ v.T).reshape(-1, d_p * d_p).T
-    residual = trace_norm_certificate(Superoperator(d_s, d_p, rotated - phi_target.matrix))
+    residual = _distance(KrausChannel.from_unitary(v) @ composite, phi_target)
     recoverable = residual <= tol_
     return UnitaryCorrectabilityResult(
         recoverable and image_dim <= code_dim, recoverable, v, residual, code_dim, image_dim
@@ -651,11 +648,13 @@ def classify(
     """Run the full classification pipeline for one code and channel.
 
     The fixed, correction and protection residuals each compare two links of
-    the chain ``S_phi -> S_E S_phi -> S_R S_E S_phi -> S_E S_R S_E S_phi``;
-    the corrected loop itself is built only if the full projector decides.
+    the chain ``phi -> E o phi -> R o E o phi -> E o R o E o phi``, each link
+    the channel applied to the images of the one before (``channel @ link``);
+    the corrected loop's superoperator is built only if the full projector
+    decides.
     """
-    s_e, s_phi = channel.superoperator(), encoding.superoperator()
-    composite, rep = _image(s_phi, s_e, tol_)
+    s_phi = encoding.superoperator()
+    composite, rep = _image(s_phi, channel, tol_)
     residuals = {"fixed": _distance(composite, s_phi), "preservation": rep.residual}
     fixed = residuals["fixed"] <= tol_
 
@@ -673,10 +672,9 @@ def classify(
         )
 
     recovery, details = _correction(encoding, channel, rep, strategy)
-    corrected = recovery.superoperator() @ composite
-    residuals["protection"] = _distance(s_e @ corrected, composite)
+    corrected = recovery @ composite
+    residuals["protection"] = _distance(channel @ corrected, composite)
     residuals["correction"] = _distance(corrected, s_phi)
-    del s_e  # a full-projector fallback builds the corrected loop, which sets the peak memory
 
     # correctability means noiselessness under the corrected loop; the
     # certificate witnesses that constructively

@@ -8,6 +8,14 @@ so analyses read basis images as slices or products of the matrix.
 The Choi matrix of :func:`minimal_kraus` is ROW-major instead: its entry at
 ``(i*d_in + a, j*d_in + b)`` is ``E(E_ab)[i, j]``, which is
 ``sum_k r(M_k) r(M_k)^dag`` for the row-major flattening ``r``.
+
+One composition rule serves every map: ``channel @ map`` is the
+:class:`Superoperator` of the channel after the map, for any map with
+``.superoperator()`` on the right. A :class:`Superoperator` on the left
+multiplies matrices; a :class:`KrausChannel` on the left applies its
+operators to the map's ``dim_in**2`` images one at a time, so it never
+builds its own ``dim_out**2 x dim_in**2`` matrix. That matrix is built only
+where its spectrum is needed (:func:`cesaro_projector`).
 """
 
 from __future__ import annotations
@@ -42,7 +50,8 @@ class Superoperator:
     """Matrix form of a linear map on operator space.
 
     ``matrix`` has shape (dim_out**2, dim_in**2) in the column-stacking
-    convention. Composition is plain matrix multiplication.
+    convention. Composition ``self @ other``, with ``other`` any map with
+    ``.superoperator()``, is plain matrix multiplication.
     """
 
     dim_in: int
@@ -76,7 +85,8 @@ class Superoperator:
     def __call__(self, x) -> np.ndarray:
         return self.apply(x)
 
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
+    def __matmul__(self, other) -> "Superoperator":
+        other = other.superoperator()
         if self.dim_in != other.dim_out:
             raise ContractViolation("superoperator dimension mismatch in composition")
         return Superoperator(other.dim_in, self.dim_out, self.matrix @ other.matrix)
@@ -116,8 +126,9 @@ class KrausChannel:
     the three kernels work on that stack: :meth:`apply` is one batched
     product ``M rho M^dag`` summed over k, :meth:`tp_defect` one matrix
     product of the reshaped stack, and :meth:`superoperator` its Gram
-    product, filled in row blocks. The operators are checked on the stack
-    once; ``kraus`` holds views of it.
+    product, filled in row blocks. ``self @ map`` composes through
+    :meth:`apply`. The operators are checked on the stack once; ``kraus``
+    holds views of it.
     """
 
     kraus: list[np.ndarray]
@@ -164,6 +175,18 @@ class KrausChannel:
 
     def __call__(self, rho) -> np.ndarray:
         return self.apply(rho)
+
+    def __matmul__(self, other) -> Superoperator:
+        """The channel after ``other``, any map with ``.superoperator()``:
+        column c is ``vec(self.apply(image c))``, formed one image at a time
+        so that only one image's Kraus products are held besides the result."""
+        other = other.superoperator()
+        if self.dim_in != other.dim_out:
+            raise ContractViolation("superoperator dimension mismatch in composition")
+        out = np.empty((self.dim_out**2, other.dim_in**2), dtype=complex)
+        for c, image in enumerate(other.matrix.T):
+            out[:, c] = vec(self.apply(unvec(image, self.dim_in)))
+        return Superoperator(other.dim_in, self.dim_out, out)
 
     def superoperator(self) -> Superoperator:
         # entry (i*n + m, j*d + l) of sum_k conj(M_k) kron M_k is

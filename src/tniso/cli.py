@@ -240,8 +240,9 @@ def _cmd_correct(args, tol_):
 
 def _round_epsilon(channel, recovery, encoding, samples, refine, seed):
     """Perturbation bracket of one recovery-after-channel round on the code."""
-    loop = compose(recovery, channel) if recovery is not None else channel
-    composite = loop.superoperator() @ encoding.superoperator()
+    composite = channel @ encoding
+    if recovery is not None:
+        composite = recovery @ composite
     return estimate_epsilon(
         composite, encoding, samples=samples, refine_steps=refine, seed=seed
     )
@@ -486,6 +487,8 @@ def main(argv=None) -> int:
         tol_ = _resolve_tol(args)
         if getattr(args, "iters", 1) < 1:
             raise ContractViolation(f"iters must be at least 1, got {args.iters}")
+        if args.seed < 0:
+            raise ContractViolation(f"seed must be nonnegative, got {args.seed}")
         code, report = _DISPATCH[args.command](args, tol_)
     except NotCorrectableError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,6 +66,8 @@ def estimate_epsilon(
         raise ContractViolation(f"samples must be at least 1, got {samples}")
     if refine_steps < 0:
         raise ContractViolation(f"refine_steps must be nonnegative, got {refine_steps}")
+    if seed < 0:
+        raise ContractViolation(f"seed must be nonnegative, got {seed}")
     delta = _deviation_superoperator(perturbed, nominal)
     d = nominal.dim_logical
     rng = np.random.default_rng(seed)

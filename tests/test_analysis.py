@@ -272,7 +272,8 @@ class TestFixedSpanPath:
     def test_admixture_that_splits_the_kernel_cut_goes_straight_to_full(self, monkeypatch):
         # Q^H S Q - I has singular values near 1e-10 on both sides of
         # KERNEL_TOL: the image and the full projection are the only
-        # detections, and the full projector needs the composed loop
+        # detections, and the full projector needs the composed loop, the
+        # only Kraus superoperator built
         enc, near = _admixed_system((4, 4, 4, None), seed=0, weight=1e-10)
         calls = _count_detections(monkeypatch)
         built, composed = _record_builds(monkeypatch)
@@ -281,7 +282,7 @@ class TestFixedSpanPath:
         assert report.meta == {"projector": "full", "fell_back": False}
         assert len(calls) == 2
         assert len(composed) == 1 and composed[0][1] is near
-        assert sum(isinstance(x, KrausChannel) for x in built) == 3
+        assert sum(isinstance(x, KrausChannel) for x in built) == 1
 
     def test_raw_repetition_channel_falls_back_to_full_projector(self, repetition):
         # the bit flips move the code's span off itself, so the full
@@ -702,16 +703,16 @@ class TestAnalysisPass:
         assert len(calls) == 2
 
     def test_preserved_classify_builds_each_superoperator_once(self, monkeypatch, rng):
-        # S_E, S_phi and the recovery's S_R once each; the loop fixes the
-        # code, so no corrected loop is composed
+        # S_phi once; the channel and the recovery act on its images, and
+        # the loop fixes the code, so no corrected loop is composed and no
+        # Kraus superoperator is built
         enc, channel = random_preserved_system(2, 3, 1, rng)
         built, composed = _record_builds(monkeypatch)
         report = classify(enc, channel)
         assert report.preserved and report.meta["projector"] == "fixed"
-        assert sum(x is channel for x in built) == 1
         assert sum(x is enc for x in built) == 1
         assert composed == []
-        assert sum(isinstance(x, KrausChannel) for x in built) == 2
+        assert not any(isinstance(x, KrausChannel) for x in built)
 
     def test_near_miss_classify_detects_once(self, monkeypatch, rng):
         enc, channel = random_preserved_system(2, 2, 1, rng)
@@ -740,12 +741,17 @@ class TestAnalysisPass:
             "unitary": unitary_correctability(enc, channel).residual,
         }
         assert {k: report.residuals[k] for k in expected} == expected
-        # the correction residual is the chain S_R (S_E S_phi) against S_phi,
-        # and within rounding of the composed loop's
+        # the correction residual is the chain R @ (E @ phi) against phi, and
+        # within rounding of the dense chain's and of the composed loop's
         s_phi = enc.superoperator()
-        chain = recovery.superoperator() @ (channel.superoperator() @ s_phi)
-        moved = Superoperator(s_phi.dim_in, s_phi.dim_out, chain.matrix - s_phi.matrix)
-        assert report.residuals["correction"] == channels.trace_norm_certificate(moved)
+
+        def moved(chain):
+            diff = Superoperator(s_phi.dim_in, s_phi.dim_out, chain.matrix - s_phi.matrix)
+            return channels.trace_norm_certificate(diff)
+
+        assert report.residuals["correction"] == moved(recovery @ (channel @ s_phi))
+        dense = recovery.superoperator() @ (channel.superoperator() @ s_phi)
+        assert abs(report.residuals["correction"] - moved(dense)) <= 1e-14
         loop = compose(recovery, channel)
         assert abs(report.residuals["correction"] - is_fixed(enc, loop)[1]) <= 1e-12
         cert = noiseless_certificate(enc, loop)
@@ -764,8 +770,14 @@ def _count_kraus_applications(monkeypatch) -> list:
     return calls
 
 
-class TestSuperoperatorPath:
-    """Analyses read superoperators; no Kraus operator touches a matrix."""
+class TestImageLinks:
+    """Analyses compose a channel with a map through the map's images
+    (``channel @ map``): each link applies the Kraus operators once per
+    logical matrix unit, whatever d_P, and no Kraus superoperator is built
+    unless the full fixed-point projector needs one."""
+
+    # links of the image chain each analysis forms, d_S**2 applications each
+    LINKS = {classify: 4, build_correction: 1, derive_protectable_code: 3, unitary_correctability: 2}
 
     @pytest.fixture(params=["repetition", "random", "wider_image"])
     def system(self, request, repetition, rng):
@@ -776,19 +788,34 @@ class TestSuperoperatorPath:
         # image support 6 > code support 4: unitary_correctability's extended branch
         return random_preserved_system(2, 2, 2, rng, d_g=3)
 
-    @pytest.mark.parametrize(
-        "analysis_fn",
-        [classify, build_correction, derive_protectable_code, unitary_correctability],
-    )
-    def test_preserved_code_applies_no_kraus(self, monkeypatch, system, analysis_fn):
+    @pytest.mark.parametrize("analysis_fn", list(LINKS))
+    def test_preserved_code_applies_kraus_once_per_image_and_link(
+        self, monkeypatch, system, analysis_fn
+    ):
         enc, channel = system
         calls = _count_kraus_applications(monkeypatch)
-        analysis_fn(enc, channel)
-        assert calls == []
+        built, _ = _record_builds(monkeypatch)
+        result = analysis_fn(enc, channel)
+        if analysis_fn is classify:
+            assert result.meta["projector"] == "fixed"
+        assert len(calls) == self.LINKS[analysis_fn] * enc.dim_logical**2
+        assert not any(isinstance(x, KrausChannel) for x in built)
 
-    def test_near_miss_classify_applies_no_kraus(self, monkeypatch, rng):
+    def test_certificate_of_a_corrected_loop_builds_no_kraus_superoperator(
+        self, monkeypatch, system
+    ):
+        enc, channel = system
+        loop = compose(build_correction(enc, channel), channel)
+        built, _ = _record_builds(monkeypatch)
+        cert = noiseless_certificate(enc, loop)
+        assert cert.accepted and cert.projector == "fixed"
+        assert not any(isinstance(x, KrausChannel) for x in built)
+
+    def test_near_miss_classify_applies_kraus_once_per_image(self, monkeypatch, rng):
         enc, channel = random_preserved_system(2, 2, 1, rng)
         near = convex_mix([1.0 - 1e-4, 1e-4], [channel, random_channel(enc.dim_physical, rng)])
         calls = _count_kraus_applications(monkeypatch)
+        built, _ = _record_builds(monkeypatch)
         assert not classify(enc, near).preserved
-        assert calls == []
+        assert len(calls) == enc.dim_logical**2
+        assert not any(isinstance(x, KrausChannel) for x in built)

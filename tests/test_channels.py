@@ -18,6 +18,7 @@ from tniso.channels import (
     unvec,
     vec,
 )
+from tniso.codes import PerturbedEncoding
 from tniso.errors import ContractViolation, ConvergenceError, NumericError
 from tniso.opcore import hermitian_basis, trace_norm
 from tniso.sampling import (
@@ -134,6 +135,48 @@ class TestSuperoperator:
         lhs = convex_mix(w, channels).superoperator().matrix
         rhs = sum(p * c.superoperator().matrix for p, c in zip(w, channels))
         assert np.abs(lhs - rhs).max() <= 1e-10
+
+
+class TestComposeThroughImages:
+    """``channel @ map`` applies the channel to the map's images and agrees
+    with the product of the two superoperators, for every kind of map."""
+
+    # (d_S, d_F, d_R) of the encoding, and the channel's output dimension and
+    # Kraus count: square and rectangular channels, K = 1 included
+    @pytest.mark.parametrize(
+        "dims,d_out,count",
+        [((2, 1, 1), 3, 1), ((2, 2, 1), 2, 3), ((2, 2, 2), 9, 2), ((3, 1, 0), 3, 1)],
+    )
+    def test_matches_the_superoperator_product(self, dims, d_out, count, rng):
+        enc = random_isometric_encoding(*dims, rng)
+        d = enc.dim_physical
+        s_enc = enc.superoperator()
+        drift = random_channel(d, rng).superoperator() @ s_enc
+        delta = Superoperator(s_enc.dim_in, d, 1e-2 * (drift.matrix - s_enc.matrix))
+        operands = [
+            random_channel(4, rng, dim_out=d),
+            s_enc,
+            enc,
+            PerturbedEncoding(enc, delta, trace_norm_certificate(delta)),
+        ]
+        channel = random_channel(d, rng, dim_out=d_out, kraus_count=count)
+        for m in operands:
+            got = channel @ m
+            expected = channel.superoperator() @ m.superoperator()
+            assert (got.dim_in, got.dim_out) == (expected.dim_in, expected.dim_out)
+            scale = np.abs(expected.matrix).max()
+            assert np.abs(got.matrix - expected.matrix).max() <= 1e-13 * scale
+
+    def test_superoperator_composes_with_an_encoding(self, rng):
+        enc = random_isometric_encoding(2, 2, 1, rng)
+        s = random_channel(5, rng, dim_out=3).superoperator()
+        assert np.array_equal((s @ enc).matrix, s.matrix @ enc.superoperator().matrix)
+
+    def test_dimension_mismatch(self, rng):
+        enc = random_isometric_encoding(2, 2, 1, rng)  # d_P = 5
+        for channel in (KrausChannel.identity(4), Superoperator.identity(4)):
+            with pytest.raises(ContractViolation, match="dimension mismatch in composition"):
+                channel @ enc
 
 
 class TestComposeAndMix:

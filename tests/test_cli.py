@@ -502,6 +502,23 @@ class TestInputValidation:
         assert "iters must be at least 1" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["epsilon", "simulate", "example"])
+    def test_negative_seed_exits_2(self, generated, tmp_path, capsys, command):
+        if command == "example":
+            argv = ["example", "example2", "--out", str(tmp_path)]
+        else:
+            argv = [
+                command,
+                "--channel", generated["mixture"],
+                "--code", generated["code"],
+                "--recovery", generated["recovery"],
+                "--out", str(tmp_path / f"{command}.json"),
+            ]
+        assert main(argv + ["--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be nonnegative, got -1" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 def _strict_json(text):
     def refuse(token):

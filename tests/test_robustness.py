@@ -107,7 +107,12 @@ class TestEstimateEpsilon:
 
     @pytest.mark.parametrize(
         "budget,field",
-        [({"samples": 0}, "samples"), ({"samples": -3}, "samples"), ({"refine_steps": -1}, "refine_steps")],
+        [
+            ({"samples": 0}, "samples"),
+            ({"samples": -3}, "samples"),
+            ({"refine_steps": -1}, "refine_steps"),
+            ({"seed": -1}, "seed"),
+        ],
     )
     def test_rejects_bad_sampling_budget(self, repetition, budget, field):
         enc = repetition.encoding
