@@ -271,7 +271,6 @@ class NoiselessCertificate:
     """
 
     accepted: bool
-    fixed_code: StructureReport | None
     fixed_residual: float
     projector: str
 
@@ -283,14 +282,12 @@ def noiseless_certificate(
 ) -> NoiselessCertificate:
     """Certify that a code stays isometric under all powers of the channel.
 
-    ``encoding`` is any map with ``.superoperator()``; ``channel`` is a
-    square CPTP map given as a :class:`KrausChannel` or a
-    :class:`Superoperator`. Accepts iff projecting the code onto the
-    channel's fixed-point set yields a valid encoding that the channel
-    fixes; on acceptance the projected code realizes a common fixed
-    decomposition. ``fixed_residual`` is the fixed-point residual of the
-    projected code, or, when the projection is no encoding, the detection
-    residual that rejected it.
+    ``encoding`` must be an :class:`IsometricEncoding`; ``channel`` is a
+    square CPTP map, a :class:`KrausChannel` or a :class:`Superoperator`.
+    Accepts iff projecting the code onto the channel's fixed-point set
+    yields a valid encoding that the channel fixes. ``fixed_residual`` is
+    the fixed-point residual of the projected code, or, when the projection
+    is no encoding, the detection residual that rejected it.
 
     One check covers every power L^k of the channel L. The fixed-point
     projector P of a CPTP map is CPTP and satisfies P L^k = P, and CPTP
@@ -301,18 +298,19 @@ def noiseless_certificate(
     all k. The argument needs complete positivity and trace preservation;
     for any other square map acceptance says nothing about its powers.
 
-    When the channel fixes the code's span (:func:`fixes_span` on the code's
-    image), P is the identity there and the projected code is the code
-    itself. No other projection on the span could be accepted: on a span
-    the channel maps into itself the projected code is ``phi o P_M``, with
-    P_M the fixed-point projector of the induced logical map, and an
-    idempotent map that preserves the trace norm is injective, hence the
-    identity. Acceptance never rests on that test: it rests on detection of
-    the projected code and on its fixed-point certificate under the channel
-    itself. When the channel does not fix the span, or the code fails those
-    checks, the code is projected with the full :func:`cesaro_projector`
-    instead, so no code that projector accepts is rejected.
+    When the channel fixes the code's span (:func:`fixes_span` on its
+    image) and moves the code by at most ``tol_``, P is the identity there
+    and the projected code is the code, isometric by its type, so nothing
+    is detected. No other projection could be accepted: on a span the
+    channel maps into itself it is ``phi o P_M``, with P_M the fixed-point
+    projector of the induced logical map, and an idempotent map that
+    preserves the trace norm is the identity. Otherwise the full
+    :func:`cesaro_projector` projects the code, and detection and the
+    fixed-point certificate of the projection decide.
     """
+    if not isinstance(encoding, IsometricEncoding):
+        name = type(encoding).__name__
+        raise ContractViolation(f"encoding must be an IsometricEncoding, got {name}")
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("noiseless certificate requires a square channel")
     s_phi = encoding.superoperator()
@@ -325,15 +323,13 @@ def _certificate(s_phi, image, moved: float, loop, tol_: float) -> NoiselessCert
     loop: ``moved`` is its fixed residual ``_distance(image, s_phi)``, and
     ``loop()`` builds the loop's superoperator, which only the full
     projector needs."""
-    if fixes_span(s_phi.matrix, image.matrix):
-        rep = detect_structure(s_phi, detection_tol=tol_)
-        if rep.found and moved <= tol_:
-            return NoiselessCertificate(True, rep, moved, "fixed")
+    if moved <= tol_ and fixes_span(s_phi.matrix, image.matrix):
+        return NoiselessCertificate(True, moved, "fixed")
     s_loop = loop()
     c_inf = cesaro_projector(s_loop, method="spectral") @ s_phi
     rep = detect_structure(c_inf, detection_tol=tol_)
     fixed_residual = is_fixed(c_inf, s_loop, tol_)[1] if rep.found else rep.residual
-    return NoiselessCertificate(rep.found and fixed_residual <= tol_, rep, fixed_residual, "full")
+    return NoiselessCertificate(rep.found and fixed_residual <= tol_, fixed_residual, "full")
 
 
 @dataclass(eq=False)
@@ -516,8 +512,8 @@ def check_ns_factorization(
 
 @dataclass(eq=False)
 class UnitaryCorrectabilityResult:
-    """Outcome of :func:`unitary_correctability`: both verdicts read the one
-    trace-norm certificate ``residual``; ``unitarily_correctable`` adds
+    """Outcome of :func:`unitary_correctability`: ``residual`` is the image's
+    preservation certificate; ``unitarily_correctable`` adds
     ``image_support_dim <= code_support_dim``, which for a minimal code
     implies the noiseless-subsystem factorization of the loop."""
 
@@ -543,6 +539,19 @@ def _paired_unitary(target_cols: np.ndarray, source_cols: np.ndarray):
     return v + t_comp @ (u @ vh) @ s_comp.conj().T
 
 
+def _unitary_verdicts(encoding: IsometricEncoding, img: StructureReport):
+    """Both unitary verdicts read off the image report, with no unitary
+    (``unitary`` is None); the code support counts the cofactor rank with
+    ``above_rank_cut``, as :meth:`IsometricEncoding.minimalize` does."""
+    d_s = encoding.dim_logical
+    rank = int(np.count_nonzero(above_rank_cut(encoding.weights)))
+    code_dim, image_dim = d_s * rank, d_s * img.decomposition.d_f
+    recoverable = img.found and img.conjugation == "unitary"
+    return UnitaryCorrectabilityResult(
+        recoverable and image_dim <= code_dim, recoverable, None, img.residual, code_dim, image_dim
+    )
+
+
 def unitary_correctability(
     encoding: IsometricEncoding,
     channel: KrausChannel,
@@ -552,10 +561,10 @@ def unitary_correctability(
 
     The pairing unitary V carries the image block onto a target grid: the
     code's leading cofactor slots, extended into the remainder when the
-    image cofactor is larger. Both verdicts read one trace-norm
-    certificate, of V after channel after encoding against the encoding on
-    the target grid with the image cofactor. Within ``tol_`` the code is
-    unitarily recoverable. It is unitarily correctable (stable under
+    image cofactor is larger. V changes no trace norm, so the certificate of
+    V after channel after encoding against the target-grid encoding is the
+    image's preservation certificate: a code preserved with unitary flavor
+    is unitarily recoverable. It is unitarily correctable (stable under
     iteration) if the image support is also no larger than the code
     support: the target then lies in the code's own block, and the
     noiseless-subsystem factorization of the noise-plus-unitary loop is
@@ -564,20 +573,15 @@ def unitary_correctability(
     larger image is only restored into a non-minimal extension of the
     decomposition, with no guarantee under repeated cycles.
     """
-    composite, img = _image(encoding, channel, tol_)
-    return _unitary_correctability(encoding, composite, img, tol_)
-
-
-def _unitary_correctability(encoding, composite, img: StructureReport, tol_: float):
-    """Body of :func:`unitary_correctability` on a detected image."""
+    _, img = _image(encoding, channel, tol_)
     if not img.found:
         raise NotCorrectableError("unitary correctability requires a preserved code")
+    result = _unitary_verdicts(encoding, img)
     dec = encoding.minimalize().decomposition
-    d_s, r_f, d_g, d_p = dec.d_s, dec.d_f, img.decomposition.d_f, dec.d_p
-    code_dim, image_dim = d_s * r_f, d_s * d_g
+    d_s, r_f, d_g = dec.d_s, dec.d_f, img.decomposition.d_f
     # target grid: cofactor slot a < r_f is the code's own, the rest come
     # from the remainder, which detection guarantees is large enough
-    u_min, comp = dec.block_columns, dec.basis[:, code_dim:]
+    u_min, comp = dec.block_columns, dec.basis[:, d_s * r_f :]
     target = np.stack(
         [
             u_min[:, s * r_f + a] if a < r_f else comp[:, (a - r_f) * d_s + s]
@@ -586,14 +590,8 @@ def _unitary_correctability(encoding, composite, img: StructureReport, tol_: flo
         ],
         axis=1,
     )
-    v = _paired_unitary(target, img.decomposition.block_columns)
-    target_dec = SubsystemDecomposition(d_s, d_g, d_p - image_dim, _orthonormal_completion(target))
-    phi_target = IsometricEncoding(target_dec, img.cofactor).superoperator()
-    residual = _distance(KrausChannel.from_unitary(v) @ composite, phi_target)
-    recoverable = residual <= tol_
-    return UnitaryCorrectabilityResult(
-        recoverable and image_dim <= code_dim, recoverable, v, residual, code_dim, image_dim
-    )
+    result.unitary = _paired_unitary(target, img.decomposition.block_columns)
+    return result
 
 
 @dataclass(eq=False)
@@ -604,10 +602,10 @@ class ClassificationReport:
     correctable, and completely_correctable coincide; unitarily_correctable
     implies unitarily_recoverable, which implies correctable.
     ``protectable`` certifies that the image code is fixed by
-    channel-after-recovery. Both unitary verdicts read one trace-norm
-    certificate, ``residuals["unitary"]`` (see :func:`unitary_correctability`);
-    for a minimal code the noiseless-subsystem factorization of the
-    noise-plus-unitary loop is implied, not checked separately.
+    channel-after-recovery. Both unitary verdicts read the image certificate
+    (``residuals["unitary"] == residuals["preservation"]``; see
+    :func:`unitary_correctability`); for a minimal code the NS factorization
+    of the noise-plus-unitary loop is implied, not checked separately.
     Every residual is finite. ``meta`` says how the verdicts were reached
     (for a preserved code, the noiseless certificate's ``projector`` and
     whether the recovery ``fell_back`` from time reversal to replacement);
@@ -651,7 +649,7 @@ def classify(
     the chain ``phi -> E o phi -> R o E o phi -> E o R o E o phi``, each link
     the channel applied to the images of the one before (``channel @ link``);
     the corrected loop's superoperator is built only if the full projector
-    decides.
+    decides, and with it the only detection besides the image's.
     """
     s_phi = encoding.superoperator()
     composite, rep = _image(s_phi, channel, tol_)
@@ -683,7 +681,7 @@ def classify(
     residuals["noiseless_fixed_code"] = cert.fixed_residual
     logger.debug("noiseless certificate: %s projector", cert.projector)
 
-    uc = _unitary_correctability(encoding, composite, rep, tol_)
+    uc = _unitary_verdicts(encoding, rep)
     residuals["unitary"] = uc.residual
 
     return ClassificationReport(

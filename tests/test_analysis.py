@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tniso import analysis, channels
@@ -25,11 +25,13 @@ from tniso.channels import (
     compose,
     convex_mix,
     fixes_span,
+    trace_norm_certificate,
     transpose_superoperator,
     vec,
 )
 from tniso.codes import (
     IsometricEncoding,
+    PerturbedEncoding,
     SubsystemDecomposition,
     make_example2_channel,
 )
@@ -165,9 +167,9 @@ class TestNoiselessCertificate:
         cert = noiseless_certificate(enc, loop)
         assert cert.accepted
         assert all(_powers_found(enc, loop, 8))
-        # the projected code is the code itself: pure cofactor
-        np.testing.assert_allclose(cert.fixed_code.weights, [1.0], atol=1e-10)
-        assert cert.fixed_residual <= 1e-10
+        # the loop fixes the code's span, so the projected code is the code itself
+        assert cert.projector == "fixed"
+        assert cert.fixed_residual == is_fixed(enc, loop)[1] <= 1e-10
 
     def test_noise_alone_fails_at_second_power(self, repetition):
         # a second bit flip can cross the majority boundary, so the code is
@@ -188,14 +190,33 @@ class TestNoiselessCertificate:
         with pytest.raises(ContractViolation):
             noiseless_certificate(IsometricEncoding.trivial(2), random_channel(2, rng, dim_out=4))
 
+    @pytest.mark.parametrize("kind", ["perturbed", "superoperator"])
+    def test_rejects_an_encoding_not_isometric_by_type(self, kind, rng):
+        # the identity fixes every span, so the fixed path, which detects
+        # nothing, would accept this contraction; only an IsometricEncoding
+        # is isometric by its type
+        enc = random_isometric_encoding(2, 2, 1, rng)
+        s_enc = enc.superoperator()
+        drift = random_channel(enc.dim_physical, rng).superoperator() @ s_enc
+        delta = Superoperator(2, enc.dim_physical, 0.3 * (drift.matrix - s_enc.matrix))
+        bad = PerturbedEncoding(enc, delta, trace_norm_certificate(delta))
+        if kind == "superoperator":
+            bad = bad.superoperator()
+        assert not detect_structure(bad.superoperator()).found
+        with pytest.raises(ContractViolation, match="^encoding must be an IsometricEncoding"):
+            noiseless_certificate(bad, KrausChannel.identity(enc.dim_physical))
+
     def test_undetected_projection_reports_its_detection_residual(self):
         # a 1e-10 admixture leaves the code preserved, but projecting it on the
         # corrected loop's fixed points gives no encoding: the certificate
         # reports the residual that rejected the projection, not infinity
         enc, near = _admixed_system((2, 3, 1, None), seed=0, weight=1e-10)
-        cert = noiseless_certificate(enc, compose(build_correction(enc, near), near))
-        assert not cert.accepted and not cert.fixed_code.found
-        assert cert.fixed_residual == cert.fixed_code.residual
+        loop = compose(build_correction(enc, near), near)
+        cert = noiseless_certificate(enc, loop)
+        projected = cesaro_projector(loop.superoperator(), method="spectral") @ enc.superoperator()
+        rep = detect_structure(projected)
+        assert not cert.accepted and cert.projector == "full" and not rep.found
+        assert cert.fixed_residual == rep.residual
         assert np.isfinite(cert.fixed_residual)
 
     @settings(max_examples=40, deadline=None)
@@ -521,6 +542,53 @@ class TestUnitaryCorrectability:
         assert np.isfinite(list(report.residuals.values())).all()
         assert abs(report.residuals["unitary"] - report.residuals["preservation"]) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 3),
+        d_f=st.integers(1, 3),
+        d_r=st.integers(0, 3),
+        d_g=st.integers(1, 3),
+        admixture=st.one_of(st.just(0.0), st.floats(-14.0, -10.0).map(lambda e: 10.0**e)),
+    )
+    def test_residual_is_the_certificate_of_the_paired_unitary(
+        self, seed, d_s, d_f, d_r, d_g, admixture
+    ):
+        # oracle: V after channel after encoding against the encoding on the
+        # target grid, which V changes by no trace norm from the image's
+        # preservation certificate
+        if d_s * d_g > d_s * d_f + d_r:
+            d_g = d_f
+        enc, channel = _admixed_system((d_s, d_f, d_r, d_g), seed, admixture)
+        found, img = is_preserved(enc, channel)
+        assume(found)
+        result = unitary_correctability(enc, channel)
+        assert result.residual == img.residual
+        # target grid: the minimal code's cofactor slots, then the remainder
+        dec, d_i = enc.minimalize().decomposition, img.decomposition.d_f
+        comp = dec.basis[:, d_s * dec.d_f :]
+        target = np.stack(
+            [
+                dec.block_columns[:, s * dec.d_f + a]
+                if a < dec.d_f
+                else comp[:, (a - dec.d_f) * d_s + s]
+                for s in range(d_s)
+                for a in range(d_i)
+            ],
+            axis=1,
+        )
+        basis = result.unitary @ img.decomposition.basis
+        assert np.abs(basis[:, : d_s * d_i] - target).max() <= 1e-12
+        d_p = enc.dim_physical
+        target_dec = SubsystemDecomposition(d_s, d_i, d_p - d_s * d_i, basis)
+        phi_target = IsometricEncoding(target_dec, img.cofactor).superoperator()
+        rotated = KrausChannel.from_unitary(result.unitary) @ (channel @ enc)
+        diff = Superoperator(d_s, d_p, rotated.matrix - phi_target.matrix)
+        assert abs(trace_norm_certificate(diff) - result.residual) <= 1e-13
+        report = classify(enc, channel)
+        assert report.unitarily_correctable == result.unitarily_correctable
+        assert report.unitarily_recoverable == result.unitarily_recoverable
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
         "dims", [(2, 2, 1, None), (2, 3, 0, None), (3, 4, 3, None), (2, 3, 2, 2), (3, 2, 3, 1)]
@@ -695,12 +763,20 @@ def _record_builds(monkeypatch):
 
 class TestAnalysisPass:
     def test_preserved_classify_detects_the_image_once(self, monkeypatch, repetition):
-        # one image detection, then the fixed-point projection inside the
-        # noiseless certificate
+        # the image detection is the only one: the corrected loop fixes the
+        # code's span, so the code is its own projection, and the unitary
+        # verdicts read the image certificate without building the unitary
         calls = _count_detections(monkeypatch)
+        paired = []
+        real = analysis._paired_unitary
+        monkeypatch.setattr(
+            analysis, "_paired_unitary", lambda *a: paired.append(1) or real(*a)
+        )
         report = classify(repetition.encoding, repetition.channel)
-        assert report.preserved
-        assert len(calls) == 2
+        assert report.preserved and report.meta["projector"] == "fixed"
+        assert report.unitarily_recoverable
+        assert len(calls) == 1
+        assert paired == []
 
     def test_preserved_classify_builds_each_superoperator_once(self, monkeypatch, rng):
         # S_phi once; the channel and the recovery act on its images, and
@@ -777,7 +853,7 @@ class TestImageLinks:
     unless the full fixed-point projector needs one."""
 
     # links of the image chain each analysis forms, d_S**2 applications each
-    LINKS = {classify: 4, build_correction: 1, derive_protectable_code: 3, unitary_correctability: 2}
+    LINKS = {classify: 3, build_correction: 1, derive_protectable_code: 3, unitary_correctability: 1}
 
     @pytest.fixture(params=["repetition", "random", "wider_image"])
     def system(self, request, repetition, rng):

@@ -401,6 +401,18 @@ class TestExampleCommand:
     def test_invalid_p_exits_2(self, tmp_path):
         assert main(["example", "repetition", "--p", "0.7", "--out", str(tmp_path)]) == 2
 
+    def test_example2_report_does_not_depend_on_seed(self, tmp_path):
+        # example2 reads only the certified upper end of the bracket, which
+        # no sampling moves; the seed is only recorded
+        bodies = []
+        for seed in ("0", "5"):
+            assert main(["example", "example2", "--seed", seed, "--out", str(tmp_path)]) == 0
+            report = read(tmp_path / "example2_report.json")
+            assert report.pop("config").pop("seed") == int(seed)
+            report.pop("meta")
+            bodies.append(json.dumps(report, sort_keys=True))
+        assert bodies[0] == bodies[1]
+
 
 class TestReportContract:
     def test_determinism_excluding_duration(self, generated, tmp_path):
@@ -484,6 +496,26 @@ class TestInputValidation:
         monkeypatch.setenv("TNISO_TOL", "0")
         assert main(["check-channel", "--channel", generated["channel"]]) == 2
         assert "TNISO_TOL must be positive" in capsys.readouterr().err
+
+    def test_infinite_tol_exits_2(self, generated, tmp_path, capsys):
+        # an infinite tolerance would accept the mixture, which the code's
+        # channel does not preserve, as preserved and fixed
+        out = tmp_path / "c.json"
+        argv = ["classify", "--channel", generated["mixture"], "--code", generated["code"]]
+        assert main(argv + ["--tol", "inf", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "tol must be positive and finite, got inf" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_infinite_env_tol_exits_2(self, generated, tmp_path, monkeypatch, capsys):
+        # an infinite tolerance would write a recovery for a code the
+        # mixture does not preserve
+        monkeypatch.setenv("TNISO_TOL", "inf")
+        out = tmp_path / "recovery.json"
+        argv = ["correct", "--channel", generated["mixture"], "--code", generated["code"]]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "TNISO_TOL must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "example"])
     def test_zero_iters_exits_2(self, generated, tmp_path, capsys, command):
