@@ -52,7 +52,10 @@ class StructureReport:
     minimal, and ``residual`` bounds the trace-norm reconstruction error
     over every state (the :func:`trace_norm_certificate` of the difference
     between the map and the detected encoding). When not found, ``stage``
-    names the first failing step and ``residual`` the quantity it rejected.
+    names the first failing step (``input_map``, ``state_images``,
+    ``orthogonality``, ``spectrum`` or ``verification``) and ``residual``
+    the quantity it rejected; a ``verification`` failure also names the
+    ``conjugation`` it verified.
     """
 
     found: bool
@@ -78,34 +81,6 @@ def _orthonormal_completion(block: np.ndarray) -> np.ndarray:
     return np.concatenate([block, u[:, n:]], axis=1)
 
 
-def _assemble_candidate(rho0_vecs, weights, offdiag_images, d_q, d_p, adjoint: bool):
-    """Build the candidate block basis w_{j,m} from the reference image.
-
-    Column m of ``rho0_vecs`` is the cofactor-weight-m eigenvector of the
-    first state image; images of the (0, j) matrix units transport it to
-    logical slot j. ``adjoint`` selects the transport direction, which is
-    what distinguishes the unitary from the anti-unitary flavor.
-    """
-    r = weights.size
-    cols = [rho0_vecs[:, m] for m in range(r)]
-    blocks = [np.stack(cols, axis=1)]
-    for j in range(1, d_q):
-        x = offdiag_images[j - 1]
-        x = x.conj().T if adjoint else x
-        wj = np.stack([x @ rho0_vecs[:, m] / weights[m] for m in range(r)], axis=1)
-        blocks.append(wj)
-    block = np.concatenate(blocks, axis=1)  # (s, m) columns, row-major
-    gram = block.conj().T @ block
-    gram_defect = float(np.abs(gram - np.eye(d_q * r)).max())
-    if gram_defect > tol.GRAM_CUTOFF:
-        # hopeless candidate; near-isometries proceed so the verification
-        # stage can report an honest trace-norm residual
-        return None, gram_defect
-    # polar correction makes the block exactly isometric
-    u, _, vh = np.linalg.svd(block, full_matrices=False)
-    return u @ vh, gram_defect
-
-
 def detect_structure(
     phi: Superoperator,
     detection_tol: float | None = None,
@@ -114,14 +89,18 @@ def detect_structure(
 
     The map must be Hermiticity- and trace-preserving. Detection proceeds
     by (1) imaging the standard logical basis states, (2) checking pairwise
-    orthogonal supports, (3) checking a common spectrum, (4) aligning the
-    eigenbases across logical slots through the off-diagonal matrix-unit
-    images, (5) assembling the basis unitary and cofactor, and (6) verifying
-    the reconstruction under both the unitary and the anti-unitary reading:
-    the trace-norm certificate of ``phi`` minus each candidate encoding
-    bounds the error on every state, so the verdict is deterministic. Never
-    raises on well-formed input; failures come back as ``found=False`` with
-    the failing stage.
+    orthogonal supports, (3) checking a common spectrum, (4) imaging slot
+    0's top eigenvectors V0 into every logical slot, weighted by the
+    cofactor: ``E_00 V0`` for slot 0 and, for slot j, ``E_0j^dag V0`` under
+    the unitary reading or ``E_0j V0`` under the anti-unitary one (``E_ab``
+    the image of a matrix unit), (5) keeping the reading whose weighted
+    block has the larger norm, since the other one's slots j >= 1 vanish
+    on an exact encoding, and taking the basis as the polar factor of that
+    block, which divides by no weight, and (6) verifying that one candidate
+    encoding: the trace-norm certificate of ``phi`` minus it bounds the
+    error on every state, so the verdict is deterministic. Never raises on
+    well-formed input; failures come back as ``found=False`` with the
+    failing stage.
     """
     dtol = tol.DETECTION_TOL if detection_tol is None else detection_tol
     d_q, d_p = phi.dim_in, phi.dim_out
@@ -171,42 +150,26 @@ def detect_structure(
     weights = weights / weights.sum()
     r = weights.size
 
-    # stage: align eigenbases across logical slots via off-diagonal images
-    offdiag = [units[0, j] for j in range(1, d_q)]
-    rho0_vecs = vecs[0][:, :r]
-    candidates = {}
-    best_gram = float("inf")
-    for flavor, adjoint in (("unitary", True), ("anti-unitary", False)):
-        block, gram_defect = _assemble_candidate(
-            rho0_vecs, weights, offdiag, d_q, d_p, adjoint
+    # stage: align the logical slots. On an exact encoding slot j's images
+    # are W_j diag(weights), so a small weight moves only its own columns
+    v0 = vecs[0][:, :r]
+    head = units[0, 0] @ v0
+    blocks = {
+        flavor: np.concatenate(
+            [head, *((x.conj().T if adjoint else x) @ v0 for x in units[0, 1:])], axis=1
         )
-        best_gram = min(best_gram, gram_defect)
-        if block is not None:
-            candidates[flavor] = block
-        if d_q == 1:
-            break
-    if not candidates:
-        return StructureReport(False, "alignment", best_gram)
+        for flavor, adjoint in (("unitary", True), ("anti-unitary", False))
+    }
+    flavor = max(blocks, key=lambda f: np.linalg.norm(blocks[f]))
+    u, _, vh = np.linalg.svd(blocks[flavor], full_matrices=False)
 
-    # stage: verification against each candidate map, both conjugation flavors
+    # stage: verification of the one candidate encoding
     tau = np.diag(weights).astype(complex)
-    best = None
-    for flavor, block in candidates.items():
-        basis = _orthonormal_completion(block)
-        try:
-            dec = SubsystemDecomposition(d_q, r, d_p - d_q * r, basis)
-            enc = IsometricEncoding(dec, tau)
-        except ContractViolation:
-            continue
-        candidate = enc.superoperator().matrix
-        if flavor == "anti-unitary":
-            candidate = candidate @ transpose_superoperator(d_q)
-        residual = trace_norm_certificate(Superoperator(d_q, d_p, phi.matrix - candidate))
-        if best is None or residual < best[0]:
-            best = (residual, flavor, dec)
-    if best is None:
-        return StructureReport(False, "alignment", float("inf"))
-    residual, flavor, dec = best
+    dec = SubsystemDecomposition(d_q, r, d_p - d_q * r, _orthonormal_completion(u @ vh))
+    candidate = IsometricEncoding(dec, tau).superoperator().matrix
+    if flavor == "anti-unitary":
+        candidate = candidate @ transpose_superoperator(d_q)
+    residual = trace_norm_certificate(Superoperator(d_q, d_p, phi.matrix - candidate))
     if residual > dtol:
         return StructureReport(False, "verification", residual, conjugation=flavor)
     return StructureReport(
@@ -373,7 +336,7 @@ def _cofactor_recovery(encoding, channel, img, strategy):
     # cofactor channel {v_out^dag K v_in} between sqrt(tau) and pinv sqrt(sigma)
     v_in = dec.block_columns[:, :d_f]                      # logical slot 0, code side
     v_out = img.decomposition.block_columns[:, :d_g]       # logical slot 0, image side
-    e_fg = minimal_kraus(v_out.conj().T @ np.stack(channel.kraus) @ v_in)
+    e_fg = minimal_kraus(v_out.conj().T @ channel._stack @ v_in)
     sq_tau = sqrt_psd(tau)
     sq_sigma_inv = sqrt_pinv_psd(sigma)
     ops = [sq_tau @ k.conj().T @ sq_sigma_inv for k in e_fg]

@@ -240,16 +240,17 @@ def trace_norm_certificate(s: Superoperator) -> float:
 def minimal_kraus(ops) -> list[np.ndarray]:
     """Minimal Kraus set of the CP map with Kraus operators ``ops``.
 
-    Diagonalizes the Choi (Gram) matrix of the stacked operators and keeps
-    the eigenvalues above ``KRAUS_WEIGHT_CUT`` (absolute and relative to the
-    largest), so the count is the Choi rank.
+    The Choi matrix is ``rows^T conj(rows)`` for the K stacked row-major
+    operators ``rows``, so the SVD of ``rows`` (K x d_out*d_in, rank at most
+    K) diagonalizes it: each kept operator is ``s[k] vh[k]``, for the squared
+    singular values above ``KRAUS_WEIGHT_CUT`` (absolute and relative to the
+    largest), and the count is the Choi rank.
     """
     stack = np.asarray(ops, dtype=complex)
-    _, d_out, d_in = stack.shape
-    rows = stack.reshape(-1, d_out * d_in)
-    w, v = np.linalg.eigh(rows.T @ rows.conj())
-    keep = w > max(tol.KRAUS_WEIGHT_CUT, tol.KRAUS_WEIGHT_CUT * w.max())
-    return [np.sqrt(w[k]) * v[:, k].reshape(d_out, d_in) for k in np.flatnonzero(keep)]
+    k, d_out, d_in = stack.shape
+    _, s, vh = np.linalg.svd(stack.reshape(k, -1), full_matrices=False)
+    keep = s**2 > tol.KRAUS_WEIGHT_CUT * max(1.0, s[0] ** 2)
+    return [s[j] * vh[j].reshape(d_out, d_in) for j in np.flatnonzero(keep)]
 
 
 def compose(e2: KrausChannel, e1: KrausChannel) -> KrausChannel:
@@ -403,6 +404,10 @@ def trace_norm_contraction_witness(
     """
     from .sampling import random_density
 
+    if samples < 1:
+        raise ContractViolation(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ContractViolation(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     if state_sampler is None:
         state_sampler = lambda r: random_density(channel.dim_in, r)

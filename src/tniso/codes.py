@@ -302,6 +302,10 @@ def verify_faithfulness(
         )
         if not same:
             raise ContractViolation("encodings must share one decomposition")
+    if samples < 1:
+        raise ContractViolation(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ContractViolation(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     d_s = encoding.dim_logical
     u1 = encoding.decomposition.block_columns

@@ -127,6 +127,63 @@ class TestDetectStructure:
         with pytest.raises(ContractViolation):
             report.encoding()
 
+    def test_dephasing_fails_at_verification(self):
+        # E_ab -> delta_ab E_aa passes every stage up to the candidate, which
+        # keeps the coherence the map erases: a certified residual of 1
+        phi = Superoperator(2, 2, np.diag(vec(np.eye(2))))
+        report = detect_structure(phi)
+        assert not report.found and report.stage == "verification"
+        assert report.residual == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("found", [True, False])
+    def test_verification_certifies_one_candidate(self, monkeypatch, found, rng):
+        calls = []
+        certificate = analysis.trace_norm_certificate
+
+        def counted(s):
+            calls.append(s)
+            return certificate(s)
+
+        monkeypatch.setattr(analysis, "trace_norm_certificate", counted)
+        if found:
+            phi = random_isometric_encoding(3, 2, 1, rng).superoperator()
+        else:
+            phi = Superoperator(2, 2, np.diag(vec(np.eye(2))))
+        report = detect_structure(phi)
+        assert report.found == found and report.stage in ("verified", "verification")
+        assert len(calls) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 4),
+        d_r=st.integers(0, 3),
+        exponents=st.lists(st.floats(-8.0, 0.0), min_size=1, max_size=4),
+        anti=st.booleans(),
+    )
+    def test_exact_encodings_with_skewed_cofactors(self, seed, d_s, d_r, exponents, anti):
+        # cofactor weights spread over eight decades, in a rotated basis;
+        # a 1e-4 admixture of noise after the encoding is still rejected
+        rng = np.random.default_rng(seed)
+        d_f = len(exponents)
+        weights = 10.0 ** np.array(exponents)
+        weights /= weights.sum()
+        v = haar_unitary(d_f, rng)
+        dec = SubsystemDecomposition(d_s, d_f, d_r, haar_unitary(d_s * d_f + d_r, rng))
+        phi = IsometricEncoding(dec, v @ np.diag(weights) @ v.conj().T).superoperator()
+        if anti:
+            phi = phi @ Superoperator(d_s, d_s, transpose_superoperator(d_s))
+        report = detect_structure(phi)
+        assert report.found
+        # a single logical level has no transpose to tell the flavors apart
+        assert report.conjugation == ("anti-unitary" if anti and d_s > 1 else "unitary")
+        assert report.residual <= 1e-12
+        np.testing.assert_allclose(report.weights, np.sort(weights)[::-1], atol=1e-12)
+        if d_s > 1:
+            noise = random_channel(phi.dim_out, rng) @ phi
+            near = Superoperator(d_s, phi.dim_out, (1 - 1e-4) * phi.matrix + 1e-4 * noise.matrix)
+            assert not detect_structure(near).found
+
 
 class TestFixedAndPreserved:
     def test_identity_fixes_everything(self, repetition):
@@ -541,6 +598,14 @@ class TestUnitaryCorrectability:
         assert report.unitarily_correctable == result.unitarily_correctable == fits
         assert np.isfinite(list(report.residuals.values())).all()
         assert abs(report.residuals["unitary"] - report.residuals["preservation"]) <= 1e-12
+
+    def test_admixture_on_a_small_image_weight_stays_preserved(self):
+        # the image cofactor's smallest weight is 0.0019: an alignment that
+        # divides by it amplifies the admixture past the tolerance
+        enc, near = _admixed_system((2, 2, 2, 3), 120, weight=1e-10)
+        report = classify(enc, near)
+        assert report.preserved and report.unitarily_recoverable
+        assert report.residuals["preservation"] <= 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(

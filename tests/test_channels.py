@@ -337,6 +337,14 @@ class TestContractionWitness:
         ratio = trace_norm_contraction_witness(channel, 25, seed=2, state_sampler=encoded_sampler)
         assert ratio == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "budget,field", [({"samples": 0}, "samples"), ({"samples": -3}, "samples"), ({"seed": -1}, "seed")]
+    )
+    def test_rejects_bad_sampling_budget(self, budget, field):
+        # no pair sampled would witness no ratio at all, not a ratio of 0
+        with pytest.raises(ContractViolation, match=field):
+            trace_norm_contraction_witness(KrausChannel.identity(2), **{"samples": 5, **budget})
+
 
 class TestChannelJson:
     def test_roundtrip_exact(self, rng):

@@ -192,6 +192,15 @@ class TestFaithfulness:
         report = verify_faithfulness(enc, SwappedRoles(), samples=50, seed=3)
         assert report.statics > 0.1
 
+    @pytest.mark.parametrize(
+        "budget,field", [({"samples": 0}, "samples"), ({"samples": -3}, "samples"), ({"seed": -1}, "seed")]
+    )
+    def test_rejects_bad_sampling_budget(self, repetition, budget, field):
+        # with no sample every residual would read 0, faithful or not
+        enc = repetition.encoding
+        with pytest.raises(ContractViolation, match=field):
+            verify_faithfulness(enc, ObservableEncoding(enc.decomposition), **budget)
+
 
 class TestExampleGenerators:
     def test_sigma_spectrum(self, repetition):
