@@ -17,7 +17,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     Superoperator,
-    _hermitian_images,
+    _hermitian_trace_defect,
     _unit_images,
     cesaro_projector,
     check_support_invariance,
@@ -32,7 +32,6 @@ from .errors import ContractViolation, NotCorrectableError, NumericError
 from .opcore import (
     above_rank_cut,
     eigh_clamped,
-    hermitian_basis,
     sqrt_pinv_psd,
     sqrt_psd,
     trace_norm,
@@ -73,12 +72,10 @@ class StructureReport:
 
 
 def _orthonormal_completion(block: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary."""
-    d, n = block.shape
-    if n == d:
-        return block
-    u, _, _ = np.linalg.svd(block)
-    return np.concatenate([block, u[:, n:]], axis=1)
+    """Extend orthonormal columns to a full unitary with the trailing columns
+    of a complete Householder QR factor, which move smoothly with the block."""
+    q = np.linalg.qr(block, mode="complete")[0]
+    return np.concatenate([block, q[:, block.shape[1] :]], axis=1)
 
 
 def detect_structure(
@@ -98,55 +95,43 @@ def detect_structure(
     on an exact encoding, and taking the basis as the polar factor of that
     block, which divides by no weight, and (6) verifying that one candidate
     encoding: the trace-norm certificate of ``phi`` minus it bounds the
-    error on every state, so the verdict is deterministic. Never raises on
-    well-formed input; failures come back as ``found=False`` with the
-    failing stage.
+    error on every state, so the verdict is deterministic. Every stage
+    reads the matrix-unit images sliced from ``phi``'s matrix, and QR
+    completes the basis off the block. Never raises on well-formed input;
+    failures come back as ``found=False`` with the failing stage.
     """
     dtol = tol.DETECTION_TOL if detection_tol is None else detection_tol
     d_q, d_p = phi.dim_in, phi.dim_out
 
     # stage: input map must preserve Hermiticity and trace
-    herm = _hermitian_images(phi)
-    basis_traces = np.trace(np.stack(hermitian_basis(d_q)), axis1=1, axis2=2)
-    defect = max(
-        float(np.abs(herm - herm.conj().transpose(0, 2, 1)).max()),
-        float(np.abs(np.trace(herm, axis1=1, axis2=2) - basis_traces).max()),
-    )
+    defect = _hermitian_trace_defect(phi, np.eye(d_q))
     if defect > tol.INPUT_MAP_TOL:
         return StructureReport(False, "input_map", defect)
 
     # stage: basis-state images must be states
     units = _unit_images(phi)
-    images = [units[j, j] for j in range(d_q)]
-    worst = 0.0
-    spectra, vecs = [], []
-    for img in images:
-        w, v = np.linalg.eigh((img + img.conj().T) / 2)
-        worst = max(worst, max(0.0, -float(w.min())))
-        spectra.append(w[::-1])
-        vecs.append(v[:, ::-1])
+    images = units[np.arange(d_q), np.arange(d_q)]
+    w, v = np.linalg.eigh((images + images.conj().transpose(0, 2, 1)) / 2)
+    spectra, vecs = w[:, ::-1], v[:, :, ::-1]
+    worst = max(0.0, -float(w.min()))
     if worst > max(dtol, tol.STATE_IMAGE_FLOOR):
         return StructureReport(False, "state_images", worst)
 
-    # stage: pairwise orthogonal supports
-    ortho = 0.0
-    for j in range(d_q):
-        for k in range(j + 1, d_q):
-            ortho = max(ortho, abs(complex(np.trace(images[j] @ images[k]))))
+    # stage: pairwise orthogonal supports, Tr(images[j] images[k]) for j < k
+    gram = np.einsum("jil,kli->jk", images, images)
+    ortho = float(np.abs(gram[np.triu_indices(d_q, 1)]).max(initial=0.0))
     if ortho > dtol:
         return StructureReport(False, "orthogonality", ortho)
 
     # stage: common spectrum across the images
-    spread = max(
-        float(np.abs(spectra[j] - spectra[0]).max()) for j in range(d_q)
-    )
+    spread = float(np.abs(spectra - spectra[0]).max())
     if spread > max(dtol, tol.SPECTRUM_FLOOR):
         return StructureReport(False, "spectrum", spread)
 
     weights = np.maximum(spectra[0], 0.0)
     weights = weights[above_rank_cut(weights)]
     if weights.size == 0 or weights.size * d_q > d_p:
-        return StructureReport(False, "spectrum", float(spread))
+        return StructureReport(False, "spectrum", spread)
     weights = weights / weights.sum()
     r = weights.size
 
@@ -351,10 +336,14 @@ def _cofactor_recovery(encoding, channel, img, strategy):
     return ops, tp_defect, rec_defect, False
 
 
-def _correction(encoding, channel, img: StructureReport, strategy: str):
-    """Body of :func:`build_correction` on a detected image: (recovery, details)."""
+def _check_strategy(strategy: str) -> None:
     if strategy not in ("time_reversal", "replace"):
         raise ContractViolation(f"unknown strategy {strategy!r}")
+
+
+def _correction(encoding, channel, img: StructureReport, strategy: str):
+    """Body of :func:`build_correction` on a detected image: (recovery, details)."""
+    _check_strategy(strategy)
     if not img.found:
         raise NotCorrectableError(
             "code is not preserved by the channel, so no CPTP recovery exists "
@@ -614,6 +603,7 @@ def classify(
     the corrected loop's superoperator is built only if the full projector
     decides, and with it the only detection besides the image's.
     """
+    _check_strategy(strategy)
     s_phi = encoding.superoperator()
     composite, rep = _image(s_phi, channel, tol_)
     residuals = {"fixed": _distance(composite, s_phi), "preservation": rep.residual}

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ConvergenceError, NumericError
-from .opcore import as_matrix, hermitian_basis, support_projector, trace_norm
+from .opcore import as_matrix, support_projector, trace_norm
 from . import tolerances as tol
 
 
@@ -50,8 +50,9 @@ class Superoperator:
     """Matrix form of a linear map on operator space.
 
     ``matrix`` has shape (dim_out**2, dim_in**2) in the column-stacking
-    convention. Composition ``self @ other``, with ``other`` any map with
-    ``.superoperator()``, is plain matrix multiplication.
+    convention and finite entries. Composition ``self @ other``, with
+    ``other`` any map with ``.superoperator()``, is plain matrix
+    multiplication.
     """
 
     dim_in: int
@@ -65,6 +66,8 @@ class Superoperator:
             raise ContractViolation(
                 f"superoperator matrix shape {self.matrix.shape}, expected {expected}"
             )
+        if not np.isfinite(self.matrix).all():
+            raise NumericError("superoperator matrix has non-finite entries")
 
     @classmethod
     def identity(cls, dim: int) -> "Superoperator":
@@ -209,11 +212,13 @@ def _unit_images(s: Superoperator) -> np.ndarray:
     return s.matrix.reshape(n, n, d, d, order="F").transpose(2, 3, 0, 1)
 
 
-def _hermitian_images(s: Superoperator) -> np.ndarray:
-    """Images of ``hermitian_basis(s.dim_in)`` under s, stacked on axis 0."""
-    d, n = s.dim_in, s.dim_out
-    basis = np.stack(hermitian_basis(d), axis=-1).reshape(d * d, -1, order="F")
-    return (s.matrix @ basis).reshape(n, n, -1, order="F").transpose(2, 0, 1)
+def _hermitian_trace_defect(s: Superoperator, traces) -> float:
+    """How far s is from preserving Hermiticity with image traces ``traces``,
+    read off the matrix-unit images: ``max |s(E_ba) - s(E_ab)^dag|`` and
+    ``max |Tr s(E_ab) - traces[a, b]|``, whichever is larger."""
+    units = _unit_images(s)
+    herm = np.abs(units - units.transpose(1, 0, 3, 2).conj()).max()
+    return float(max(herm, np.abs(np.trace(units, axis1=2, axis2=3) - traces).max()))
 
 
 def trace_norm_certificate(s: Superoperator) -> float:

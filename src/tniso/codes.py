@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel, Superoperator, _hermitian_images, convex_mix
+from .channels import KrausChannel, Superoperator, _hermitian_trace_defect, convex_mix
 from .errors import ContractViolation
 from .opcore import (
     above_rank_cut,
@@ -228,11 +228,7 @@ class PerturbedEncoding:
             raise ContractViolation("perturbation dimensions do not match the encoding")
         if self.epsilon < 0:
             raise ContractViolation("epsilon must be nonnegative")
-        images = _hermitian_images(self.perturbation)
-        worst = max(
-            float(np.abs(images - images.conj().transpose(0, 2, 1)).max()),
-            float(np.abs(np.trace(images, axis1=1, axis2=2)).max()),
-        )
+        worst = _hermitian_trace_defect(self.perturbation, 0.0)
         if worst > tol.PERTURBATION_TOL:
             raise ContractViolation(
                 f"perturbation is not Hermiticity-preserving and traceless (defect {worst:.3e})"
@@ -280,7 +276,6 @@ def verify_faithfulness(
     observables: ObservableEncoding,
     samples: int = 50,
     seed: int = 0,
-    spectral_gap_tol: float = tol.SPECTRAL_GAP_TOL,
 ) -> FaithfulnessReport:
     """Check the three faithfulness conditions on random (state, observable) pairs.
 
@@ -331,10 +326,10 @@ def verify_faithfulness(
 
         w_a, v_a = np.linalg.eigh(a)
         w_x, v_x = np.linalg.eigh(x)
-        for cluster in _eigen_clusters(w_a, spectral_gap_tol):
+        for cluster in _eigen_clusters(w_a, tol.SPECTRAL_GAP_TOL):
             lam = float(np.mean(w_a[cluster]))
             pa = v_a[:, cluster] @ v_a[:, cluster].conj().T
-            window = spectral_gap_tol + tol.EIGENVALUE_WINDOW * max(1.0, abs(lam))
+            window = tol.SPECTRAL_GAP_TOL + tol.EIGENVALUE_WINDOW * max(1.0, abs(lam))
             sel = np.abs(w_x - lam) <= window
             px = v_x[:, sel] @ v_x[:, sel].conj().T
             sand = px @ sigma @ px

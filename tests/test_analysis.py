@@ -465,6 +465,25 @@ class TestBuildCorrection:
                 with pytest.raises(ContractViolation):
                     fn(enc, channel, "undo")
 
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 4, 2), (3, 4, 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("strategy", ["time_reversal", "replace"])
+    def test_recovery_is_stable_under_rounding(self, dims, seed, strategy):
+        # a relative 3e-15 change of the Kraus operators moves the recovery's
+        # operators, and the image complement they route, by rounding only
+        enc, channel = random_preserved_system(*dims, np.random.default_rng(seed))
+        stack = np.stack(channel.kraus)
+        noise = np.random.default_rng(100 + seed).standard_normal(stack.shape)
+        nudged = KrausChannel(stack * (1 + 3e-15 * noise))
+        (a, da), (b, db) = (
+            build_correction(enc, ch, strategy, return_details=True) for ch in (channel, nudged)
+        )
+        assert np.abs(np.stack(a.kraus) - np.stack(b.kraus)).max() <= 1e-12
+        img_a, img_b = da.image_report.decomposition, db.image_report.decomposition
+        n = img_a.d_s * img_a.d_f
+        assert img_a.d_r > 0
+        assert np.abs(img_a.basis[:, n:] - img_b.basis[:, n:]).max() <= 1e-12
+
     def test_generate_and_check_harness(self, rng):
         for _ in range(8):
             d_s = int(rng.integers(2, 4))
@@ -772,6 +791,13 @@ class TestClassify:
                 report.unitarily_recoverable,
             ]
         )
+
+    def test_unknown_strategy_on_a_code_the_channel_does_not_preserve(
+        self, repetition, example2_channel
+    ):
+        assert not is_preserved(repetition.encoding, example2_channel)[0]
+        with pytest.raises(ContractViolation, match="unknown strategy 'bogus'"):
+            classify(repetition.encoding, example2_channel, strategy="bogus")
 
     def test_mixture_not_preserved(self, repetition):
         channel = make_example2_channel(0.4, 0.05)

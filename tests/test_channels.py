@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tniso.channels import (
     KrausChannel,
     Superoperator,
+    _hermitian_trace_defect,
     cesaro_projector,
     check_support_invariance,
     compose,
@@ -29,6 +30,7 @@ from tniso.sampling import (
     random_unital_channel,
 )
 from tniso import channels, serialize
+from tniso import tolerances as tol
 
 from conftest import PAULI_X
 
@@ -106,7 +108,56 @@ class TestKrausChannel:
             assert np.linalg.eigvalsh(out).min() >= -1e-12
 
 
+def _hermitian_basis_defect(s: Superoperator, traceless: bool) -> float:
+    """The input check as a probe of ``hermitian_basis``, kept as the reference:
+    the images' anti-Hermitian part and their trace defect against Tr(b)
+    (against 0 when ``traceless``)."""
+    images = [unvec(s.matrix @ vec(b), s.dim_out) for b in hermitian_basis(s.dim_in)]
+    targets = [0.0 if traceless else np.trace(b) for b in hermitian_basis(s.dim_in)]
+    herm = max(np.abs(x - x.conj().T).max() for x in images)
+    return max(herm, max(abs(np.trace(x) - t) for x, t in zip(images, targets)))
+
+
+class TestInputCheck:
+    @given(
+        d_in=st.integers(1, 4),
+        d_out=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        traceless=st.booleans(),
+        defect=st.sampled_from([None, "anti-hermitian", "trace"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_hermitian_basis_probe(self, d_in, d_out, seed, traceless, defect):
+        # 2 S1 - S2 preserves Hermiticity and trace, S1 - S2 Hermiticity and
+        # sends every operator to a traceless one; neither is CP
+        rng = np.random.default_rng(seed)
+        s1, s2 = (random_channel(d_in, rng, dim_out=d_out).superoperator().matrix for _ in "12")
+        m = (s1 if traceless else 2 * s1) - s2
+        if defect is not None:
+            g = np.zeros((d_out, d_out), dtype=complex)
+            g[0, 0] = 1.0
+            if defect == "anti-hermitian":
+                h = rng.standard_normal((d_out, d_out)) + 1j * rng.standard_normal((d_out, d_out))
+                g = 1j * (h + h.conj().T) / np.abs(h + h.conj().T).max()
+            m = m + 1e-6 * np.outer(vec(g), vec(np.eye(d_in)).conj())  # X -> 1e-6 Tr(X) g
+        s = Superoperator(d_in, d_out, m)
+        new = _hermitian_trace_defect(s, 0.0 if traceless else np.eye(d_in))
+        old = _hermitian_basis_defect(s, traceless)
+        if defect is None:
+            assert new <= 1e-12 and old <= 1e-12
+        else:
+            assert new > tol.INPUT_MAP_TOL and old > tol.INPUT_MAP_TOL
+            assert old / np.sqrt(2) <= new * (1 + 1e-12) and new <= np.sqrt(2) * old * (1 + 1e-12)
+
+
 class TestSuperoperator:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(NumericError, match="superoperator matrix has non-finite entries"):
+            Superoperator(2, 2, m)
+
     def test_vec_roundtrip(self, rng):
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         np.testing.assert_allclose(unvec(vec(m), 3), m)

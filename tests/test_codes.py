@@ -265,7 +265,14 @@ class TestPerturbedEncoding:
         g = np.zeros((8, 8), dtype=complex)
         g[0, 0] = 0.01  # not traceless
         delta = Superoperator(2, 8, np.outer(vec(g), vec(np.eye(2)).conj()))
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="Hermiticity-preserving and traceless"):
+            PerturbedEncoding(repetition.encoding, delta, 0.02)
+
+    def test_anti_hermitian_perturbation_rejected(self, repetition):
+        g = np.zeros((8, 8), dtype=complex)
+        g[0, 1], g[1, 0] = 1e-6, -1e-6  # traceless, but not Hermitian
+        delta = Superoperator(2, 8, np.outer(vec(g), vec(np.eye(2)).conj()))
+        with pytest.raises(ContractViolation, match="Hermiticity-preserving and traceless"):
             PerturbedEncoding(repetition.encoding, delta, 0.02)
 
 
