@@ -182,13 +182,17 @@ class KrausChannel:
     def __matmul__(self, other) -> Superoperator:
         """The channel after ``other``, any map with ``.superoperator()``:
         column c is ``vec(self.apply(image c))``, formed one image at a time
-        so that only one image's Kraus products are held besides the result."""
+        so that only one image's Kraus products are held besides the result.
+        The images come from a checked :class:`Superoperator`, so the stack
+        and its conjugate are applied to them directly."""
         other = other.superoperator()
         if self.dim_in != other.dim_out:
             raise ContractViolation("superoperator dimension mismatch in composition")
         out = np.empty((self.dim_out**2, other.dim_in**2), dtype=complex)
+        m = self._stack
+        m_dag = m.conj().transpose(0, 2, 1)
         for c, image in enumerate(other.matrix.T):
-            out[:, c] = vec(self.apply(unvec(image, self.dim_in)))
+            out[:, c] = vec((m @ unvec(image, self.dim_in) @ m_dag).sum(axis=0))
         return Superoperator(other.dim_in, self.dim_out, out)
 
     def superoperator(self) -> Superoperator:

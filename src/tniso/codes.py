@@ -226,8 +226,8 @@ class PerturbedEncoding:
         d_p = self.nominal.dim_physical
         if (self.perturbation.dim_in, self.perturbation.dim_out) != (d_s, d_p):
             raise ContractViolation("perturbation dimensions do not match the encoding")
-        if self.epsilon < 0:
-            raise ContractViolation("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < np.inf:  # refuses nan, which compares false
+            raise ContractViolation(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         worst = _hermitian_trace_defect(self.perturbation, 0.0)
         if worst > tol.PERTURBATION_TOL:
             raise ContractViolation(

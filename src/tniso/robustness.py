@@ -253,6 +253,8 @@ def perturbed_encoding_correctability(
     """
     from .analysis import is_fixed
 
+    if horizon < 0:
+        raise ContractViolation(f"horizon must be nonnegative, got {horizon}")
     nominal = perturbed.nominal
     loop = compose(recovery, channel)
     fixed_ok, fixed_res = is_fixed(nominal, loop, max(tol_, tol.LOOP_FIXED_FLOOR))

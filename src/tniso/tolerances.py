@@ -36,7 +36,6 @@ EIGENVALUE_WINDOW = 1e-9    # eigenvalue matching widens by this times max(1, |l
 INPUT_MAP_TOL = 1e-8        # Hermiticity/trace defect of a map handed to detection
 STATE_IMAGE_FLOOR = 1e-10   # negative eigenvalue of a basis-state image always allowed
 SPECTRUM_FLOOR = 1e-9       # spectral spread across basis-state images always allowed
-COFACTOR_FALLBACK_TOL = 1e-8  # time reversal falls back to replacement when it misses the cofactor by more
 INVARIANCE_FLOOR = 1e-9      # block-leak residual always allowed in an NS split
 
 # Iterated noise-plus-recovery rounds.

@@ -275,6 +275,13 @@ class TestPerturbedEncoding:
         with pytest.raises(ContractViolation, match="Hermiticity-preserving and traceless"):
             PerturbedEncoding(repetition.encoding, delta, 0.02)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.01])
+    def test_epsilon_must_be_finite_and_nonnegative(self, repetition, epsilon):
+        # nan compares false with every bound, so a bare `epsilon < 0` let it in
+        delta = Superoperator(2, 8, np.zeros((64, 4)))
+        with pytest.raises(ContractViolation, match="epsilon"):
+            PerturbedEncoding(repetition.encoding, delta, epsilon)
+
 
 class TestCodeJson:
     def test_roundtrip(self, rng):

@@ -332,6 +332,12 @@ class TestPerturbedCorrectability:
         ok, max_err, _ = perturbed_encoding_correctability(pert, channel, recovery, horizon=20)
         assert ok and max_err <= trace_norm(g) + 1e-8
 
+    def test_negative_horizon_rejected(self, repetition):
+        enc, channel, recovery, _ = repetition
+        pert = constant_perturbation(enc, np.zeros((8, 8), dtype=complex), 0.0)
+        with pytest.raises(ContractViolation, match="horizon"):
+            perturbed_encoding_correctability(pert, channel, recovery, horizon=-1)
+
     def test_uncorrected_loop_rejected(self, repetition):
         enc, channel, _, _ = repetition
         pert = constant_perturbation(enc, traceless_image(8, 2, 5, 0.01), 0.01)
