@@ -17,6 +17,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     Superoperator,
+    _Reset,
     _hermitian_trace_defect,
     _unit_images,
     cesaro_projector,
@@ -95,6 +96,7 @@ def detect_structure(
     failures come back as ``found=False`` with the failing stage.
     """
     dtol = tol.DETECTION_TOL if detection_tol is None else detection_tol
+    tol.require_tolerance(dtol, "detection_tol")
     d_q, d_p = phi.dim_in, phi.dim_out
 
     # stage: input map must preserve Hermiticity and trace
@@ -171,6 +173,7 @@ def is_fixed(phi, channel, tol_: float = tol.DETECTION_TOL):
     ``channel o phi - phi``, so it bounds how far the channel moves any
     encoded state, in trace norm. Returns (ok, residual).
     """
+    tol.require_tolerance(tol_, "tol_")
     s_phi = phi.superoperator()
     residual = _distance(channel @ s_phi, s_phi)
     return residual <= tol_, residual
@@ -198,6 +201,7 @@ def is_preserved(
     tol_: float = tol.DETECTION_TOL,
 ):
     """Whether the channel acts isometrically on the code. Returns (ok, report)."""
+    tol.require_tolerance(tol_, "tol_")
     _, report = _image(encoding, channel, tol_)
     return report.found, report
 
@@ -250,6 +254,7 @@ def noiseless_certificate(
     :func:`cesaro_projector` projects the code, and detection and the
     fixed-point certificate of the projection decide.
     """
+    tol.require_tolerance(tol_, "tol_")
     if not isinstance(encoding, IsometricEncoding):
         name = type(encoding).__name__
         raise ContractViolation(f"encoding must be an IsometricEncoding, got {name}")
@@ -283,26 +288,28 @@ class CorrectionDetails:
     image_report: StructureReport
 
 
-def _reset_kraus(tau: np.ndarray, out_cols: np.ndarray, in_cols: np.ndarray):
-    """Kraus operators preparing ``tau`` (on ``out_cols``) from each ``in_cols`` vector.
-
-    Weights below the rank cut are dropped and the kept ones rescaled to
-    sum to one, so the operators stay trace preserving on span(in_cols).
-    """
+def _cofactor_spectrum(tau: np.ndarray):
+    """Eigenpairs ``(w, v)`` of ``tau`` above the rank cut, the weights
+    rescaled to sum to one when the cut drops one, so that a reset to ``tau``
+    stays trace preserving."""
     w, v = eigh_clamped(tau)
     keep = above_rank_cut(w)
     if not keep.all():
         w = w / w[keep].sum()
-    return [
-        np.sqrt(w[m]) * np.outer(out_cols @ v[:, m], c.conj())
-        for m in np.flatnonzero(keep)
-        for c in in_cols.T
-    ]
+    return w[keep], v[:, keep]
 
 
-def _cofactor_recovery(encoding, channel, img, strategy):
+def _reset_to(spectrum, out_cols: np.ndarray, in_cols: np.ndarray) -> _Reset:
+    """The reset of span(in_cols) to ``out_cols tau out_cols^dag``, for
+    ``tau``'s :func:`_cofactor_spectrum`."""
+    w, v = spectrum
+    return _Reset(in_cols, np.stack([out_cols @ x for x in v.T], axis=1), w)
+
+
+def _cofactor_recovery(encoding, channel, img, strategy, spectrum):
     """Kraus set on (image cofactor -> code cofactor), its TP defect, and
-    whether time reversal fell back to replacement."""
+    whether time reversal fell back to replacement; ``spectrum`` is the code
+    cofactor's :func:`_cofactor_spectrum`, which replacement resets to."""
     dec = encoding.decomposition
     d_f, d_g = dec.d_f, img.decomposition.d_f
     tau = encoding.cofactor
@@ -324,7 +331,8 @@ def _cofactor_recovery(encoding, channel, img, strategy):
         tp_defect = float(np.linalg.norm(sum(k.conj().T @ k for k in ops) - np.eye(d_g), 2))
         if tp_defect <= tol.TP_TOL:
             return ops, tp_defect, False
-    return _reset_kraus(tau, np.eye(d_f), np.eye(d_g)), tp_defect, strategy == "time_reversal"
+    ops = _reset_to(spectrum, np.eye(d_f), np.eye(d_g)).kraus()
+    return ops, tp_defect, strategy == "time_reversal"
 
 
 def _check_strategy(strategy: str) -> None:
@@ -346,15 +354,16 @@ def _correction(encoding, channel, img: StructureReport, strategy: str):
     dec = encoding.decomposition
     d_s, d_f = dec.d_s, dec.d_f
     d_g = img.decomposition.d_f
-    ops_gf, tp_defect, fell_back = _cofactor_recovery(encoding, channel, img, strategy)
+    spectrum = _cofactor_spectrum(encoding.cofactor)
+    ops_gf, tp_defect, fell_back = _cofactor_recovery(encoding, channel, img, strategy, spectrum)
     u1 = dec.block_columns
     w1 = img.decomposition.block_columns
-    kraus = [u1 @ np.kron(np.eye(d_s), k) @ w1.conj().T for k in ops_gf]
+    blocks = np.stack([u1 @ np.kron(np.eye(d_s), k) @ w1.conj().T for k in ops_gf])
 
     # complete trace preservation: route the image complement to the
     # encoded reference state of the first logical basis vector
     t_cols = img.decomposition.basis[:, d_s * d_g :]
-    kraus += _reset_kraus(encoding.cofactor, u1[:, :d_f], t_cols)
+    reset = _reset_to(spectrum, u1[:, :d_f], t_cols)
 
     details = CorrectionDetails(
         strategy_requested=strategy,
@@ -363,7 +372,7 @@ def _correction(encoding, channel, img: StructureReport, strategy: str):
         cofactor_tp_defect=tp_defect,
         image_report=img,
     )
-    return KrausChannel(kraus), details
+    return KrausChannel._with_reset(blocks, reset), details
 
 
 def build_correction(
@@ -382,7 +391,16 @@ def build_correction(
     to the code cofactor (by ``time_reversal`` or ``replace``); the
     complement is routed to a fixed encoded reference state so the result
     is trace preserving everywhere.
+
+    The recovery holds the block operators and that routing as one reset
+    term ``X -> Tr(P_c X) rho_ref`` (P_c the projector onto the image
+    complement, rho_ref the reference state), which ``apply``, ``@`` and
+    ``tp_defect`` read directly. Its Kraus list, the block operators and
+    then the reset's rank(tau)·(d_P - d_S·d_G) rank-one operators, is
+    expanded only when ``kraus`` is read (to write the recovery, or by
+    :func:`compose`) or ``superoperator()`` is called.
     """
+    tol.require_tolerance(tol_, "tol_")
     _, img = _image(encoding, channel, tol_)
     recovery, details = _correction(encoding, channel, img, strategy)
     return (recovery, details) if return_details else recovery
@@ -401,6 +419,7 @@ def derive_protectable_code(
     span, so the image code is protectable with the same recovery that
     corrects the original.
     """
+    tol.require_tolerance(tol_, "tol_")
     composite, img = _image(encoding, channel, tol_)
     recovery, _ = _correction(encoding, channel, img, strategy)
     return img, recovery, _distance(channel @ (recovery @ composite), composite)
@@ -423,6 +442,7 @@ def check_ns_factorization(
     residual). ``logical_unitary`` is absorbed (inverted) before the
     split, for channels expected to act as a known logical rotation.
     """
+    tol.require_tolerance(tol_, "tol_")
     d_s, d_f = dec.d_s, dec.d_f
     n = d_s * d_f
     rho_bar = dec.embed(np.eye(n) / n)
@@ -513,6 +533,7 @@ def unitary_correctability(
     larger image is only restored into a non-minimal extension of the
     decomposition, with no guarantee under repeated cycles.
     """
+    tol.require_tolerance(tol_, "tol_")
     _, img = _image(encoding, channel, tol_)
     if not img.found:
         raise NotCorrectableError("unitary correctability requires a preserved code")
@@ -591,6 +612,7 @@ def classify(
     the corrected loop's superoperator is built only if the full projector
     decides, and with it the only detection besides the image's.
     """
+    tol.require_tolerance(tol_, "tol_")
     _check_strategy(strategy)
     s_phi = encoding.superoperator()
     composite, rep = _image(s_phi, channel, tol_)

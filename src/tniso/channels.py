@@ -16,6 +16,22 @@ multiplies matrices; a :class:`KrausChannel` on the left applies its
 operators to the map's ``dim_in**2`` images one at a time, so it never
 builds its own ``dim_out**2 x dim_in**2`` matrix. That matrix is built only
 where its spectrum is needed (:func:`cesaro_projector`).
+
+A recovery built by :func:`tniso.analysis.build_correction` is a
+:class:`KrausChannel` held in structured form: its few block operators
+plus one reset term ``X -> Tr(P X) rho``, which sends the image complement
+(P the projector onto it) to an encoded reference state rho. ``apply``,
+``@`` and ``tp_defect`` read that form. The reset term's Kraus operators,
+one per reference eigenvector and complement vector (1,536 of 1,538 at
+d_P = 128), are expanded after the block operators only when a caller reads
+``kraus`` (serialization, :func:`compose`, :func:`convex_mix`) or asks for
+``superoperator()``; the kernels keep reading the structured form after
+that.
+
+Checks guard the boundary: the public constructors scan their input for
+non-finite entries, and products formed inside the package from checked
+operands (``@``, ``KrausChannel.superoperator``, :func:`cesaro_projector`)
+skip that scan.
 """
 
 from __future__ import annotations
@@ -73,6 +89,14 @@ class Superoperator:
     def identity(cls, dim: int) -> "Superoperator":
         return cls(dim, dim, np.eye(dim * dim, dtype=complex))
 
+    @classmethod
+    def _trusted(cls, dim_in: int, dim_out: int, matrix: np.ndarray) -> "Superoperator":
+        """A product of checked operands, complex and of the right shape by
+        construction, taken without the constructor's checks."""
+        s = object.__new__(cls)
+        s.dim_in, s.dim_out, s.matrix = dim_in, dim_out, matrix
+        return s
+
     def superoperator(self) -> "Superoperator":
         """The map itself; every map type answers this call."""
         return self
@@ -92,7 +116,7 @@ class Superoperator:
         other = other.superoperator()
         if self.dim_in != other.dim_out:
             raise ContractViolation("superoperator dimension mismatch in composition")
-        return Superoperator(other.dim_in, self.dim_out, self.matrix @ other.matrix)
+        return Superoperator._trusted(other.dim_in, self.dim_out, self.matrix @ other.matrix)
 
 
 # Byte budget of one block of the Gram product in
@@ -118,6 +142,23 @@ def _kraus_stack(ops) -> np.ndarray:
     return stack
 
 
+class _Reset:
+    """The CP map ``X -> Tr(P X) rho`` with ``P = cols cols^dag`` and
+    ``rho = psi diag(w) psi^dag``: it prepares rho from span(cols). Its
+    Kraus operators are ``sqrt(w_m) psi_m c^dag`` for each column ``psi_m``
+    of psi and c of cols, m-major."""
+
+    def __init__(self, cols: np.ndarray, psi: np.ndarray, w: np.ndarray):
+        self.cols, self.psi, self.w = cols, psi, w
+        self.state = (psi * w) @ psi.conj().T
+        self.trace_row = vec(cols.conj() @ cols.T)  # vec(P^T): Tr(P X) = trace_row @ vec(X)
+
+    def kraus(self) -> np.ndarray:
+        ops = self.psi.T[:, None, :, None] * self.cols.conj().T[None, :, None, :]
+        ops *= np.sqrt(self.w)[:, None, None, None]
+        return ops.reshape(-1, self.psi.shape[0], self.cols.shape[0])
+
+
 @dataclass(eq=False)
 class KrausChannel:
     """A CPTP map given by a nonempty list of Kraus operators.
@@ -129,9 +170,15 @@ class KrausChannel:
     the three kernels work on that stack: :meth:`apply` is one batched
     product ``M rho M^dag`` summed over k, :meth:`tp_defect` one matrix
     product of the reshaped stack, and :meth:`superoperator` its Gram
-    product, filled in row blocks. ``self @ map`` composes through
-    :meth:`apply`. The operators are checked on the stack once; ``kraus``
+    product, filled in row blocks. ``self @ map`` applies the stack to the
+    map's images. The operators are checked on the stack once; ``kraus``
     holds views of it.
+
+    A channel built by :meth:`_with_reset` (a recovery from
+    :func:`tniso.analysis.build_correction`) holds block operators and a
+    :class:`_Reset` term instead: the kernels apply the blocks' stack and
+    add the term, and ``kraus`` (the blocks, then the term's operators) is
+    expanded on first use.
     """
 
     kraus: list[np.ndarray]
@@ -142,21 +189,46 @@ class KrausChannel:
             raise ContractViolation("Kraus list must be nonempty")
         self._stack = _kraus_stack(self.kraus)
         self.kraus = list(self._stack)
+        self._blocks, self._reset = self._stack, None
+        self._check_trace_preserving()
+
+    @classmethod
+    def _with_reset(cls, blocks: np.ndarray, reset: _Reset) -> "KrausChannel":
+        """The channel with Kraus operators ``blocks`` (a finite stack) plus
+        those of ``reset``, held without expanding the latter."""
+        ch = object.__new__(cls)
+        ch.tp_tol, ch._blocks, ch._reset = tol.TP_TOL, blocks, reset
+        ch._check_trace_preserving()
+        return ch
+
+    def __getattr__(self, name):
+        # reached only for attributes not set: the Kraus list and stack of a
+        # channel with a reset term, expanded on first use
+        if name not in ("kraus", "_stack") or self.__dict__.get("_reset") is None:
+            raise AttributeError(name)
+        self._stack = np.concatenate([self._blocks, self._reset.kraus()])
+        self.kraus = list(self._stack)
+        return self.__dict__[name]
+
+    def _check_trace_preserving(self) -> None:
         residual = self.tp_defect()
         if residual > self.tp_tol:
             raise ContractViolation(f"not trace preserving (defect {residual:.3e})")
 
     @property
     def dim_in(self) -> int:
-        return self._stack.shape[2]
+        return self._blocks.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self._stack.shape[1]
+        return self._blocks.shape[1]
 
     def tp_defect(self) -> float:
-        rows = self._stack.reshape(-1, self.dim_in)  # the M_k stacked vertically
+        rows = self._blocks.reshape(-1, self.dim_in)  # the M_k stacked vertically
         acc = rows.conj().T @ rows
+        if self._reset is not None:  # its adjoint sends I to Tr(rho) P
+            r = self._reset
+            acc += np.trace(r.state).real * (r.cols @ r.cols.conj().T)
         return float(np.abs(acc - np.eye(self.dim_in)).max())
 
     @classmethod
@@ -173,8 +245,12 @@ class KrausChannel:
             raise ContractViolation(
                 f"state shape {rho.shape}, expected ({self.dim_in}, {self.dim_in})"
             )
-        m = self._stack
-        return (m @ rho @ m.conj().transpose(0, 2, 1)).sum(axis=0)
+        m = self._blocks
+        out = (m @ rho @ m.conj().transpose(0, 2, 1)).sum(axis=0)
+        if self._reset is not None:
+            r = self._reset
+            out += np.vdot(r.cols, rho @ r.cols) * r.state
+        return out
 
     def __call__(self, rho) -> np.ndarray:
         return self.apply(rho)
@@ -184,16 +260,20 @@ class KrausChannel:
         column c is ``vec(self.apply(image c))``, formed one image at a time
         so that only one image's Kraus products are held besides the result.
         The images come from a checked :class:`Superoperator`, so the stack
-        and its conjugate are applied to them directly."""
+        and its conjugate are applied to them directly, and a reset term
+        adds one rank-one update for all of them."""
         other = other.superoperator()
         if self.dim_in != other.dim_out:
             raise ContractViolation("superoperator dimension mismatch in composition")
         out = np.empty((self.dim_out**2, other.dim_in**2), dtype=complex)
-        m = self._stack
+        m = self._blocks
         m_dag = m.conj().transpose(0, 2, 1)
         for c, image in enumerate(other.matrix.T):
             out[:, c] = vec((m @ unvec(image, self.dim_in) @ m_dag).sum(axis=0))
-        return Superoperator(other.dim_in, self.dim_out, out)
+        if self._reset is not None:
+            r = self._reset
+            out += np.outer(vec(r.state), r.trace_row @ other.matrix)
+        return Superoperator._trusted(other.dim_in, self.dim_out, out)
 
     def superoperator(self) -> Superoperator:
         # entry (i*n + m, j*d + l) of sum_k conj(M_k) kron M_k is
@@ -207,7 +287,7 @@ class KrausChannel:
         for i in range(0, n, rows):
             block = flat[:, i * d : (i + rows) * d].conj().T @ flat
             np.copyto(out[i : i + rows], block.reshape(-1, d, n, d).transpose(0, 2, 1, 3))
-        return Superoperator(d, n, out.reshape(n * n, d * d))
+        return Superoperator._trusted(d, n, out.reshape(n * n, d * d))
 
 
 def _unit_images(s: Superoperator) -> np.ndarray:
@@ -277,6 +357,8 @@ def convex_mix(weights, channels: list[KrausChannel]) -> KrausChannel:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ContractViolation("weights must be a nonempty 1-D list")
+    if not np.isfinite(w).all():
+        raise ContractViolation(f"weights must be finite, got {w.tolist()!r}")
     if w.min() < 0:
         raise ContractViolation("weights must be nonnegative")
     if abs(w.sum() - 1.0) > tol.WEIGHT_SUM_TOL:
@@ -350,12 +432,13 @@ def cesaro_projector(
     until rounding in the repeated squaring takes over near 1e-8; past
     that floor the iteration aborts with the best residual reached.
     """
+    tol.require_tolerance(tol_, "tol_")
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("fixed points require a square channel")
     s = channel.superoperator().matrix
     if method == "spectral":
         p = _spectral_fixed_point_projector(s)
-        return Superoperator(channel.dim_in, channel.dim_out, p)
+        return Superoperator._trusted(channel.dim_in, channel.dim_out, p)
     if method != "iterative":
         raise ContractViolation(f"unknown method {method!r}")
 
@@ -369,7 +452,7 @@ def cesaro_projector(
         avg = nxt
         n_terms *= 2
         if delta < tol_:
-            return Superoperator(channel.dim_in, channel.dim_out, avg)
+            return Superoperator._trusted(channel.dim_in, channel.dim_out, avg)
         if delta < best:
             best = delta
         elif delta > 4.0 * best:
@@ -389,6 +472,7 @@ def check_support_invariance(
     Checks that every Kraus operator has a vanishing block from the support
     into its orthogonal complement. Returns (ok, max block residual).
     """
+    tol.require_tolerance(tol_, "tol_")
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("support invariance requires a square channel")
     p = support_projector(rho_bar)

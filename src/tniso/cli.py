@@ -58,9 +58,7 @@ def _resolve_tol(args) -> float:
             value, name = float(env), "TNISO_TOL"
         except ValueError as exc:
             raise ContractViolation(f"TNISO_TOL is not a number: {env!r}") from exc
-    if not 0 < value < float("inf"):
-        raise ContractViolation(f"{name} must be positive and finite, got {value!r}")
-    return value
+    return tol.require_tolerance(value, name)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -253,6 +253,7 @@ def perturbed_encoding_correctability(
     """
     from .analysis import is_fixed
 
+    tol.require_tolerance(tol_, "tol_")
     if horizon < 0:
         raise ContractViolation(f"horizon must be nonnegative, got {horizon}")
     nominal = perturbed.nominal

@@ -2,8 +2,11 @@
 
 The constants below are the single source of numerical thresholds. Most
 functions read them directly; the few that take a tolerance argument (the
-detection tolerance ``tol_``/``detection_tol`` above all) default to them.
+detection tolerance ``tol_``/``detection_tol`` above all) default to them
+and check a caller's value with :func:`require_tolerance`.
 """
+
+from .errors import ContractViolation
 
 # Construction-time checks on operators.
 HERMITICITY_TOL = 1e-10     # max-abs deviation of A from its adjoint
@@ -48,3 +51,12 @@ GOLDEN_EXACT_TOL = 1e-12    # closed-form golden spectra and images match, and d
 GOLDEN_NS_FLOOR = 1e-9      # lowest tolerance of the repetition example's noiseless-subsystem split
 GOLDEN_FIXED_TOL = 1e-10    # the repetition code is fixed by its correction this tightly
 GOLDEN_DIGITS_TOL = 1e-3    # the paper's goldens (0.332, 0.335) are printed to three digits
+
+
+def require_tolerance(value, name: str) -> float:
+    """``value`` if it is positive and finite, else ``ContractViolation``
+    naming ``name``: an infinite tolerance accepts every residual, and NaN
+    rejects every one."""
+    if not 0 < value < float("inf"):
+        raise ContractViolation(f"{name} must be positive and finite, got {value!r}")
+    return value

@@ -36,7 +36,9 @@ from tniso.codes import (
     make_example2_channel,
 )
 from tniso.errors import ContractViolation, NotCorrectableError
-from tniso.opcore import hermitian_basis, trace_norm
+from tniso.opcore import above_rank_cut, eigh_clamped, hermitian_basis, trace_norm
+from tniso.robustness import simulate_iterated
+from tniso.serialize import channel_to_dict
 from tniso.sampling import (
     haar_unitary,
     random_channel,
@@ -1046,3 +1048,168 @@ class TestImageLinks:
         assert not classify(enc, near).preserved
         assert len(calls) == enc.dim_logical**2
         assert not any(isinstance(x, KrausChannel) for x in built)
+
+
+def _listed_reset(tau, out_cols, in_cols):
+    """Rank-one Kraus operators preparing ``tau`` (on ``out_cols``) from each
+    ``in_cols`` vector, listed one by one: a reset as the recovery's Kraus
+    list spells it out."""
+    w, v = eigh_clamped(tau)
+    keep = above_rank_cut(w)
+    if not keep.all():
+        w = w / w[keep].sum()
+    return [
+        np.sqrt(w[m]) * np.outer(out_cols @ v[:, m], c.conj())
+        for m in np.flatnonzero(keep)
+        for c in in_cols.T
+    ]
+
+
+def _listed_recovery(enc, channel, strategy):
+    """The recovery's Kraus list built operator by operator: the block
+    operators (the listed replacement reset when the recovery replaces),
+    then the listed reset of the image complement."""
+    _, details = build_correction(enc, channel, strategy, return_details=True)
+    img = details.image_report
+    dec, d_g = enc.decomposition, img.decomposition.d_f
+    if details.strategy_used == "replace":
+        ops_gf = _listed_reset(enc.cofactor, np.eye(dec.d_f), np.eye(d_g))
+    else:
+        spectrum = analysis._cofactor_spectrum(enc.cofactor)
+        ops_gf = analysis._cofactor_recovery(enc, channel, img, strategy, spectrum)[0]
+    u1, w1 = dec.block_columns, img.decomposition.block_columns
+    blocks = [u1 @ np.kron(np.eye(dec.d_s), k) @ w1.conj().T for k in ops_gf]
+    t_cols = img.decomposition.basis[:, dec.d_s * d_g :]
+    return blocks + _listed_reset(enc.cofactor, u1[:, : dec.d_f], t_cols)
+
+
+def _record_expansions(monkeypatch) -> list:
+    """One entry per expansion of a reset term into Kraus operators."""
+    calls = []
+    real = channels._Reset.kraus
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(channels._Reset, "kraus", counted)
+    return calls
+
+
+class TestStructuredRecovery:
+    """A built recovery holds its block operators and one reset term of the
+    image complement; ``apply``, ``@`` and ``tp_defect`` read that form, and
+    the Kraus list is expanded, in the listed order, only when read."""
+
+    @staticmethod
+    def _assert_matches_its_list(recovery, channel, enc, rng):
+        d = recovery.dim_in
+        before = recovery.apply(np.eye(d) / d)
+        listed = KrausChannel(recovery.kraus)
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.abs(recovery.apply(x) - listed.apply(x)).max() <= 1e-14
+        # the kernels read the structured form after the expansion too
+        assert np.array_equal(recovery.apply(np.eye(d) / d), before)
+        composite = channel @ enc.superoperator()
+        other = Superoperator(d, d, rng.standard_normal((d * d, d * d)))
+        for s in (composite, other):
+            assert np.abs((recovery @ s).matrix - (listed @ s).matrix).max() <= 1e-14 * max(
+                1.0, np.abs(s.matrix).max()
+            )
+        assert abs(recovery.tp_defect() - listed.tp_defect()) <= 1e-14
+        assert (
+            np.abs(recovery.superoperator().matrix - listed.superoperator().matrix).max() <= 1e-14
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 3),
+        d_f=st.integers(1, 3),
+        d_r=st.integers(0, 3),
+        d_g=st.integers(1, 3),
+        strategy=st.sampled_from(["time_reversal", "replace"]),
+    )
+    def test_kernels_match_the_expanded_list(self, seed, d_s, d_f, d_r, d_g, strategy):
+        assume(d_g != d_f and d_s * d_g <= d_s * d_f + d_r)
+        rng = np.random.default_rng(seed)
+        enc, channel = random_preserved_system(d_s, d_f, d_r, rng, d_g=d_g)
+        recovery = build_correction(enc, channel, strategy)
+        self._assert_matches_its_list(recovery, channel, enc, rng)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_fallback_recovery_matches_its_list(self, seed, rng):
+        enc, near = _admixed_system((2, 4, 2, None), seed, weight=3e-9)
+        recovery, details = build_correction(enc, near, return_details=True)
+        assert details.fell_back
+        listed = _listed_recovery(enc, near, "time_reversal")
+        assert np.array_equal(np.stack(recovery.kraus), np.stack(listed))
+        self._assert_matches_its_list(recovery, near, enc, rng)
+
+    @pytest.mark.parametrize(
+        "dims, d_g",
+        [((2, 2, 1), None), ((2, 4, 2), None), ((3, 4, 3), None), ((2, 2, 2), 3), ((2, 3, 2), 2)],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("strategy", ["time_reversal", "replace"])
+    def test_expansion_is_the_listed_recovery(self, dims, d_g, seed, strategy):
+        enc, channel = random_preserved_system(*dims, np.random.default_rng(seed), d_g=d_g)
+        recovery = build_correction(enc, channel, strategy)
+        listed = _listed_recovery(enc, channel, strategy)
+        assert np.array_equal(np.stack(recovery.kraus), np.stack(listed))
+        assert channel_to_dict(recovery) == channel_to_dict(KrausChannel(listed))
+
+    def test_preserved_classify_at_d64_never_expands(self, monkeypatch):
+        enc, channel = random_preserved_system(2, 24, 16, np.random.default_rng(0))
+        calls = _record_expansions(monkeypatch)
+        report = classify(enc, channel)
+        assert report.noiseless_certificate and report.meta["projector"] == "fixed"
+        assert calls == []
+
+    def test_simulation_never_expands(self, monkeypatch, rng):
+        enc, channel = random_preserved_system(4, 4, 4, rng)
+        recovery = build_correction(enc, channel)
+        calls = _record_expansions(monkeypatch)
+        trace = simulate_iterated(channel, recovery, enc.encode(random_density(4, rng)), 5)
+        assert trace.errors.max() <= 1e-12
+        assert calls == []
+        # the list is expanded once, on first read, and kept
+        assert len(recovery.kraus) == 18 and recovery.kraus is recovery.kraus
+        assert calls == [1]
+
+
+class TestToleranceArguments:
+    """A tolerance that is not positive and finite is refused at every public
+    entry point, naming the parameter: an infinite one accepts every
+    residual and NaN rejects every one."""
+
+    BAD = [float("inf"), float("nan"), 0.0, -1e-8]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda enc, ch, t: classify(enc, ch, tol_=t),
+            lambda enc, ch, t: is_fixed(enc, ch, t),
+            lambda enc, ch, t: is_preserved(enc, ch, t),
+            lambda enc, ch, t: noiseless_certificate(enc, ch, t),
+            lambda enc, ch, t: build_correction(enc, ch, tol_=t),
+            lambda enc, ch, t: derive_protectable_code(enc, ch, tol_=t),
+            lambda enc, ch, t: unitary_correctability(enc, ch, t),
+            lambda enc, ch, t: check_ns_factorization(ch, enc.decomposition, t),
+        ],
+    )
+    def test_tol_is_refused(self, call, bad):
+        enc, channel = random_preserved_system(2, 2, 1, np.random.default_rng(0))
+        with pytest.raises(ContractViolation, match="^tol_ must be positive and finite"):
+            call(enc, channel, bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_detection_tol_is_refused(self, bad):
+        enc, channel = random_preserved_system(2, 2, 1, np.random.default_rng(0))
+        with pytest.raises(ContractViolation, match="^detection_tol must be positive and finite"):
+            detect_structure(channel @ enc.superoperator(), detection_tol=bad)
+
+    def test_the_check_accepts_positive_finite_values(self):
+        assert tol.require_tolerance(1e-300, "tol_") == 1e-300
+        assert tol.require_tolerance(1e300, "tol_") == 1e300

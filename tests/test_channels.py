@@ -247,6 +247,12 @@ class TestComposeAndMix:
         with pytest.raises(ContractViolation):
             convex_mix([-0.1, 1.1], [e, e])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_is_named(self, bad):
+        e = KrausChannel.identity(2)
+        with pytest.raises(ContractViolation, match="^weights must be finite"):
+            convex_mix([bad, 1.0], [e, e])
+
     def test_compose_keeps_the_per_pair_products(self, rng):
         e1 = random_channel(3, rng, dim_out=4, kraus_count=3)
         e2 = random_channel(4, rng, dim_out=2, kraus_count=2)
@@ -551,3 +557,40 @@ class TestTraceNormCertificate:
         enc = random_isometric_encoding(d_s, d_f, d_r, rng)
         flipped = enc.superoperator() @ Superoperator(d_s, d_s, transpose_superoperator(d_s))
         _assert_bounds_sampled_states(flipped, trace_norm_certificate(flipped), rng)
+
+
+class TestCheckAtTheBoundary:
+    """Products formed inside the package from checked operands skip the
+    constructor's non-finite scan; the public constructor keeps it."""
+
+    def test_internal_products_build_no_checked_superoperator(self, monkeypatch, rng):
+        channel = random_channel(3, rng)
+        s = channel.superoperator()
+        built = []
+        real = Superoperator.__post_init__
+
+        def counted(self):
+            built.append(1)
+            real(self)
+
+        monkeypatch.setattr(Superoperator, "__post_init__", counted)
+        products = [
+            channel.superoperator(),
+            channel @ s,
+            s @ s,
+            cesaro_projector(channel),
+            cesaro_projector(channel, method="iterative"),
+        ]
+        assert built == []
+        assert all(p.matrix.shape == (9, 9) and p.matrix.dtype == complex for p in products)
+        with pytest.raises(NumericError, match="non-finite"):
+            Superoperator(1, 1, [[np.nan]])
+        assert built == [1]
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0])
+    def test_tolerance_arguments_are_refused(self, bad, rng):
+        channel = random_channel(2, rng)
+        with pytest.raises(ContractViolation, match="^tol_ must be positive and finite"):
+            cesaro_projector(channel, method="iterative", tol_=bad)
+        with pytest.raises(ContractViolation, match="^tol_ must be positive and finite"):
+            check_support_invariance(channel, np.eye(2) / 2, bad)

@@ -338,6 +338,13 @@ class TestPerturbedCorrectability:
         with pytest.raises(ContractViolation, match="horizon"):
             perturbed_encoding_correctability(pert, channel, recovery, horizon=-1)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0])
+    def test_tolerance_is_refused(self, repetition, bad):
+        enc, channel, recovery, _ = repetition
+        pert = constant_perturbation(enc, np.zeros((8, 8), dtype=complex), 0.0)
+        with pytest.raises(ContractViolation, match="^tol_ must be positive and finite"):
+            perturbed_encoding_correctability(pert, channel, recovery, tol_=bad)
+
     def test_uncorrected_loop_rejected(self, repetition):
         enc, channel, _, _ = repetition
         pert = constant_perturbation(enc, traceless_image(8, 2, 5, 0.01), 0.01)
