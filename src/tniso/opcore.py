@@ -85,14 +85,24 @@ def trace_norm(a) -> float:
     """Sum of singular values of ``a``.
 
     For Hermitian operators this is the sum of absolute eigenvalues; it
-    induces the distinguishability metric on quantum states.
+    induces the distinguishability metric on quantum states. The operand is
+    checked by :func:`as_matrix`; callers holding a stack of matrices that
+    are finite by construction take :func:`_trace_norms` of it at once.
     """
-    m = as_matrix(a)
+    return float(_trace_norms(as_matrix(a)))
+
+
+def _trace_norms(stack: np.ndarray) -> np.ndarray:
+    """Trace norms of a finite stack of matrices, one per leading index.
+
+    No operand check: the stack comes from checked operands. The SVDs of a
+    stack are those of its matrices one at a time, so each entry equals
+    :func:`trace_norm` of its matrix bit for bit.
+    """
     try:
-        s = np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(stack, compute_uv=False).sum(-1)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed: {exc}") from exc
-    return float(s.sum())
 
 
 def clamp_eigenvalues(w: np.ndarray) -> np.ndarray:

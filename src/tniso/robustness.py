@@ -7,6 +7,14 @@ pure states and refines locally. Sampling only lower-bounds, so the
 deviation map's trace-norm certificate (a closed-form Choi bound, see
 :func:`tniso.channels.trace_norm_certificate`) is reported alongside as the
 upper end of the bracket, and bound checks must consume that upper end.
+
+The inputs are checked at the public entry points; past them, the sampled
+images, the simulated trajectories and their differences are finite by
+construction, and their trace norms are taken a stack at a time by one
+batched SVD kernel (:func:`tniso.opcore._trace_norms`), with values equal
+bit for bit to :func:`tniso.opcore.trace_norm` of each matrix. The sampling
+draws the same Generator stream as one state at a time, so a seed gives the
+same bracket and witness whatever the batching.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 from .channels import KrausChannel, Superoperator, compose, trace_norm_certificate
 from .codes import IsometricEncoding, PerturbedEncoding
 from .errors import ContractViolation
-from .opcore import as_matrix, trace_norm
+from .opcore import _trace_norms, as_matrix
 from .sampling import random_density, random_pure_state
 from . import tolerances as tol
 
@@ -49,6 +57,11 @@ def _deviation_superoperator(perturbed, nominal: IsometricEncoding) -> Superoper
     return Superoperator(nom.dim_in, nom.dim_out, perturbed.matrix - nom.matrix)
 
 
+# Byte budget of one chunk of sampled images in :func:`estimate_epsilon`, so
+# that its memory does not grow with ``samples``; 40 images at d_P = 20.
+_EPSILON_BLOCK_BYTES = 1 << 18
+
+
 def estimate_epsilon(
     perturbed,
     nominal: IsometricEncoding,
@@ -59,8 +72,13 @@ def estimate_epsilon(
     """Estimate the worst-state trace-norm deviation from a nominal encoding.
 
     Random pure-state sampling followed by accept-if-better coordinate
-    refinement of the best state vector. The returned ``epsilon`` is
-    recomputed from the witness at emission.
+    refinement of the best state vector. The sampled states are drawn a
+    chunk at a time, each chunk's normals as one ``(rows, 2, d_S)`` array,
+    and the refinement's as one ``(refine_steps, 2, d_S)`` array: the
+    Generator stream of one state after another. Each state's image under
+    the deviation map is its own matrix-vector product, and a chunk's trace
+    norms are one stacked SVD. The returned ``epsilon`` is recomputed from
+    the witness at emission.
     """
     if samples < 1:
         raise ContractViolation(f"samples must be at least 1, got {samples}")
@@ -69,22 +87,32 @@ def estimate_epsilon(
     if seed < 0:
         raise ContractViolation(f"seed must be nonnegative, got {seed}")
     delta = _deviation_superoperator(perturbed, nominal)
-    d = nominal.dim_logical
+    m, d, n = delta.matrix, delta.dim_in, delta.dim_out
     rng = np.random.default_rng(seed)
 
-    def value(v):
-        return trace_norm(delta(np.outer(v, v.conj())))
+    def image(v):
+        # delta(|v><v|), the product that Superoperator.apply takes
+        return m @ np.outer(v, v.conj()).reshape(-1, order="F")
 
-    best_v = random_pure_state(d, rng)
-    best = value(best_v)
-    for _ in range(samples - 1):
-        v = random_pure_state(d, rng)
-        val = value(v)
-        if val > best:
-            best, best_v = val, v
+    def value(v):
+        return _trace_norms(image(v).reshape(n, n, order="F"))
+
+    best, best_v = -np.inf, None
+    rows = max(1, _EPSILON_BLOCK_BYTES // (16 * n * n))
+    for start in range(0, samples, rows):
+        g = rng.standard_normal((min(rows, samples - start), 2, d))
+        vs = g[:, 0] + 1j * g[:, 1]
+        flat = np.empty((len(vs), n * n), dtype=complex)
+        for i, v in enumerate(vs):
+            v /= np.linalg.norm(v)
+            flat[i] = image(v)
+        vals = _trace_norms(flat.reshape(-1, n, n).transpose(0, 2, 1))
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_v = vals[k], vs[k]
     step = 0.3
-    for _ in range(refine_steps):
-        prop = best_v + step * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    for g in rng.standard_normal((refine_steps, 2, d)):
+        prop = best_v + step * (g[0] + 1j * g[1])
         prop /= np.linalg.norm(prop)
         val = value(prop)
         if val > best:
@@ -92,15 +120,31 @@ def estimate_epsilon(
         else:
             step *= 0.95
 
-    witness = np.outer(best_v, best_v.conj())
     return EpsilonEstimate(
-        epsilon=trace_norm(delta(witness)),
-        witness_state=witness,
+        epsilon=float(value(best_v)),
+        witness_state=np.outer(best_v, best_v.conj()),
         upper_bound=trace_norm_certificate(delta),
         samples=samples,
         refine_steps=refine_steps,
         seed=seed,
     )
+
+
+def _require_epsilon(epsilon):
+    """Refuse a per-round bound that is not nonnegative and finite, naming
+    ``epsilon``: an infinite or NaN bound makes every bound check
+    meaningless, and a negative one fails every error."""
+    if not 0 <= epsilon < float("inf"):
+        raise ContractViolation(f"epsilon must be nonnegative and finite, got {epsilon!r}")
+
+
+def _iterates(round_, x0: np.ndarray, rounds: int) -> np.ndarray:
+    """``x0`` and its first ``rounds`` images under ``round_``, stacked."""
+    out = np.empty((rounds + 1,) + x0.shape, dtype=complex)
+    out[0] = x0
+    for k in range(rounds):
+        out[k + 1] = round_(out[k])
+    return out
 
 
 @dataclass(eq=False)
@@ -154,31 +198,33 @@ def simulate_iterated(
     encoding, at most the per-round ``epsilon`` of :func:`estimate_epsilon`'s
     upper end; then ``geometric_bound`` is certified for the simulated
     rounds (``BOUND_SLACK`` absorbs the floor term), though ``alpha_max`` is
-    read off this trajectory and says nothing of later rounds.
+    read off this trajectory and says nothing of later rounds. An
+    ``epsilon`` that is negative, NaN or infinite is refused.
+
+    The trajectory is held as one stack, and the errors, the decoded errors
+    and the steps are each one batched trace-norm call on it.
     """
     if n < 1:
         raise ContractViolation(f"n must be at least 1, got {n}")
+    if epsilon is not None:
+        _require_epsilon(epsilon)
     rho0 = as_matrix(rho0)
     d = channel.dim_in
     if (recovery.dim_in, recovery.dim_out) != (channel.dim_out, d) or rho0.shape != (d, d):
         raise ContractViolation("channel, recovery, and state dimensions must agree")
 
-    states = [rho0]
-    for _ in range(n):
-        states.append(recovery(channel(states[-1])))
-    beyond = recovery(channel(states[-1]))
-
-    errors = np.array([trace_norm(rho0 - s) for s in states])
+    path = _iterates(lambda x: recovery(channel(x)), rho0, n + 1)
+    states = list(path[:-1])
+    errors = _trace_norms(rho0 - path[:-1])
     decoded = None
     if encoding is not None:
-        logical = [encoding.decode(s) for s in states]
-        decoded = np.array([trace_norm(logical[0] - l) for l in logical])
+        logical = np.stack([encoding.decode(s) for s in states])
+        decoded = _trace_norms(logical[0] - logical)
 
-    steps = [trace_norm(b - a) for a, b in zip(states, states[1:] + [beyond])]
+    steps = _trace_norms(path[1:] - path[:-1])
+    measurable = steps[:-1] >= tol.CONTRACTION_RESIDUAL_FLOOR
     alphas = np.full(n, np.nan)
-    for i in range(n):
-        if steps[i] >= tol.CONTRACTION_RESIDUAL_FLOOR:
-            alphas[i] = steps[i + 1] / steps[i]
+    alphas[measurable] = steps[1:][measurable] / steps[:-1][measurable]
     finite = alphas[np.isfinite(alphas)]
     alpha_max = float(finite.max()) if finite.size else None
 
@@ -206,8 +252,10 @@ def check_prop3_bound(trace: SimulationTrace, epsilon: float):
     ``epsilon`` must be a certified per-round bound (the upper end of an
     estimate bracket), not a sampled lower bound. Errors may exceed the
     bound by ``BOUND_SLACK``. Returns (ok, margin) with margin = min over n
-    of (n * epsilon - error_n).
+    of (n * epsilon - error_n). An ``epsilon`` that is negative, NaN or
+    infinite is refused.
     """
+    _require_epsilon(epsilon)
     n = np.arange(len(trace.errors), dtype=float)
     margins = n * epsilon - trace.errors
     return bool((trace.errors <= n * epsilon + tol.BOUND_SLACK).all()), float(margins.min())
@@ -226,8 +274,9 @@ def check_geometric_bound(trace: SimulationTrace, epsilon: float) -> GeometricBo
 
     Errors may exceed the bound by ``BOUND_SLACK``. Not applicable when the
     observed contraction factor reaches 1 (or no residual steps were
-    measurable).
+    measurable). An ``epsilon`` that is negative, NaN or infinite is refused.
     """
+    _require_epsilon(epsilon)
     if trace.alpha_max is None or trace.alpha_max >= 1.0:
         return GeometricBoundResult(False, None, trace.alpha_max, None)
     bound = epsilon / (1.0 - trace.alpha_max)
@@ -248,7 +297,8 @@ def perturbed_encoding_correctability(
     round acts on the perturbation alone and trace-norm contraction keeps
     every iterate within the certified perturbation size of the nominal
     image. The errors are measured on the maximally mixed state, the logical
-    basis states and 8 random states drawn with seed 0. Returns (ok, max
+    basis states and 8 random states drawn with seed 0; each state's
+    iterates are one stack and one batched trace-norm call. Returns (ok, max
     error, per-round max errors).
     """
     from .analysis import is_fixed
@@ -279,11 +329,7 @@ def perturbed_encoding_correctability(
 
     per_round = np.zeros(horizon + 1)
     for rho in test_states:
-        target = nominal.encode(rho)
-        x = perturbed.apply(rho)
-        per_round[0] = max(per_round[0], trace_norm(x - target))
-        for k in range(1, horizon + 1):
-            x = loop(x)
-            per_round[k] = max(per_round[k], trace_norm(x - target))
+        xs = _iterates(loop, perturbed.apply(rho), horizon)
+        per_round = np.maximum(per_round, _trace_norms(xs - nominal.encode(rho)))
     max_err = float(per_round.max())
     return max_err <= perturbed.epsilon + tol_, max_err, per_round

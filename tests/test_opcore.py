@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tniso.errors import ContractViolation, NumericError
 from tniso.opcore import (
     DensityOperator,
+    _trace_norms,
     HermitianOperator,
     hermitian_basis,
     pinv_psd,
@@ -55,6 +56,33 @@ class TestTraceNorm:
         b = random_hermitian(dim, rng)
         assert trace_norm(scale * a) == pytest.approx(abs(scale) * trace_norm(a), abs=1e-10)
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 12),
+        count=st.integers(1, 9),
+        layout=st.sampled_from(["C", "F", "transposed"]),
+    )
+    def test_stack_equals_one_at_a_time(self, seed, rows, cols, count, layout):
+        # the batched kernel gives each matrix's trace norm bit for bit,
+        # whatever the memory layout of the stack
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((count, rows, cols)) + 1j * rng.standard_normal(
+            (count, rows, cols)
+        )
+        if layout == "F":
+            stack = np.asfortranarray(stack)
+        elif layout == "transposed":
+            stack = stack.transpose(0, 2, 1)
+        norms = _trace_norms(stack)
+        assert norms.shape == (count,)
+        assert np.array_equal(norms, [trace_norm(m) for m in stack])
+
+    def test_stack_svd_failure_is_numeric(self):
+        with pytest.raises(NumericError, match="SVD failed"):
+            _trace_norms(np.full((2, 3, 3), np.nan, dtype=complex))
 
     def test_unit_trace_on_densities(self, rng):
         from tniso.sampling import random_density

@@ -10,7 +10,12 @@ from tniso.channels import KrausChannel, Superoperator, compose, convex_mix, vec
 from tniso.codes import PerturbedEncoding, make_example2_channel
 from tniso.errors import ContractViolation
 from tniso.opcore import trace_norm
-from tniso.sampling import random_channel, random_density, random_preserved_system
+from tniso.sampling import (
+    random_channel,
+    random_density,
+    random_preserved_system,
+    random_pure_state,
+)
 from tniso.robustness import (
     check_geometric_bound,
     check_prop3_bound,
@@ -45,6 +50,183 @@ def pure_qubit_grid(steps):
         for p in phis:
             v = np.array([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)])
             yield np.outer(v, v.conj())
+
+
+def reference_estimate_epsilon(perturbed, nominal, samples, refine_steps, seed):
+    """The search one wrapped product and one trace norm at a time, as the
+    library ran it before its trace norms were batched: the oracle that the
+    batched search must match bit for bit."""
+    delta = robustness._deviation_superoperator(perturbed, nominal)
+    d = nominal.dim_logical
+    rng = np.random.default_rng(seed)
+
+    def value(v):
+        return trace_norm(delta(np.outer(v, v.conj())))
+
+    best_v = random_pure_state(d, rng)
+    best = value(best_v)
+    for _ in range(samples - 1):
+        v = random_pure_state(d, rng)
+        val = value(v)
+        if val > best:
+            best, best_v = val, v
+    step = 0.3
+    for _ in range(refine_steps):
+        prop = best_v + step * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        prop /= np.linalg.norm(prop)
+        val = value(prop)
+        if val > best:
+            best, best_v = val, prop
+        else:
+            step *= 0.95
+
+    witness = np.outer(best_v, best_v.conj())
+    return trace_norm(delta(witness)), witness, channels.trace_norm_certificate(delta)
+
+
+def reference_simulate_iterated(channel, recovery, rho0, n, encoding):
+    """The error curves and contraction ratios one trace norm at a time, as
+    the library computed them before: (states, errors, decoded errors, alphas)."""
+    states = [rho0]
+    for _ in range(n):
+        states.append(recovery(channel(states[-1])))
+    beyond = recovery(channel(states[-1]))
+
+    errors = np.array([trace_norm(rho0 - s) for s in states])
+    logical = [encoding.decode(s) for s in states]
+    decoded = np.array([trace_norm(logical[0] - l) for l in logical])
+
+    steps = [trace_norm(b - a) for a, b in zip(states, states[1:] + [beyond])]
+    alphas = np.full(n, np.nan)
+    for i in range(n):
+        if steps[i] >= tol.CONTRACTION_RESIDUAL_FLOOR:
+            alphas[i] = steps[i + 1] / steps[i]
+    return states, errors, decoded, alphas
+
+
+def reference_per_round(perturbed, loop, test_states, horizon):
+    """Per-round maxima of the perturbed-correctability check, one iterate and
+    one trace norm at a time."""
+    per_round = np.zeros(horizon + 1)
+    for rho in test_states:
+        target = perturbed.nominal.encode(rho)
+        x = perturbed.apply(rho)
+        per_round[0] = max(per_round[0], trace_norm(x - target))
+        for k in range(1, horizon + 1):
+            x = loop(x)
+            per_round[k] = max(per_round[k], trace_norm(x - target))
+    return per_round
+
+
+def noisy_round(seed, d_s, d_f, d_r, admixture):
+    """A random preserved system with a stray-channel admixture in its noise:
+    (encoding, noise, recovery, one round's composite on the code)."""
+    rng = np.random.default_rng(seed)
+    enc, exact = random_preserved_system(d_s, d_f, d_r, rng)
+    recovery = build_correction(enc, exact)
+    noise = exact
+    if admixture:
+        stray = random_channel(enc.dim_physical, rng)
+        noise = convex_mix([1.0 - admixture, admixture], [exact, stray])
+    composite = compose(recovery, noise).superoperator() @ enc.superoperator()
+    return enc, noise, recovery, composite
+
+
+class TestBatchedTraceNorms:
+    """The batched searches and curves against their one-at-a-time loops."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 3),
+        d_f=st.integers(1, 3),
+        d_r=st.integers(0, 3),
+        admixture=st.one_of(st.just(0.0), st.floats(-6.0, -1.0).map(lambda e: 10.0**e)),
+        samples=st.sampled_from([1, 2, 50, 700]),
+        refine_steps=st.sampled_from([0, 1, 30]),
+        n=st.integers(1, 12),
+    )
+    def test_bit_identical_to_the_loops(
+        self, seed, d_s, d_f, d_r, admixture, samples, refine_steps, n
+    ):
+        # d_P >= 5 puts at most 655 sampled images in one chunk, so 700
+        # samples take two
+        d_r = max(d_r, 5 - d_s * d_f)
+        enc, noise, recovery, composite = noisy_round(seed, d_s, d_f, d_r, admixture)
+        if samples == 700:
+            assert 16 * enc.dim_physical**2 * samples > robustness._EPSILON_BLOCK_BYTES
+
+        est = estimate_epsilon(composite, enc, samples, refine_steps, seed)
+        epsilon, witness, upper = reference_estimate_epsilon(
+            composite, enc, samples, refine_steps, seed
+        )
+        assert np.array_equal(est.epsilon, epsilon)
+        assert np.array_equal(est.witness_state, witness)
+        assert np.array_equal(est.upper_bound, upper)
+
+        rho0 = enc.encode(random_density(enc.dim_logical, np.random.default_rng(seed)))
+        trace = simulate_iterated(noise, recovery, rho0, n, encoding=enc, epsilon=upper)
+        states, errors, decoded, alphas = reference_simulate_iterated(
+            noise, recovery, rho0, n, enc
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(trace.states, states))
+        assert len(trace.states) == len(states)
+        assert np.array_equal(trace.errors, errors)
+        assert np.array_equal(trace.decoded_errors, decoded)
+        assert np.array_equal(trace.alpha_estimates, alphas, equal_nan=True)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 20])
+    @pytest.mark.parametrize("eps", [0.0, 0.02])
+    def test_per_round_maxima_bit_identical(self, repetition, horizon, eps):
+        enc, channel, recovery, _ = repetition
+        pert = constant_perturbation(enc, traceless_image(8, 2, 5, eps), eps)
+        _, _, per_round = perturbed_encoding_correctability(
+            pert, channel, recovery, horizon=horizon
+        )
+        # the test states of perturbed_encoding_correctability, in its order
+        rng = np.random.default_rng(0)
+        d = enc.dim_logical
+        states = [np.eye(d, dtype=complex) / d] + [
+            np.diag(np.eye(d)[i]).astype(complex) for i in range(d)
+        ]
+        for i in range(8):
+            if i % 2 == 0:
+                v = random_pure_state(d, rng)
+                states.append(np.outer(v, v.conj()))
+            else:
+                states.append(random_density(d, rng))
+        reference = reference_per_round(pert, compose(recovery, channel), states, horizon)
+        assert np.array_equal(per_round, reference)
+
+    def test_sample_chunks_stay_under_the_byte_budget(self, monkeypatch):
+        enc, _, _, composite = noisy_round(0, 2, 2, 2, 1e-3)
+        shapes = []
+        original = robustness._trace_norms
+
+        def spy(stack):
+            shapes.append(stack.shape)
+            return original(stack)
+
+        monkeypatch.setattr(robustness, "_trace_norms", spy)
+        estimate_epsilon(composite, enc, samples=5_000, refine_steps=3, seed=0)
+        per_image = 16 * enc.dim_physical**2
+        batches = [shape[0] for shape in shapes if len(shape) == 3]
+        assert sum(batches) == 5_000 and len(batches) > 1
+        assert max(batches) * per_image <= robustness._EPSILON_BLOCK_BYTES
+        # the refinement steps and the witness are one image each
+        assert len(shapes) - len(batches) == 3 + 1
+
+    def test_search_applies_no_wrapper(self, repetition, monkeypatch):
+        enc, _, recovery, _ = repetition
+        loop = compose(recovery, make_example2_channel(0.4, 0.05))
+        composite = loop.superoperator() @ enc.superoperator()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search applied the deviation map through a wrapper")
+
+        monkeypatch.setattr(Superoperator, "apply", refuse)
+        est = estimate_epsilon(composite, enc, samples=20, refine_steps=20, seed=0)
+        assert est.epsilon <= est.upper_bound
 
 
 class TestEstimateEpsilon:
@@ -237,6 +419,32 @@ class TestSimulateIteratedSweep:
         trace = simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 10, encoding=enc)
         assert calls == []
         assert trace.alpha_max == pytest.approx(0.96, abs=1e-12)
+
+
+class TestEpsilonArgument:
+    BAD = [-1.0, -1e-300, float("nan"), float("inf"), -float("inf")]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_simulate_refuses(self, repetition, bad):
+        enc, channel, recovery, _ = repetition
+        with pytest.raises(ContractViolation, match="^epsilon must be nonnegative and finite"):
+            simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 5, epsilon=bad)
+
+    @pytest.mark.parametrize("check", [check_prop3_bound, check_geometric_bound])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bound_checks_refuse(self, repetition, check, bad):
+        enc, _, recovery, _ = repetition
+        channel = make_example2_channel(0.4, 0.05)
+        trace = simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 5)
+        with pytest.raises(ContractViolation, match="^epsilon must be nonnegative and finite"):
+            check(trace, bad)
+
+    def test_zero_is_a_bound(self, repetition):
+        enc, channel, recovery, _ = repetition
+        trace = simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 5, epsilon=0.0)
+        np.testing.assert_array_equal(trace.linear_bound, np.zeros(6))
+        assert check_prop3_bound(trace, 0.0)[0]
+        assert not check_geometric_bound(trace, 0.0).applicable
 
 
 class TestLinearBound:
