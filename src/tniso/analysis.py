@@ -18,11 +18,11 @@ from .channels import (
     KrausChannel,
     Superoperator,
     _Reset,
+    _rank_one_kraus,
     _hermitian_trace_defect,
     _unit_images,
     cesaro_projector,
     check_support_invariance,
-    compose,
     fixes_span,
     minimal_kraus,
     trace_norm_certificate,
@@ -75,7 +75,7 @@ def _orthonormal_completion(block: np.ndarray) -> np.ndarray:
 
 def detect_structure(
     phi: Superoperator,
-    detection_tol: float | None = None,
+    detection_tol: float = tol.DETECTION_TOL,
 ) -> StructureReport:
     """Detect the subsystem structure of a linear state encoding.
 
@@ -95,8 +95,7 @@ def detect_structure(
     completes the basis off the block. Never raises on well-formed input;
     failures come back as ``found=False`` with the failing stage.
     """
-    dtol = tol.DETECTION_TOL if detection_tol is None else detection_tol
-    tol.require_tolerance(dtol, "detection_tol")
+    dtol = tol.require_tolerance(detection_tol, "detection_tol")
     d_q, d_p = phi.dim_in, phi.dim_out
 
     # stage: input map must preserve Hermiticity and trace
@@ -183,6 +182,13 @@ def _distance(a: Superoperator, b: Superoperator) -> float:
     """The :func:`trace_norm_certificate` of ``a - b``: how far apart the
     two maps can take any state, in trace norm."""
     return trace_norm_certificate(Superoperator(b.dim_in, b.dim_out, a.matrix - b.matrix))
+
+
+def _round_residual(channel, recovery, encoding) -> float:
+    """How far one recovery-after-channel round moves the code: the
+    :func:`_distance` of the chain ``recovery @ (channel @ phi)`` from phi."""
+    s_phi = encoding.superoperator()
+    return _distance(recovery @ (channel @ s_phi), s_phi)
 
 
 def _image(encoding, channel, tol_: float):
@@ -299,11 +305,11 @@ def _cofactor_spectrum(tau: np.ndarray):
     return w[keep], v[:, keep]
 
 
-def _reset_to(spectrum, out_cols: np.ndarray, in_cols: np.ndarray) -> _Reset:
-    """The reset of span(in_cols) to ``out_cols tau out_cols^dag``, for
-    ``tau``'s :func:`_cofactor_spectrum`."""
+def _reset_to(spectrum, out_cols: np.ndarray, in_cols: np.ndarray):
+    """``(cols, psi, w)`` of the reset of span(in_cols) to
+    ``out_cols tau out_cols^dag``, for ``tau``'s :func:`_cofactor_spectrum`."""
     w, v = spectrum
-    return _Reset(in_cols, np.stack([out_cols @ x for x in v.T], axis=1), w)
+    return in_cols, np.stack([out_cols @ x for x in v.T], axis=1), w
 
 
 def _cofactor_recovery(encoding, channel, img, strategy, spectrum):
@@ -331,7 +337,7 @@ def _cofactor_recovery(encoding, channel, img, strategy, spectrum):
         tp_defect = float(np.linalg.norm(sum(k.conj().T @ k for k in ops) - np.eye(d_g), 2))
         if tp_defect <= tol.TP_TOL:
             return ops, tp_defect, False
-    ops = _reset_to(spectrum, np.eye(d_f), np.eye(d_g)).kraus()
+    ops = _rank_one_kraus(*_reset_to(spectrum, np.eye(d_f), np.eye(d_g)))
     return ops, tp_defect, strategy == "time_reversal"
 
 
@@ -363,7 +369,7 @@ def _correction(encoding, channel, img: StructureReport, strategy: str):
     # complete trace preservation: route the image complement to the
     # encoded reference state of the first logical basis vector
     t_cols = img.decomposition.basis[:, d_s * d_g :]
-    reset = _reset_to(spectrum, u1[:, :d_f], t_cols)
+    reset = _Reset(*_reset_to(spectrum, u1[:, :d_f], t_cols))
 
     details = CorrectionDetails(
         strategy_requested=strategy,
@@ -395,10 +401,10 @@ def build_correction(
     The recovery holds the block operators and that routing as one reset
     term ``X -> Tr(P_c X) rho_ref`` (P_c the projector onto the image
     complement, rho_ref the reference state), which ``apply``, ``@`` and
-    ``tp_defect`` read directly. Its Kraus list, the block operators and
-    then the reset's rank(tau)·(d_P - d_S·d_G) rank-one operators, is
-    expanded only when ``kraus`` is read (to write the recovery, or by
-    :func:`compose`) or ``superoperator()`` is called.
+    ``tp_defect`` and ``superoperator()`` read directly. Its Kraus list, the
+    block operators and then the reset's rank(tau)·(d_P - d_S·d_G) rank-one
+    operators, is expanded only when ``kraus`` is read (to write the
+    recovery, or by :func:`~tniso.channels.compose`).
     """
     tol.require_tolerance(tol_, "tol_")
     _, img = _image(encoding, channel, tol_)
@@ -609,8 +615,9 @@ def classify(
     The fixed, correction and protection residuals each compare two links of
     the chain ``phi -> E o phi -> R o E o phi -> E o R o E o phi``, each link
     the channel applied to the images of the one before (``channel @ link``);
-    the corrected loop's superoperator is built only if the full projector
-    decides, and with it the only detection besides the image's.
+    the corrected loop's superoperator, ``recovery.superoperator() @ channel``,
+    is built only if the full projector decides, and with it the only
+    detection besides the image's.
     """
     tol.require_tolerance(tol_, "tol_")
     _check_strategy(strategy)
@@ -639,7 +646,7 @@ def classify(
 
     # correctability means noiselessness under the corrected loop; the
     # certificate witnesses that constructively
-    loop = lambda: compose(recovery, channel).superoperator()
+    loop = lambda: recovery.superoperator() @ channel
     cert = _certificate(s_phi, corrected, residuals["correction"], loop, tol_)
     residuals["noiseless_fixed_code"] = cert.fixed_residual
     logger.debug("noiseless certificate: %s projector", cert.projector)

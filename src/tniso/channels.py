@@ -24,9 +24,9 @@ plus one reset term ``X -> Tr(P X) rho``, which sends the image complement
 ``@`` and ``tp_defect`` read that form. The reset term's Kraus operators,
 one per reference eigenvector and complement vector (1,536 of 1,538 at
 d_P = 128), are expanded after the block operators only when a caller reads
-``kraus`` (serialization, :func:`compose`, :func:`convex_mix`) or asks for
-``superoperator()``; the kernels keep reading the structured form after
-that.
+``kraus`` (serialization, :func:`compose`, :func:`convex_mix`); the kernels,
+``superoperator()`` included, read the structured form. The package itself
+multiplies no Kraus lists: a correction round is ``recovery @ (channel @ map)``.
 
 Checks guard the boundary: the public constructors scan their input for
 non-finite entries, and products formed inside the package from checked
@@ -37,6 +37,7 @@ skip that scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,11 +143,19 @@ def _kraus_stack(ops) -> np.ndarray:
     return stack
 
 
+def _rank_one_kraus(cols: np.ndarray, psi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The operators ``sqrt(w_m) psi_m c^dag`` for each column ``psi_m`` of
+    psi and c of cols, m-major, stacked."""
+    ops = psi.T[:, None, :, None] * cols.conj().T[None, :, None, :]
+    ops *= np.sqrt(w)[:, None, None, None]
+    return ops.reshape(-1, psi.shape[0], cols.shape[0])
+
+
 class _Reset:
     """The CP map ``X -> Tr(P X) rho`` with ``P = cols cols^dag`` and
     ``rho = psi diag(w) psi^dag``: it prepares rho from span(cols). Its
-    Kraus operators are ``sqrt(w_m) psi_m c^dag`` for each column ``psi_m``
-    of psi and c of cols, m-major."""
+    Kraus operators, :func:`_rank_one_kraus` of cols, psi and w, are
+    expanded only by :meth:`kraus`."""
 
     def __init__(self, cols: np.ndarray, psi: np.ndarray, w: np.ndarray):
         self.cols, self.psi, self.w = cols, psi, w
@@ -154,42 +163,34 @@ class _Reset:
         self.trace_row = vec(cols.conj() @ cols.T)  # vec(P^T): Tr(P X) = trace_row @ vec(X)
 
     def kraus(self) -> np.ndarray:
-        ops = self.psi.T[:, None, :, None] * self.cols.conj().T[None, :, None, :]
-        ops *= np.sqrt(self.w)[:, None, None, None]
-        return ops.reshape(-1, self.psi.shape[0], self.cols.shape[0])
+        return _rank_one_kraus(self.cols, self.psi, self.w)
 
 
-@dataclass(eq=False)
 class KrausChannel:
     """A CPTP map given by a nonempty list of Kraus operators.
 
     Complete positivity is structural; trace preservation is verified at
     construction (``sum_k M_k^dag M_k = I`` within ``tp_tol``).
 
-    The operators are also kept stacked, shape (K, dim_out, dim_in), and
-    the three kernels work on that stack: :meth:`apply` is one batched
+    The operators are checked and kept stacked, shape (K, dim_out, dim_in),
+    and the three kernels work on that stack: :meth:`apply` is one batched
     product ``M rho M^dag`` summed over k, :meth:`tp_defect` one matrix
     product of the reshaped stack, and :meth:`superoperator` its Gram
     product, filled in row blocks. ``self @ map`` applies the stack to the
-    map's images. The operators are checked on the stack once; ``kraus``
-    holds views of it.
+    map's images. ``kraus`` holds views of the stack.
 
     A channel built by :meth:`_with_reset` (a recovery from
     :func:`tniso.analysis.build_correction`) holds block operators and a
     :class:`_Reset` term instead: the kernels apply the blocks' stack and
     add the term, and ``kraus`` (the blocks, then the term's operators) is
-    expanded on first use.
+    expanded on first read.
     """
 
-    kraus: list[np.ndarray]
-    tp_tol: float = tol.TP_TOL
-
-    def __post_init__(self):
-        if len(self.kraus) == 0:
+    def __init__(self, kraus, tp_tol: float = tol.TP_TOL):
+        if len(kraus) == 0:
             raise ContractViolation("Kraus list must be nonempty")
-        self._stack = _kraus_stack(self.kraus)
-        self.kraus = list(self._stack)
-        self._blocks, self._reset = self._stack, None
+        self.tp_tol = tp_tol
+        self._blocks, self._reset = _kraus_stack(kraus), None
         self._check_trace_preserving()
 
     @classmethod
@@ -201,14 +202,16 @@ class KrausChannel:
         ch._check_trace_preserving()
         return ch
 
-    def __getattr__(self, name):
-        # reached only for attributes not set: the Kraus list and stack of a
-        # channel with a reset term, expanded on first use
-        if name not in ("kraus", "_stack") or self.__dict__.get("_reset") is None:
-            raise AttributeError(name)
-        self._stack = np.concatenate([self._blocks, self._reset.kraus()])
-        self.kraus = list(self._stack)
-        return self.__dict__[name]
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        """Every Kraus operator stacked: the blocks, then the reset term's."""
+        if self._reset is None:
+            return self._blocks
+        return np.concatenate([self._blocks, self._reset.kraus()])
+
+    @cached_property
+    def kraus(self) -> list[np.ndarray]:
+        return list(self._stack)
 
     def _check_trace_preserving(self) -> None:
         residual = self.tp_defect()
@@ -278,15 +281,19 @@ class KrausChannel:
     def superoperator(self) -> Superoperator:
         # entry (i*n + m, j*d + l) of sum_k conj(M_k) kron M_k is
         # sum_k conj(M_k[i, j]) M_k[m, l]: the Gram product of the flattened
-        # operators, filled for a few i at a time so that only one block of
-        # at most _SUPEROP_BLOCK_BYTES is ever held besides the result
-        k, n, d = self._stack.shape
-        flat = self._stack.reshape(k, n * d)
+        # blocks, filled for a few i at a time so that only one block of
+        # at most _SUPEROP_BLOCK_BYTES is ever held besides the result; a
+        # reset term adds its one rank-one update vec(rho) vec(P^T)^T
+        k, n, d = self._blocks.shape
+        flat = self._blocks.reshape(k, n * d)
         out = np.empty((n, n, d, d), dtype=complex)
         rows = max(1, _SUPEROP_BLOCK_BYTES // (16 * n * d * d))
         for i in range(0, n, rows):
             block = flat[:, i * d : (i + rows) * d].conj().T @ flat
             np.copyto(out[i : i + rows], block.reshape(-1, d, n, d).transpose(0, 2, 1, 3))
+            if self._reset is not None:
+                state = vec(self._reset.state)[i * n : (i + rows) * n]
+                out[i : i + rows] += np.outer(state, self._reset.trace_row).reshape(-1, n, d, d)
         return Superoperator._trusted(d, n, out.reshape(n * n, d * d))
 
 

@@ -19,12 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    build_correction,
-    check_ns_factorization,
-    classify,
-    is_fixed,
-)
+from .analysis import _round_residual, build_correction, check_ns_factorization, classify
 from .channels import Superoperator, compose
 from .codes import make_example2_channel, make_repetition_example
 from .errors import ContractViolation, NotCorrectableError, TnisoError
@@ -215,13 +210,9 @@ def _cmd_classify(args, tol_):
 def _cmd_correct(args, tol_):
     channel, encoding, _ = _load_system(args)
     recovery, details = build_correction(
-        encoding,
-        channel,
-        strategy=_STRATEGIES[args.strategy],
-        tol_=tol_,
-        return_details=True,
+        encoding, channel, strategy=_STRATEGIES[args.strategy], tol_=tol_, return_details=True
     )
-    _, residual = is_fixed(encoding, compose(recovery, channel), tol_)
+    residual = _round_residual(channel, recovery, encoding)
     out_path = args.out or "recovery.json"
     serialize.dump_json(serialize.channel_to_dict(recovery), out_path)
     verification = {
@@ -380,9 +371,7 @@ def _example_goldens_repetition(system, p, tol_):
         dev = np.abs(cof(ref) - np.diag([1.0 - p, p / 3.0, p / 3.0, p / 3.0])).max()
         if dev > tol.GOLDEN_EXACT_TOL:
             deltas.append(f"cofactor channel image deviates by {dev:.3e}")
-    _, fixed_res = is_fixed(
-        system.encoding, compose(system.recovery, system.channel), tol.GOLDEN_FIXED_TOL
-    )
+    fixed_res = _round_residual(system.channel, system.recovery, system.encoding)
     if fixed_res > tol.GOLDEN_FIXED_TOL:
         deltas.append(f"code not fixed under correction (residual {fixed_res:.3e})")
     if p == 0.0:
@@ -396,17 +385,17 @@ def _example_goldens_repetition(system, p, tol_):
 def _example_goldens_example2(system, channel, p, eps, iters):
     deltas = []
     rho_c = 0.5 * np.ones((2, 2), dtype=complex)
-    # only the certified upper end is read: one sample, no refinement, no seed
-    est = _round_epsilon(channel, system.recovery, system.encoding, 1, 0, 0)
+    # the certified upper end of one round's perturbation bracket
+    epsilon_upper = _round_residual(channel, system.recovery, system.encoding)
     trace = simulate_iterated(
         channel,
         system.recovery,
         system.encoding.encode(rho_c),
         iters,
         encoding=system.encoding,
-        epsilon=est.upper_bound,
+        epsilon=epsilon_upper,
     )
-    ok, margin = check_prop3_bound(trace, est.upper_bound)
+    ok, margin = check_prop3_bound(trace, epsilon_upper)
     if not ok:
         deltas.append(f"linear error bound violated (margin {margin:.3e})")
     final = system.encoding.decode(trace.states[-1])
@@ -419,7 +408,7 @@ def _example_goldens_example2(system, channel, p, eps, iters):
         err = trace.decoded_errors[-1]
         if abs(err - 0.335) > tol.GOLDEN_DIGITS_TOL:
             deltas.append(f"decoded error {err:.6f} != 0.335 +- 0.001")
-    return deltas, trace, est
+    return deltas, trace, epsilon_upper
 
 
 def _cmd_example(args, tol_):
@@ -431,12 +420,12 @@ def _cmd_example(args, tol_):
         extra = {}
     else:
         channel = make_example2_channel(args.p, args.epsilon)
-        deltas, trace, est = _example_goldens_example2(
+        deltas, trace, epsilon_upper = _example_goldens_example2(
             system, channel, args.p, args.epsilon, args.iters
         )
         extra = {
             "errors": [float(x) for x in trace.decoded_errors],
-            "epsilon_upper": float(est.upper_bound),
+            "epsilon_upper": float(epsilon_upper),
         }
     paths = {
         "channel": os.path.join(args.out, f"{args.name}_channel.json"),

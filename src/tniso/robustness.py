@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, Superoperator, compose, trace_norm_certificate
+from .channels import KrausChannel, Superoperator, trace_norm_certificate
 from .codes import IsometricEncoding, PerturbedEncoding
 from .errors import ContractViolation
 from .opcore import _trace_norms, as_matrix
@@ -294,22 +294,21 @@ def perturbed_encoding_correctability(
     """Check that exact-model correction never amplifies encoding errors.
 
     The nominal code must be fixed by recovery-after-channel; then each
-    round acts on the perturbation alone and trace-norm contraction keeps
-    every iterate within the certified perturbation size of the nominal
-    image. The errors are measured on the maximally mixed state, the logical
-    basis states and 8 random states drawn with seed 0; each state's
-    iterates are one stack and one batched trace-norm call. Returns (ok, max
-    error, per-round max errors).
+    round ``recovery(channel(x))`` acts on the perturbation alone and
+    trace-norm contraction keeps every iterate within the certified
+    perturbation size of the nominal image. The errors are measured on the
+    maximally mixed state, the logical basis states and 8 random states
+    drawn with seed 0; each state's iterates are one stack and one batched
+    trace-norm call. Returns (ok, max error, per-round max errors).
     """
-    from .analysis import is_fixed
+    from .analysis import _round_residual
 
     tol.require_tolerance(tol_, "tol_")
     if horizon < 0:
         raise ContractViolation(f"horizon must be nonnegative, got {horizon}")
     nominal = perturbed.nominal
-    loop = compose(recovery, channel)
-    fixed_ok, fixed_res = is_fixed(nominal, loop, max(tol_, tol.LOOP_FIXED_FLOOR))
-    if not fixed_ok:
+    fixed_res = _round_residual(channel, recovery, nominal)
+    if fixed_res > max(tol_, tol.LOOP_FIXED_FLOOR):
         raise ContractViolation(
             f"nominal code is not fixed by the correction loop (residual {fixed_res:.3e})"
         )
@@ -329,7 +328,7 @@ def perturbed_encoding_correctability(
 
     per_round = np.zeros(horizon + 1)
     for rho in test_states:
-        xs = _iterates(loop, perturbed.apply(rho), horizon)
+        xs = _iterates(lambda x: recovery(channel(x)), perturbed.apply(rho), horizon)
         per_round = np.maximum(per_round, _trace_norms(xs - nominal.encode(rho)))
     max_err = float(per_round.max())
     return max_err <= perturbed.epsilon + tol_, max_err, per_round

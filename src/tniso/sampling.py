@@ -29,15 +29,12 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via phase-corrected QR of a Ginibre matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """Haar-distributed unitary: the square :func:`haar_isometry`."""
+    return haar_isometry(dim, dim, rng)
 
 
 def haar_isometry(dim_out: int, dim_in: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random isometry (dim_out x dim_in columns orthonormal)."""
+    """Haar-random isometry (dim_out x dim_in) via phase-corrected QR of a Ginibre matrix."""
     if dim_out < dim_in:
         raise ContractViolation("isometry needs dim_out >= dim_in")
     g = rng.standard_normal((dim_out, dim_in)) + 1j * rng.standard_normal((dim_out, dim_in))

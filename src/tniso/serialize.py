@@ -16,6 +16,7 @@ from .channels import KrausChannel
 from .codes import IsometricEncoding, SubsystemDecomposition
 from .errors import ContractViolation
 from .opcore import as_matrix
+from . import tolerances as tol
 
 
 def matrix_to_json(m) -> list:
@@ -64,7 +65,7 @@ def _int_field(payload: dict, key: str, kind: str) -> int:
     return value
 
 
-def channel_from_dict(payload: dict, tp_tol: float | None = None) -> KrausChannel:
+def channel_from_dict(payload: dict, tp_tol: float = tol.TP_TOL) -> KrausChannel:
     try:
         kraus = [matrix_from_json(k, "kraus") for k in payload["kraus"]]
         dim_in, dim_out = [_int_field(payload, k, "channel") for k in ("dim_in", "dim_out")]
@@ -75,8 +76,7 @@ def channel_from_dict(payload: dict, tp_tol: float | None = None) -> KrausChanne
             raise ContractViolation(
                 f"Kraus shape {k.shape} does not match dims ({dim_out}, {dim_in})"
             )
-    kwargs = {} if tp_tol is None else {"tp_tol": tp_tol}
-    return KrausChannel(kraus, **kwargs)
+    return KrausChannel(kraus, tp_tol=tp_tol)
 
 
 def encoding_to_dict(encoding: IsometricEncoding) -> dict:

@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tniso import analysis, channels
+from tniso import analysis, channels, cli, robustness, serialize
 from tniso import tolerances as tol
 from tniso.analysis import (
     build_correction,
@@ -37,7 +38,7 @@ from tniso.codes import (
 )
 from tniso.errors import ContractViolation, NotCorrectableError
 from tniso.opcore import above_rank_cut, eigh_clamped, hermitian_basis, trace_norm
-from tniso.robustness import simulate_iterated
+from tniso.robustness import perturbed_encoding_correctability, simulate_iterated
 from tniso.serialize import channel_to_dict
 from tniso.sampling import (
     haar_unitary,
@@ -185,6 +186,32 @@ class TestDetectStructure:
             noise = random_channel(phi.dim_out, rng) @ phi
             near = Superoperator(d_s, phi.dim_out, (1 - 1e-4) * phi.matrix + 1e-4 * noise.matrix)
             assert not detect_structure(near).found
+
+    @staticmethod
+    def _diagonal_images(d_out, *diagonals):
+        """The map sending E_aa to diag(diagonals[a]) and every E_ab, a != b, to 0."""
+        d_in = len(diagonals)
+        m = np.zeros((d_out**2, d_in**2), dtype=complex)
+        for a, diagonal in enumerate(diagonals):
+            m[:, a + d_in * a] = vec(np.diag(diagonal))
+        return Superoperator(d_in, d_out, m)
+
+    def test_negative_basis_state_image_is_rejected(self):
+        report = detect_structure(self._diagonal_images(2, [-1.0, 2.0], [0.0, 1.0]))
+        assert (report.found, report.stage, report.residual) == (False, "state_images", 1.0)
+
+    def test_spread_of_the_image_spectra_is_rejected(self):
+        phi = self._diagonal_images(4, [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5])
+        report = detect_structure(phi)
+        assert (report.found, report.stage, report.residual) == (False, "spectrum", 0.5)
+
+    def test_cofactor_that_does_not_fit_is_rejected(self):
+        # two weights per logical level need 2 * 2 > 3 physical dimensions;
+        # the report names the spectrum stage with a spread of 0, which does
+        # not say why
+        w = 1e-5
+        report = detect_structure(self._diagonal_images(3, [1 - w, w, 0.0], [0.0, w, 1 - w]))
+        assert (report.found, report.stage, report.residual) == (False, "spectrum", 0.0)
 
 
 class TestFixedAndPreserved:
@@ -354,8 +381,9 @@ class TestFixedSpanPath:
     def test_admixture_that_splits_the_kernel_cut_goes_straight_to_full(self, monkeypatch):
         # Q^H S Q - I has singular values near 1e-10 on both sides of
         # KERNEL_TOL: the image and the full projection are the only
-        # detections, and the full projector needs the composed loop, the
-        # only Kraus superoperator built
+        # detections, and the full projector needs the loop's matrix, the
+        # product of the recovery's and the channel's superoperators, the
+        # only Kraus superoperators built; no Kraus list is multiplied
         enc, near = _admixed_system((4, 4, 4, None), seed=0, weight=1e-10)
         calls = _count_detections(monkeypatch)
         built, composed = _record_builds(monkeypatch)
@@ -363,8 +391,9 @@ class TestFixedSpanPath:
         assert report.preserved and report.noiseless_certificate
         assert report.meta == {"projector": "full", "fell_back": False}
         assert len(calls) == 2
-        assert len(composed) == 1 and composed[0][1] is near
-        assert sum(isinstance(x, KrausChannel) for x in built) == 1
+        assert composed == []
+        kraus_built = [x for x in built if isinstance(x, KrausChannel)]
+        assert len(kraus_built) == 2 and kraus_built[1] is near
 
     def test_raw_repetition_channel_falls_back_to_full_projector(self, repetition):
         # the bit flips move the code's span off itself, so the full
@@ -389,7 +418,8 @@ class TestFixedSpanPath:
 
 class TestImageChain:
     """classify reads every loop residual off the chain S_phi -> S_E S_phi ->
-    S_R S_E S_phi; the public wrappers build the composed loop instead."""
+    S_R S_E S_phi; the public wrappers take the loop's matrix S_R S_E instead,
+    the product classify's full projector takes."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -408,7 +438,7 @@ class TestImageChain:
         report = classify(enc, channel, strategy=strategy)
         if not report.preserved:
             return
-        loop = compose(build_correction(enc, channel, strategy), channel)
+        loop = build_correction(enc, channel, strategy).superoperator() @ channel
         cert = noiseless_certificate(enc, loop)
         assert report.noiseless_certificate == cert.accepted
         assert report.meta["projector"] == cert.projector
@@ -891,7 +921,8 @@ def _count_detections(monkeypatch) -> list:
 
 
 def _record_builds(monkeypatch):
-    """Lists of the maps whose superoperator is built and of compose calls."""
+    """Lists of the maps whose superoperator is built and of the compose
+    calls made through any package module that binds ``compose``."""
     built, composed = [], []
     real_kraus, real_enc = KrausChannel.superoperator, IsometricEncoding.superoperator
     monkeypatch.setattr(
@@ -900,10 +931,12 @@ def _record_builds(monkeypatch):
     monkeypatch.setattr(
         IsometricEncoding, "superoperator", lambda self: built.append(self) or real_enc(self)
     )
-    real_compose = analysis.compose
-    monkeypatch.setattr(
-        analysis, "compose", lambda *ops: composed.append(ops) or real_compose(*ops)
-    )
+    real_compose = channels.compose
+    for module in (channels, analysis, robustness, cli):
+        if hasattr(module, "compose"):
+            monkeypatch.setattr(
+                module, "compose", lambda *ops: composed.append(ops) or real_compose(*ops)
+            )
     return built, composed
 
 
@@ -1165,6 +1198,43 @@ class TestStructuredRecovery:
         report = classify(enc, channel)
         assert report.noiseless_certificate and report.meta["projector"] == "fixed"
         assert calls == []
+
+    @pytest.mark.parametrize("strategy", ["time_reversal", "replace"])
+    def test_full_path_classify_never_expands(self, monkeypatch, strategy):
+        # the full projector's loop is the recovery's superoperator, with the
+        # reset term as one rank-one update, after the channel's
+        enc, near = _admixed_system((4, 4, 4, None), seed=0, weight=1e-10)
+        calls = _record_expansions(monkeypatch)
+        report = classify(enc, near, strategy=strategy)
+        assert report.preserved and report.meta["projector"] == "full"
+        assert calls == []
+
+    def test_perturbed_correctability_never_expands(self, monkeypatch, rng):
+        enc, channel = random_preserved_system(4, 4, 4, rng)
+        recovery = build_correction(enc, channel)
+        zero = Superoperator(4, enc.dim_physical, np.zeros((enc.dim_physical**2, 16)))
+        calls = _record_expansions(monkeypatch)
+        ok, max_err, _ = perturbed_encoding_correctability(
+            PerturbedEncoding(enc, zero, 0.0), channel, recovery
+        )
+        assert ok and max_err <= 1e-12
+        assert calls == []
+
+    def test_correct_command_expands_only_to_write(self, monkeypatch, tmp_path, capsys):
+        enc, channel = random_preserved_system(4, 4, 4, np.random.default_rng(0))
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("channel", "code", "out")}
+        serialize.dump_json(serialize.channel_to_dict(channel), paths["channel"])
+        serialize.dump_json(serialize.encoding_to_dict(enc), paths["code"])
+        calls, at_write = _record_expansions(monkeypatch), []
+        to_dict = serialize.channel_to_dict
+        monkeypatch.setattr(
+            serialize, "channel_to_dict", lambda ch: at_write.append(len(calls)) or to_dict(ch)
+        )
+        argv = ["correct", "--channel", paths["channel"], "--code", paths["code"]]
+        assert cli.main(argv + ["--out", paths["out"]]) == 0
+        verification = json.loads(capsys.readouterr().out)
+        assert verification["fixed_residual"] <= 1e-12 and verification["kraus_count"] == 18
+        assert at_write == [0] and calls == [1]
 
     def test_simulation_never_expands(self, monkeypatch, rng):
         enc, channel = random_preserved_system(4, 4, 4, rng)

@@ -253,6 +253,20 @@ class TestComposeAndMix:
         with pytest.raises(ContractViolation, match="^weights must be finite"):
             convex_mix([bad, 1.0], [e, e])
 
+    def test_mixture_weights_must_be_one_dimensional(self):
+        e = KrausChannel.identity(2)
+        with pytest.raises(ContractViolation, match="^weights must be a nonempty 1-D list"):
+            convex_mix([[1.0]], [e])
+
+    def test_mixture_needs_one_weight_per_channel(self):
+        e = KrausChannel.identity(2)
+        with pytest.raises(ContractViolation, match="^one weight per channel required"):
+            convex_mix([0.5, 0.5], [e])
+
+    def test_mixed_channels_must_share_dimensions(self):
+        with pytest.raises(ContractViolation, match="^mixed channels must share dimensions"):
+            convex_mix([0.5, 0.5], [KrausChannel.identity(2), KrausChannel.identity(3)])
+
     def test_compose_keeps_the_per_pair_products(self, rng):
         e1 = random_channel(3, rng, dim_out=4, kraus_count=3)
         e2 = random_channel(4, rng, dim_out=2, kraus_count=2)
@@ -413,6 +427,11 @@ class TestChannelJson:
     def test_malformed_payload(self):
         with pytest.raises(ContractViolation):
             serialize.channel_from_dict({"dim_in": 2, "kraus": [[[0.0]]]})
+
+    def test_kraus_shape_must_match_the_dims(self):
+        payload = {"dim_in": 2, "dim_out": 2, "kraus": [serialize.matrix_to_json(np.eye(3))]}
+        with pytest.raises(ContractViolation, match=r"^Kraus shape \(3, 3\) does not match"):
+            serialize.channel_from_dict(payload)
 
     @pytest.mark.parametrize(
         "entry", ["1", True, None, float("nan"), float("inf")],

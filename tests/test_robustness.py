@@ -195,7 +195,7 @@ class TestBatchedTraceNorms:
                 states.append(np.outer(v, v.conj()))
             else:
                 states.append(random_density(d, rng))
-        reference = reference_per_round(pert, compose(recovery, channel), states, horizon)
+        reference = reference_per_round(pert, lambda x: recovery(channel(x)), states, horizon)
         assert np.array_equal(per_round, reference)
 
     def test_sample_chunks_stay_under_the_byte_budget(self, monkeypatch):
@@ -511,6 +511,19 @@ class TestGeometricBound:
         assert result.applicable and result.ok
         assert result.bound == pytest.approx(0.02, abs=1e-9)
         assert trace.errors[-1] == pytest.approx(0.02, abs=1e-6)
+
+
+class TestSimulateRefusals:
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 3)], ids=["recovery", "state"])
+    def test_dimensions_must_agree(self, dims):
+        d_channel, d_recovery, d_state = dims
+        with pytest.raises(ContractViolation, match="dimensions must agree"):
+            simulate_iterated(
+                KrausChannel.identity(d_channel),
+                KrausChannel.identity(d_recovery),
+                np.eye(d_state) / d_state,
+                3,
+            )
 
 
 class TestPerturbedCorrectability:
