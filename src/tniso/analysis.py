@@ -30,7 +30,7 @@ from .channels import (
 )
 from .codes import IsometricEncoding, SubsystemDecomposition
 from .errors import ContractViolation, NotCorrectableError, NumericError
-from .opcore import above_rank_cut, eigh_clamped, sqrt_pinv_psd, sqrt_psd
+from .opcore import above_rank_cut, eigh_clamped, sqrt_psd
 from . import tolerances as tol
 
 logger = logging.getLogger(__name__)
@@ -123,10 +123,10 @@ def detect_structure(
     if spread > max(dtol, tol.SPECTRUM_FLOOR):
         return StructureReport(False, "spectrum", spread)
 
+    # the cofactor weights that pass the rank cut and fit d_S times into
+    # d_P; a weight cut here leaves a residual that verification rejects
     weights = np.maximum(spectra[0], 0.0)
-    weights = weights[above_rank_cut(weights)]
-    if weights.size == 0 or weights.size * d_q > d_p:
-        return StructureReport(False, "spectrum", spread)
+    weights = weights[above_rank_cut(weights)][: d_p // d_q]
     weights = weights / weights.sum()
     r = weights.size
 
@@ -323,18 +323,24 @@ def _cofactor_recovery(encoding, channel, img, strategy, spectrum):
     if strategy == "time_reversal":
         # the Petz map of the induced cofactor channel E_FG = {v_out^dag K v_in}
         # at tau: its minimal operators e_k sandwiched as sqrt(tau) e_k^dag
-        # sigma^(-1/2) with sigma = E_FG(tau), trace preserving on supp sigma
+        # sigma^(-1/2) with sigma = E_FG(tau). Stacked, the sqrt(tau) e_k^dag
+        # are a matrix A with A^dag A = sigma, so the sandwiches are the polar
+        # factor U V^dag of A on the singular values whose squares (sigma's
+        # eigenvalues) pass the rank cut, and no inverse root is formed
         v_in = dec.block_columns[:, :d_f]                      # logical slot 0, code side
         v_out = img.decomposition.block_columns[:, :d_g]       # logical slot 0, image side
         e_fg = minimal_kraus(v_out.conj().T @ channel._stack @ v_in)
-        sigma = sum(k @ tau @ k.conj().T for k in e_fg)
-        sq_tau, sq_sigma_inv = sqrt_psd(tau), sqrt_pinv_psd(sigma)
-        ops = [sq_tau @ k.conj().T @ sq_sigma_inv for k in e_fg]
+        sq_tau = sqrt_psd(tau)
+        u, sv, vh = np.linalg.svd(
+            np.concatenate([sq_tau @ k.conj().T for k in e_fg]), full_matrices=False
+        )
+        keep = above_rank_cut(sv**2)
+        polar = u[:, keep] @ vh[keep]
+        ops = polar.reshape(len(e_fg), d_f, d_g)
         # the spectral norm bounds the max-abs TP defect of the assembled
-        # recovery, which the KrausChannel gate compares with TP_TOL; only a
-        # direction of sigma near the rank cut takes it past: about 1 when the
-        # cut drops it, rounding amplified by its inverse root otherwise
-        tp_defect = float(np.linalg.norm(sum(k.conj().T @ k for k in ops) - np.eye(d_g), 2))
+        # recovery, which the KrausChannel gate compares with TP_TOL: about 1
+        # when the cut drops a direction of sigma, rounding otherwise
+        tp_defect = float(np.linalg.norm(polar.conj().T @ polar - np.eye(d_g), 2))
         if tp_defect <= tol.TP_TOL:
             return ops, tp_defect, False
     ops = _rank_one_kraus(*_reset_to(spectrum, np.eye(d_f), np.eye(d_g)))

@@ -9,19 +9,19 @@ The Choi matrix of :func:`minimal_kraus` is ROW-major instead: its entry at
 ``(i*d_in + a, j*d_in + b)`` is ``E(E_ab)[i, j]``, which is
 ``sum_k r(M_k) r(M_k)^dag`` for the row-major flattening ``r``.
 
-One composition rule serves every map: ``channel @ map`` is the
-:class:`Superoperator` of the channel after the map, for any map with
-``.superoperator()`` on the right. A :class:`Superoperator` on the left
-multiplies matrices; a :class:`KrausChannel` on the left applies its
-operators to the map's ``dim_in**2`` images one at a time, so it never
-builds its own ``dim_out**2 x dim_in**2`` matrix. That matrix is built only
-where its spectrum is needed (:func:`cesaro_projector`).
+Both map types share one image kernel, ``_images(vecs)``: the
+column-stacked images of the operators stacked as the columns of ``vecs``.
+A :class:`Superoperator` multiplies them by its matrix; a
+:class:`KrausChannel` applies its operators to a chunk of them at a time,
+so it never builds its own ``dim_out**2 x dim_in**2`` matrix (only
+:func:`cesaro_projector` needs it). ``apply`` and the one composition rule,
+``channel @ map`` (the channel after the map's images), sit on the kernel.
 
 A recovery built by :func:`tniso.analysis.build_correction` is a
 :class:`KrausChannel` held in structured form: its few block operators
 plus one reset term ``X -> Tr(P X) rho``, which sends the image complement
-(P the projector onto it) to an encoded reference state rho. ``apply``,
-``@`` and ``tp_defect`` read that form. The reset term's Kraus operators,
+(P the projector onto it) to an encoded reference state rho. The image
+kernel and ``tp_defect`` read that form. The reset term's Kraus operators,
 one per reference eigenvector and complement vector (1,536 of 1,538 at
 d_P = 128), are expanded after the block operators only when a caller reads
 ``kraus`` (serialization, :func:`compose`, :func:`convex_mix`); the kernels,
@@ -29,9 +29,10 @@ d_P = 128), are expanded after the block operators only when a caller reads
 multiplies no Kraus lists: a correction round is ``recovery @ (channel @ map)``.
 
 Checks guard the boundary: the public constructors scan their input for
-non-finite entries, and products formed inside the package from checked
-operands (``@``, ``KrausChannel.superoperator``, :func:`cesaro_projector`)
-skip that scan.
+non-finite entries and ``apply`` its operand, while products formed inside
+the package from checked operands (``@``, ``KrausChannel.superoperator``,
+:func:`cesaro_projector`, the correction rounds, which call ``_images``)
+skip them.
 """
 
 from __future__ import annotations
@@ -62,14 +63,38 @@ def transpose_superoperator(d: int) -> np.ndarray:
     return np.eye(d * d)[np.arange(d * d).reshape(d, d).T.reshape(-1)]
 
 
+class _Map:
+    """``apply``, ``__call__`` and ``@`` of both map types: each checks its
+    operand or partner map, then calls the type's ``_images(vecs)``, which
+    returns the C-ordered (dim_out**2, N) images of the N columns of vecs."""
+
+    def apply(self, x) -> np.ndarray:
+        x = as_matrix(x)
+        if x.shape != (self.dim_in, self.dim_in):
+            raise ContractViolation(
+                f"operand shape {x.shape}, expected ({self.dim_in}, {self.dim_in})"
+            )
+        return np.ascontiguousarray(unvec(self._images(vec(x)[:, None])[:, 0], self.dim_out))
+
+    def __call__(self, x) -> np.ndarray:
+        return self.apply(x)
+
+    def __matmul__(self, other) -> "Superoperator":
+        """The map after ``other``, any map with ``.superoperator()``."""
+        other = other.superoperator()
+        if self.dim_in != other.dim_out:
+            raise ContractViolation("superoperator dimension mismatch in composition")
+        return Superoperator._trusted(other.dim_in, self.dim_out, self._images(other.matrix))
+
+
 @dataclass(eq=False)
-class Superoperator:
+class Superoperator(_Map):
     """Matrix form of a linear map on operator space.
 
     ``matrix`` has shape (dim_out**2, dim_in**2) in the column-stacking
-    convention and finite entries. Composition ``self @ other``, with
-    ``other`` any map with ``.superoperator()``, is plain matrix
-    multiplication.
+    convention and finite entries. Its images are matrix products, so
+    ``self @ other``, with ``other`` any map with ``.superoperator()``, is
+    plain matrix multiplication.
     """
 
     dim_in: int
@@ -102,26 +127,13 @@ class Superoperator:
         """The map itself; every map type answers this call."""
         return self
 
-    def apply(self, x) -> np.ndarray:
-        x = as_matrix(x)
-        if x.shape != (self.dim_in, self.dim_in):
-            raise ContractViolation(
-                f"operand shape {x.shape}, expected ({self.dim_in}, {self.dim_in})"
-            )
-        return unvec(self.matrix @ vec(x), self.dim_out)
-
-    def __call__(self, x) -> np.ndarray:
-        return self.apply(x)
-
-    def __matmul__(self, other) -> "Superoperator":
-        other = other.superoperator()
-        if self.dim_in != other.dim_out:
-            raise ContractViolation("superoperator dimension mismatch in composition")
-        return Superoperator._trusted(other.dim_in, self.dim_out, self.matrix @ other.matrix)
+    def _images(self, vecs: np.ndarray) -> np.ndarray:
+        return self.matrix @ vecs
 
 
-# Byte budget of one block of the Gram product in
-# :meth:`KrausChannel.superoperator`; a d_P = 10 superoperator (160 kB) is one block.
+# Byte budget of one block of Kraus products in the image kernel and of the
+# Gram product in :meth:`KrausChannel.superoperator`; a d_P = 10
+# superoperator (160 kB) is one block.
 _SUPEROP_BLOCK_BYTES = 1 << 18
 
 
@@ -166,18 +178,18 @@ class _Reset:
         return _rank_one_kraus(self.cols, self.psi, self.w)
 
 
-class KrausChannel:
+class KrausChannel(_Map):
     """A CPTP map given by a nonempty list of Kraus operators.
 
     Complete positivity is structural; trace preservation is verified at
     construction (``sum_k M_k^dag M_k = I`` within ``tp_tol``).
 
     The operators are checked and kept stacked, shape (K, dim_out, dim_in),
-    and the three kernels work on that stack: :meth:`apply` is one batched
-    product ``M rho M^dag`` summed over k, :meth:`tp_defect` one matrix
+    and the three kernels work on that stack: the image kernel behind
+    ``apply`` and ``@`` is one batched product ``M X M^dag`` summed over k,
+    taken for a chunk of operands X at a time, :meth:`tp_defect` one matrix
     product of the reshaped stack, and :meth:`superoperator` its Gram
-    product, filled in row blocks. ``self @ map`` applies the stack to the
-    map's images. ``kraus`` holds views of the stack.
+    product, filled in row blocks. ``kraus`` holds views of the stack.
 
     A channel built by :meth:`_with_reset` (a recovery from
     :func:`tniso.analysis.build_correction`) holds block operators and a
@@ -242,41 +254,25 @@ class KrausChannel:
     def from_unitary(cls, u) -> "KrausChannel":
         return cls([as_matrix(u)])
 
-    def apply(self, rho) -> np.ndarray:
-        rho = as_matrix(rho)
-        if rho.shape != (self.dim_in, self.dim_in):
-            raise ContractViolation(
-                f"state shape {rho.shape}, expected ({self.dim_in}, {self.dim_in})"
-            )
-        m = self._blocks
-        out = (m @ rho @ m.conj().transpose(0, 2, 1)).sum(axis=0)
-        if self._reset is not None:
-            r = self._reset
-            out += np.vdot(r.cols, rho @ r.cols) * r.state
-        return out
-
-    def __call__(self, rho) -> np.ndarray:
-        return self.apply(rho)
-
-    def __matmul__(self, other) -> Superoperator:
-        """The channel after ``other``, any map with ``.superoperator()``:
-        column c is ``vec(self.apply(image c))``, formed one image at a time
-        so that only one image's Kraus products are held besides the result.
-        The images come from a checked :class:`Superoperator`, so the stack
-        and its conjugate are applied to them directly, and a reset term
-        adds one rank-one update for all of them."""
-        other = other.superoperator()
-        if self.dim_in != other.dim_out:
-            raise ContractViolation("superoperator dimension mismatch in composition")
-        out = np.empty((self.dim_out**2, other.dim_in**2), dtype=complex)
+    def _images(self, vecs: np.ndarray) -> np.ndarray:
+        # sum_k M_k X M_k^dag, for as many operands X at once as keep the
+        # Kraus products within _SUPEROP_BLOCK_BYTES; a reset term adds one
+        # rank-one update vec(rho) (vec(P^T)^T vecs) for all columns
+        k, n, d = self._blocks.shape
+        count = vecs.shape[1]
+        xs = vecs.T.reshape(count, d, d).transpose(0, 2, 1)  # unvec of each column
         m = self._blocks
         m_dag = m.conj().transpose(0, 2, 1)
-        for c, image in enumerate(other.matrix.T):
-            out[:, c] = vec((m @ unvec(image, self.dim_in) @ m_dag).sum(axis=0))
+        out = np.empty((n * n, count), dtype=complex)
+        grid = out.reshape(n, n, count)  # grid[j, i, c] is image c's entry (i, j)
+        rows = max(1, _SUPEROP_BLOCK_BYTES // (16 * k * n * max(n, d)))
+        for i in range(0, count, rows):
+            ys = (m @ xs[i : i + rows, None] @ m_dag).sum(axis=1)
+            grid[:, :, i : i + rows] = ys.transpose(2, 1, 0)
         if self._reset is not None:
             r = self._reset
-            out += np.outer(vec(r.state), r.trace_row @ other.matrix)
-        return Superoperator._trusted(other.dim_in, self.dim_out, out)
+            out += np.outer(vec(r.state), r.trace_row @ vecs)
+        return out
 
     def superoperator(self) -> Superoperator:
         # entry (i*n + m, j*d + l) of sum_k conj(M_k) kron M_k is

@@ -165,14 +165,6 @@ def pinv_psd(a) -> np.ndarray:
     return (v * inv) @ v.conj().T
 
 
-def sqrt_pinv_psd(a) -> np.ndarray:
-    """Pseudo-inverse of the principal square root of a PSD operator."""
-    w, v = _psd_eigh(a)
-    keep = above_rank_cut(w)
-    inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    return (v * inv) @ v.conj().T
-
-
 def support_projector(a) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD operator."""
     w, v = _psd_eigh(a)

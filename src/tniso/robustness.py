@@ -10,9 +10,10 @@ upper end of the bracket, and bound checks must consume that upper end.
 
 The inputs are checked at the public entry points; past them, the sampled
 images, the simulated trajectories and their differences are finite by
-construction, and their trace norms are taken a stack at a time by one
-batched SVD kernel (:func:`tniso.opcore._trace_norms`), with values equal
-bit for bit to :func:`tniso.opcore.trace_norm` of each matrix. The sampling
+construction: each correction round calls the maps' image kernels
+(``_images``), not ``apply``, and the trace norms are taken a stack at a
+time by one batched SVD kernel (:func:`tniso.opcore._trace_norms`), with
+values equal bit for bit to :func:`tniso.opcore.trace_norm` of each matrix. The sampling
 draws the same Generator stream as one state at a time, so a seed gives the
 same bracket and witness whatever the batching.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, Superoperator, trace_norm_certificate
+from .channels import KrausChannel, Superoperator, trace_norm_certificate, unvec, vec
 from .codes import IsometricEncoding, PerturbedEncoding
 from .errors import ContractViolation
 from .opcore import _trace_norms, as_matrix
@@ -138,12 +139,15 @@ def _require_epsilon(epsilon):
         raise ContractViolation(f"epsilon must be nonnegative and finite, got {epsilon!r}")
 
 
-def _iterates(round_, x0: np.ndarray, rounds: int) -> np.ndarray:
-    """``x0`` and its first ``rounds`` images under ``round_``, stacked."""
+def _iterates(channel, recovery, x0: np.ndarray, rounds: int) -> np.ndarray:
+    """``x0`` and its first ``rounds`` images under recovery after channel,
+    stacked; each round calls the two image kernels on the finite iterate."""
+    d = x0.shape[0]
     out = np.empty((rounds + 1,) + x0.shape, dtype=complex)
     out[0] = x0
     for k in range(rounds):
-        out[k + 1] = round_(out[k])
+        image = recovery._images(channel._images(vec(out[k])[:, None]))
+        out[k + 1] = unvec(image[:, 0], d)
     return out
 
 
@@ -180,13 +184,13 @@ def simulate_iterated(
 ) -> SimulationTrace:
     """Iterate recovery-after-channel from an initial state for n rounds.
 
-    Each round is ``recovery(channel(x))``. The contraction estimates read
-    the steps ``d_i = s_(i+1) - s_i`` of the trajectory: the round map L
-    sends ``d_i`` to ``d_(i+1)``, and the fixed-point projector P of L has
-    ``P d_i = 0`` because ``P L = P``, so the steps are a trajectory of L off
-    its fixed points and no projector is needed. One round past the n-th is
-    run, not stored, for the last ratio ``alpha_(n-1)``; ratios from steps
-    below ``CONTRACTION_RESIDUAL_FLOOR`` are skipped.
+    Each round is ``R(E(x))``, with no operand check. The contraction
+    estimates read the steps ``d_i = s_(i+1) - s_i`` of the trajectory: the
+    round map L sends ``d_i`` to ``d_(i+1)``, and the fixed-point projector P
+    of L has ``P d_i = 0`` because ``P L = P``, so the steps are a trajectory
+    of L off its fixed points and no projector is needed. One round past the
+    n-th is run, not stored, for the last ratio ``alpha_(n-1)``; ratios from
+    steps below ``CONTRACTION_RESIDUAL_FLOOR`` are skipped.
 
     A CPTP map contracts the trace norm of Hermitian operators, so every
     ratio is at most 1 up to rounding, and a step below the floor keeps
@@ -213,7 +217,7 @@ def simulate_iterated(
     if (recovery.dim_in, recovery.dim_out) != (channel.dim_out, d) or rho0.shape != (d, d):
         raise ContractViolation("channel, recovery, and state dimensions must agree")
 
-    path = _iterates(lambda x: recovery(channel(x)), rho0, n + 1)
+    path = _iterates(channel, recovery, rho0, n + 1)
     states = list(path[:-1])
     errors = _trace_norms(rho0 - path[:-1])
     decoded = None
@@ -294,7 +298,7 @@ def perturbed_encoding_correctability(
     """Check that exact-model correction never amplifies encoding errors.
 
     The nominal code must be fixed by recovery-after-channel; then each
-    round ``recovery(channel(x))`` acts on the perturbation alone and
+    round ``R(E(x))`` acts on the perturbation alone and
     trace-norm contraction keeps every iterate within the certified
     perturbation size of the nominal image. The errors are measured on the
     maximally mixed state, the logical basis states and 8 random states
@@ -328,7 +332,7 @@ def perturbed_encoding_correctability(
 
     per_round = np.zeros(horizon + 1)
     for rho in test_states:
-        xs = _iterates(lambda x: recovery(channel(x)), perturbed.apply(rho), horizon)
+        xs = _iterates(channel, recovery, perturbed.apply(rho), horizon)
         per_round = np.maximum(per_round, _trace_norms(xs - nominal.encode(rho)))
     max_err = float(per_round.max())
     return max_err <= perturbed.epsilon + tol_, max_err, per_round

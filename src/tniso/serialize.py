@@ -104,8 +104,6 @@ def state_to_json(rho) -> list:
 
 
 def state_from_json(payload) -> np.ndarray:
-    if isinstance(payload, dict) and "matrix" in payload:
-        payload = payload["matrix"]
     return matrix_from_json(payload, "state")
 
 

@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tniso import analysis, channels, cli, robustness, serialize
@@ -206,12 +206,13 @@ class TestDetectStructure:
         assert (report.found, report.stage, report.residual) == (False, "spectrum", 0.5)
 
     def test_cofactor_that_does_not_fit_is_rejected(self):
-        # two weights per logical level need 2 * 2 > 3 physical dimensions;
-        # the report names the spectrum stage with a spread of 0, which does
-        # not say why
+        # two weights per logical level need 2 * 2 > 3 physical dimensions:
+        # the weight that does not fit is cut, and verification rejects the
+        # candidate with the certified residual of what the cut left out
         w = 1e-5
         report = detect_structure(self._diagonal_images(3, [1 - w, w, 0.0], [0.0, w, 1 - w]))
-        assert (report.found, report.stage, report.residual) == (False, "spectrum", 0.0)
+        assert (report.found, report.stage) == (False, "verification")
+        assert report.residual > tol.DETECTION_TOL
 
 
 class TestFixedAndPreserved:
@@ -545,20 +546,29 @@ class TestBuildCorrection:
         assert report.correctable and report.residuals["correction"] <= 1e-8
         assert report.meta["fell_back"] is False
 
-    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("seed", [2, 3])
     def test_noise_born_image_weight_falls_back(self, seed):
         # a 3e-9 admixture gives the image a cofactor weight near 1e-9 that
         # detection counts as a dimension, so sigma = E_FG(tau) has a direction
-        # near the rank cut: the pseudo-inverse drops it (seed 2, defect about
-        # 1) or inverts it with rounding amplified past TP_TOL (seed 0), and
+        # near the rank cut: the polar factor drops it (defect about 1), and
         # time reversal falls back to replacement
         enc, near = _admixed_system((2, 4, 2, None), seed, weight=3e-9)
         recovery, details = build_correction(enc, near, return_details=True)
         assert details.image_report.weights.min() < 2e-9
         assert details.fell_back and details.strategy_used == "replace"
-        assert details.cofactor_tp_defect > tol.TP_TOL
-        assert (details.cofactor_tp_defect > 0.5) == (seed == 2)
+        assert details.cofactor_tp_defect > 0.5
         assert recovery.tp_defect() <= tol.TP_TOL
+
+    def test_noise_born_image_weight_kept_above_the_cut(self):
+        # the same noise-born weight, with sigma's direction above the rank
+        # cut: the polar factor forms no inverse root, so no rounding is
+        # amplified and time reversal stays trace preserving
+        enc, near = _admixed_system((2, 4, 2, None), 0, weight=3e-9)
+        recovery, details = build_correction(enc, near, return_details=True)
+        assert details.image_report.weights.min() < 2e-9
+        assert not details.fell_back and details.strategy_used == "time_reversal"
+        assert details.cofactor_tp_defect <= 1e-13
+        assert recovery.tp_defect() <= 1e-13
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -570,6 +580,10 @@ class TestBuildCorrection:
         log_weight=st.floats(-14.0, -9.0),
         strategy=st.sampled_from(["time_reversal", "replace"]),
     )
+    # ill-conditioned cofactor images on which an inverse root of sigma
+    # amplified rounding to 1.07e-13 and 1.99e-13
+    @example(seed=1, d_s=1, d_f=2, d_r=0, d_g=2, log_weight=-10.5, strategy="time_reversal")
+    @example(seed=1, d_s=1, d_f=2, d_r=0, d_g=2, log_weight=-12.0, strategy="time_reversal")
     def test_recovery_is_trace_preserving_under_sub_tolerance_noise(
         self, seed, d_s, d_f, d_r, d_g, log_weight, strategy
     ):
@@ -1170,7 +1184,7 @@ class TestStructuredRecovery:
         recovery = build_correction(enc, channel, strategy)
         self._assert_matches_its_list(recovery, channel, enc, rng)
 
-    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("seed", [2, 3])
     def test_fallback_recovery_matches_its_list(self, seed, rng):
         enc, near = _admixed_system((2, 4, 2, None), seed, weight=3e-9)
         recovery, details = build_correction(enc, near, return_details=True)

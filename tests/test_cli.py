@@ -342,6 +342,24 @@ class TestSimulate:
             == 2
         )
 
+    def test_state_wrapped_in_an_object_exits_2(self, generated, tmp_path, capsys):
+        # a state file holds a bare matrix; a {"matrix": ...} object is refused
+        state = tmp_path / "wrapped_state.json"
+        serialize.dump_json({"matrix": serialize.state_to_json(np.diag([1.0, 0.0]))}, state)
+        out = tmp_path / "sim_wrapped.json"
+        argv = [
+            "simulate",
+            "--channel", generated["channel"],
+            "--code", generated["code"],
+            "--recovery", generated["recovery"],
+            "--state", str(state),
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "state" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEpsilonCommand:
     def test_bracket_reported(self, generated, tmp_path):

@@ -228,6 +228,26 @@ class TestBatchedTraceNorms:
         est = estimate_epsilon(composite, enc, samples=20, refine_steps=20, seed=0)
         assert est.epsilon <= est.upper_bound
 
+    def test_rounds_apply_no_wrapper(self, repetition, monkeypatch):
+        # each round calls the channel's and the recovery's image kernels on
+        # iterates that are finite by construction, with no operand check
+        calls = []
+        original = KrausChannel.apply
+
+        def counted(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(KrausChannel, "apply", counted)
+        enc, noise, recovery, _ = noisy_round(0, 2, 4, 2, 1e-3)
+        rho0 = enc.encode(random_density(enc.dim_logical, np.random.default_rng(0)))
+        trace = simulate_iterated(noise, recovery, rho0, 20, encoding=enc)
+        enc, channel, recovery, _ = repetition
+        pert = constant_perturbation(enc, traceless_image(8, 2, 5, 0.02), 0.02)
+        ok, _, _ = perturbed_encoding_correctability(pert, channel, recovery)
+        assert calls == []
+        assert len(trace.states) == 21 and ok
+
 
 class TestEstimateEpsilon:
     def test_zero_perturbation(self, repetition):
