@@ -38,7 +38,7 @@ EXIT_VERDICT = 1
 EXIT_INPUT = 2
 
 _STRATEGIES = {"petz": "time_reversal", "replace": "replace"}
-_SEED_HELP = "seed of the epsilon sampling only; other analyses are deterministic (default 0)"
+_SEED_HELP = "seed of the epsilon ascent's random restarts only; other analyses are deterministic (default 0)"
 
 
 def _resolve_tol(args) -> float:
@@ -94,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("epsilon", help="estimate the per-round perturbation bracket")
     add_common(p, channel=True, code=True, recovery=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--refine", type=int, default=200)
+    p.add_argument("--samples", type=int, default=200, help="random restarts of the epsilon ascent")
+    p.add_argument("--refine", type=int, default=200, help="most steps of the epsilon ascent")
 
     p = sub.add_parser("example", help="generate a named example system")
     p.add_argument("name", choices=["repetition", "example2"])
@@ -227,14 +227,12 @@ def _cmd_correct(args, tol_):
     return EXIT_OK, None
 
 
-def _round_epsilon(channel, recovery, encoding, samples, refine, seed):
+def _round_epsilon(channel, recovery, encoding, **budget):
     """Perturbation bracket of one recovery-after-channel round on the code."""
     composite = channel @ encoding
     if recovery is not None:
         composite = recovery @ composite
-    return estimate_epsilon(
-        composite, encoding, samples=samples, refine_steps=refine, seed=seed
-    )
+    return estimate_epsilon(composite, encoding, **budget)
 
 
 def _cmd_simulate(args, tol_):
@@ -258,7 +256,7 @@ def _cmd_simulate(args, tol_):
         d = encoding.dim_logical
         rho = encoding.encode(np.full((d, d), 1.0 / d, dtype=complex))
 
-    est = _round_epsilon(channel, recovery, encoding, 200, 200, args.seed)
+    est = _round_epsilon(channel, recovery, encoding, seed=args.seed)
     trace = simulate_iterated(
         channel, recovery, rho, args.iters, encoding=encoding, epsilon=est.upper_bound
     )
@@ -317,7 +315,7 @@ def _cmd_simulate(args, tol_):
 def _cmd_epsilon(args, tol_):
     channel, encoding, recovery = _load_system(args)
     est = _round_epsilon(
-        channel, recovery, encoding, args.samples, args.refine, args.seed
+        channel, recovery, encoding, samples=args.samples, refine_steps=args.refine, seed=args.seed
     )
     results = {
         "epsilon_witness": float(est.epsilon),

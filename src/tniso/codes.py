@@ -132,10 +132,13 @@ class IsometricEncoding:
 
     def decode(self, x) -> np.ndarray:
         """Compress to the logical-cofactor block, then trace out the cofactor."""
+        return self._decoded(as_matrix(x))
+
+    def _decoded(self, stack: np.ndarray) -> np.ndarray:
+        """:meth:`decode` of each matrix of a finite stack, with no operand check."""
         dec = self.decomposition
-        block = dec.restrict(x)
-        t = block.reshape(dec.d_s, dec.d_f, dec.d_s, dec.d_f)
-        return np.einsum("afbf->ab", t)
+        block = dec.block_columns.conj().T @ stack @ dec.block_columns
+        return np.einsum("...afbf->...ab", block.reshape(stack.shape[:-2] + (dec.d_s, dec.d_f) * 2))
 
     def superoperator(self) -> Superoperator:
         """Column ``a + d_S*b`` is ``vec(encode(E_ab))``, all in one batched product."""

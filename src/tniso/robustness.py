@@ -1,21 +1,17 @@
 """Perturbed encodings: measuring deviations and bounding iterated errors.
 
 The perturbation size of an almost-isometric encoding is the worst
-trace-norm deviation over states. Since the deviation map is linear and the
-trace norm convex, pure states attain the supremum, so estimation samples
-pure states and refines locally. Sampling only lower-bounds, so the
-deviation map's trace-norm certificate (a closed-form Choi bound, see
-:func:`tniso.channels.trace_norm_certificate`) is reported alongside as the
-upper end of the bracket, and bound checks must consume that upper end.
+trace-norm deviation over states. The deviation map is linear and the trace
+norm convex, so pure states attain the supremum; an ascent over them finds a
+witness, a lower bound. The deviation map's trace-norm certificate (a
+closed-form Choi bound, :func:`tniso.channels.trace_norm_certificate`) is the
+upper end of the bracket, which bound checks must consume.
 
-The inputs are checked at the public entry points; past them, the sampled
+The inputs are checked at the public entry points; past them, the pooled
 images, the simulated trajectories and their differences are finite by
-construction: each correction round calls the maps' image kernels
-(``_images``), not ``apply``, and the trace norms are taken a stack at a
-time by one batched SVD kernel (:func:`tniso.opcore._trace_norms`), with
-values equal bit for bit to :func:`tniso.opcore.trace_norm` of each matrix. The sampling
-draws the same Generator stream as one state at a time, so a seed gives the
-same bracket and witness whatever the batching.
+construction: the correction rounds call the maps' image kernels (``_images``),
+not ``apply``, and :func:`tniso.opcore._trace_norms` takes a stack's trace
+norms, each equal bit for bit to :func:`tniso.opcore.trace_norm` of its matrix.
 """
 
 from __future__ import annotations
@@ -36,10 +32,9 @@ from . import tolerances as tol
 class EpsilonEstimate:
     """Bracket on the perturbation size of an almost-isometric encoding.
 
-    ``epsilon`` is the best sampled value (a lower bound on the true
-    supremum) and equals the deviation of ``witness_state`` exactly;
-    ``upper_bound`` is the deviation map's trace-norm certificate, which
-    dominates the supremum and does not depend on ``seed``.
+    ``epsilon``, a lower bound, is the deviation of the pure ``witness_state``
+    the ascent (of at most ``refine_steps`` steps) reached; ``upper_bound``, the
+    deviation map's trace-norm certificate, dominates the supremum for any ``seed``.
     """
 
     epsilon: float
@@ -58,8 +53,7 @@ def _deviation_superoperator(perturbed, nominal: IsometricEncoding) -> Superoper
     return Superoperator(nom.dim_in, nom.dim_out, perturbed.matrix - nom.matrix)
 
 
-# Byte budget of one chunk of sampled images in :func:`estimate_epsilon`, so
-# that its memory does not grow with ``samples``; 40 images at d_P = 20.
+# Byte budget of one chunk of pooled images in :func:`estimate_epsilon`: 40 at d_P = 20.
 _EPSILON_BLOCK_BYTES = 1 << 18
 
 
@@ -72,14 +66,17 @@ def estimate_epsilon(
 ) -> EpsilonEstimate:
     """Estimate the worst-state trace-norm deviation from a nominal encoding.
 
-    Random pure-state sampling followed by accept-if-better coordinate
-    refinement of the best state vector. The sampled states are drawn a
-    chunk at a time, each chunk's normals as one ``(rows, 2, d_S)`` array,
-    and the refinement's as one ``(refine_steps, 2, d_S)`` array: the
-    Generator stream of one state after another. Each state's image under
-    the deviation map is its own matrix-vector product, and a chunk's trace
-    norms are one stacked SVD. The returned ``epsilon`` is recomputed from
-    the witness at emission.
+    A pure state v has the value ``f(v) = ||H(v)||_1``, ``H(v)`` the Hermitian
+    part of ``delta(|v><v|)``. The starts, valued a chunk at a time by one
+    matrix product and one batched ``eigvalsh``, are the d_S^2 states |i>,
+    (|i> + |j>)/sqrt 2 and (|i> + i|j>)/sqrt 2, then ``samples`` random pure
+    states from ``seed``. At most ``refine_steps`` steps of Hager's one-norm
+    ascent, lifted to maps, take the best start v to the sign S of ``H(v)``,
+    then to the top eigenvector v' of the Hermitian part of ``delta^dag(S)``:
+    ``f(v') >= <S, H(v')> = lambda_max >= <S, H(v)> = f(v)`` as ``||S|| <= 1``.
+    A step r < 1 times the last goes 1 / (1 - r) times as far, to the end of
+    their geometric series, if that raises f. The ascent stops at a step that
+    gains at most ``ASCENT_GAIN_TOL`` of f; ``epsilon`` is the witness's trace norm.
     """
     if samples < 1:
         raise ContractViolation(f"samples must be at least 1, got {samples}")
@@ -88,42 +85,49 @@ def estimate_epsilon(
     if seed < 0:
         raise ContractViolation(f"seed must be nonnegative, got {seed}")
     delta = _deviation_superoperator(perturbed, nominal)
-    m, d, n = delta.matrix, delta.dim_in, delta.dim_out
-    rng = np.random.default_rng(seed)
+    m, d, n, rng = delta.matrix, delta.dim_in, delta.dim_out, np.random.default_rng(seed)
 
-    def image(v):
-        # delta(|v><v|), the product that Superoperator.apply takes
-        return m @ np.outer(v, v.conj()).reshape(-1, order="F")
+    # delta's Hermitian part on Hermitian operators, X -> (delta(X) + delta(X^dag)^dag) / 2
+    t = m.reshape((n, n, d, d), order="F")
+    half = (t + t.conj().transpose(1, 0, 3, 2)).reshape((n * n, d * d), order="F") / 2
 
-    def value(v):
-        return _trace_norms(image(v).reshape(n, n, order="F"))
+    def hermitian_images(vs):
+        # H(v)^T of each row v, as the row (v^* v^T).ravel() is vec(|v><v|)^T;
+        # from its eigh, (u * sign(w)) u^dag is sign(H(v))^T, whose ravel() is vec(S)
+        return ((vs.conj()[:, :, None] * vs[:, None, :]).reshape(len(vs), d * d) @ half.T).reshape(-1, n, n)
 
-    best, best_v = -np.inf, None
+    eye, (i, j), pool = np.eye(d, dtype=complex), np.triu_indices(d, 1), d * d + samples
+    basis = np.concatenate([eye, (eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)])
     rows = max(1, _EPSILON_BLOCK_BYTES // (16 * n * n))
-    for start in range(0, samples, rows):
-        g = rng.standard_normal((min(rows, samples - start), 2, d))
-        vs = g[:, 0] + 1j * g[:, 1]
-        flat = np.empty((len(vs), n * n), dtype=complex)
-        for i, v in enumerate(vs):
-            v /= np.linalg.norm(v)
-            flat[i] = image(v)
-        vals = _trace_norms(flat.reshape(-1, n, n).transpose(0, 2, 1))
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, best_v = vals[k], vs[k]
-    step = 0.3
-    for g in rng.standard_normal((refine_steps, 2, d)):
-        prop = best_v + step * (g[0] + 1j * g[1])
-        prop /= np.linalg.norm(prop)
-        val = value(prop)
-        if val > best:
-            best, best_v = val, prop
-        else:
-            step *= 0.95
+    best, v = -np.inf, None
+    for start in range(0, pool, rows):
+        fixed = basis[start : start + rows]
+        g = rng.standard_normal((min(rows, pool - start) - len(fixed), 2, d))
+        drawn = g[:, 0] + 1j * g[:, 1]
+        vs = np.concatenate([fixed, drawn / np.linalg.norm(drawn, axis=1)[:, None]])
+        vals = np.abs(np.linalg.eigvalsh(hermitian_images(vs))).sum(-1)
+        if vals.max() > best:
+            best, v = vals.max(), vs[np.argmax(vals)]
 
+    (w, u), size = np.linalg.eigh(hermitian_images(v[None])[0]), 0.0
+    for _ in range(refine_steps):
+        value = np.abs(w).sum()
+        dual = unvec(half.conj().T @ ((u * np.sign(w)) @ u.conj().T).ravel(), d)
+        top = np.linalg.eigh(dual)[1][:, -1]
+        step = top * np.exp(-1j * np.angle(np.vdot(v, top))) - v
+        last, size = size, np.linalg.norm(step)
+        v = v + (last / (last - size) if 0 < size < last else 1.0) * step
+        v /= np.linalg.norm(v)
+        w, u = np.linalg.eigh(hermitian_images(v[None])[0])
+        if np.abs(w).sum() <= value:
+            v, (w, u) = top, np.linalg.eigh(hermitian_images(top[None])[0])
+        if np.abs(w).sum() - value <= tol.ASCENT_GAIN_TOL * value:
+            break
+
+    witness = np.outer(v, v.conj())
     return EpsilonEstimate(
-        epsilon=float(value(best_v)),
-        witness_state=np.outer(best_v, best_v.conj()),
+        epsilon=float(_trace_norms(unvec(m @ vec(witness), n))),
+        witness_state=witness,
         upper_bound=trace_norm_certificate(delta),
         samples=samples,
         refine_steps=refine_steps,
@@ -142,12 +146,11 @@ def _require_epsilon(epsilon):
 def _iterates(channel, recovery, x0: np.ndarray, rounds: int) -> np.ndarray:
     """``x0`` and its first ``rounds`` images under recovery after channel,
     stacked; each round calls the two image kernels on the finite iterate."""
-    d = x0.shape[0]
     out = np.empty((rounds + 1,) + x0.shape, dtype=complex)
     out[0] = x0
     for k in range(rounds):
         image = recovery._images(channel._images(vec(out[k])[:, None]))
-        out[k + 1] = unvec(image[:, 0], d)
+        out[k + 1] = unvec(image[:, 0], len(x0))
     return out
 
 
@@ -222,7 +225,7 @@ def simulate_iterated(
     errors = _trace_norms(rho0 - path[:-1])
     decoded = None
     if encoding is not None:
-        logical = np.stack([encoding.decode(s) for s in states])
+        logical = encoding._decoded(path[:-1])
         decoded = _trace_norms(logical[0] - logical)
 
     steps = _trace_norms(path[1:] - path[:-1])
@@ -232,8 +235,7 @@ def simulate_iterated(
     finite = alphas[np.isfinite(alphas)]
     alpha_max = float(finite.max()) if finite.size else None
 
-    linear = None
-    geometric = None
+    linear = geometric = None
     if epsilon is not None:
         linear = epsilon * np.arange(n + 1, dtype=float)
         if alpha_max is not None and alpha_max < 1.0:
@@ -254,7 +256,7 @@ def check_prop3_bound(trace: SimulationTrace, epsilon: float):
     """Check the linear accumulation bound error_n <= n * epsilon.
 
     ``epsilon`` must be a certified per-round bound (the upper end of an
-    estimate bracket), not a sampled lower bound. Errors may exceed the
+    estimate bracket), not the witness, a lower bound. Errors may exceed the
     bound by ``BOUND_SLACK``. Returns (ok, margin) with margin = min over n
     of (n * epsilon - error_n). An ``epsilon`` that is negative, NaN or
     infinite is refused.
@@ -318,11 +320,7 @@ def perturbed_encoding_correctability(
         )
     rng = np.random.default_rng(0)
     d = nominal.dim_logical
-    test_states = [np.eye(d, dtype=complex) / d]
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        test_states.append(e)
+    test_states = [np.eye(d, dtype=complex) / d] + [np.diag(e) for e in np.eye(d, dtype=complex)]
     for i in range(8):
         if i % 2 == 0:
             v = random_pure_state(d, rng)

@@ -45,6 +45,7 @@ INVARIANCE_FLOOR = 1e-9      # block-leak residual always allowed in an NS split
 CONTRACTION_RESIDUAL_FLOOR = 1e-12  # no contraction ratio from a residual below this
 LOOP_FIXED_FLOOR = 1e-8     # fixed-code residual always allowed before iterating a perturbed code
 BOUND_SLACK = 1e-6          # iterated errors may exceed the linear or geometric bound by this
+ASCENT_GAIN_TOL = 1e-12     # the epsilon witness's ascent stops at a step that gains no more than this share of its value
 
 # Golden checks of the bundled paper examples (``tniso example``).
 GOLDEN_EXACT_TOL = 1e-12    # closed-form golden spectra and images match, and decoded coherence never grows, this tightly

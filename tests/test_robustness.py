@@ -54,8 +54,9 @@ def pure_qubit_grid(steps):
 
 def reference_estimate_epsilon(perturbed, nominal, samples, refine_steps, seed):
     """The search one wrapped product and one trace norm at a time, as the
-    library ran it before its trace norms were batched: the oracle that the
-    batched search must match bit for bit."""
+    library ran it before the ascent: random pure states, then a random walk
+    from the best. At the same seed, the ascent's witness must not fall
+    below this oracle's."""
     delta = robustness._deviation_superoperator(perturbed, nominal)
     d = nominal.dim_logical
     rng = np.random.default_rng(seed)
@@ -82,6 +83,22 @@ def reference_estimate_epsilon(perturbed, nominal, samples, refine_steps, seed):
 
     witness = np.outer(best_v, best_v.conj())
     return trace_norm(delta(witness)), witness, channels.trace_norm_certificate(delta)
+
+
+def reference_pool(delta, samples, seed):
+    """The ascent's starts one at a time, each with its value ||H(v)||_1 (H the
+    Hermitian part of delta(|v><v|)): the d^2 states |i>, (|i> + |j>)/sqrt 2
+    and (|i> + i|j>)/sqrt 2, then the oracle's random pure states."""
+    d = delta.dim_in
+    eye = np.eye(d, dtype=complex)
+    starts = list(eye)
+    for i in range(d):
+        for j in range(i + 1, d):
+            starts += [(eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)]
+    rng = np.random.default_rng(seed)
+    starts += [random_pure_state(d, rng) for _ in range(samples)]
+    images = [delta(np.outer(v, v.conj())) for v in starts]
+    return starts, np.array([trace_norm((x + x.conj().T) / 2) for x in images])
 
 
 def reference_simulate_iterated(channel, recovery, rho0, n, encoding):
@@ -132,6 +149,13 @@ def noisy_round(seed, d_s, d_f, d_r, admixture):
     return enc, noise, recovery, composite
 
 
+def example2_round(repetition):
+    """(encoding, one round's composite on the code) of example2's mixture."""
+    enc, _, recovery, _ = repetition
+    loop = compose(recovery, make_example2_channel(0.4, 0.05))
+    return enc, loop.superoperator() @ enc.superoperator()
+
+
 class TestBatchedTraceNorms:
     """The batched searches and curves against their one-at-a-time loops."""
 
@@ -149,20 +173,32 @@ class TestBatchedTraceNorms:
     def test_bit_identical_to_the_loops(
         self, seed, d_s, d_f, d_r, admixture, samples, refine_steps, n
     ):
-        # d_P >= 5 puts at most 655 sampled images in one chunk, so 700
-        # samples take two
+        # d_P >= 5 puts at most 655 pooled images in one chunk, so the
+        # basis starts and 700 samples take two
         d_r = max(d_r, 5 - d_s * d_f)
         enc, noise, recovery, composite = noisy_round(seed, d_s, d_f, d_r, admixture)
         if samples == 700:
             assert 16 * enc.dim_physical**2 * samples > robustness._EPSILON_BLOCK_BYTES
 
         est = estimate_epsilon(composite, enc, samples, refine_steps, seed)
-        epsilon, witness, upper = reference_estimate_epsilon(
-            composite, enc, samples, refine_steps, seed
+        start = estimate_epsilon(composite, enc, samples, 0, seed)
+        oracle, _, upper = reference_estimate_epsilon(composite, enc, samples, 0, seed)
+        starts, values = reference_pool(
+            robustness._deviation_superoperator(composite, enc), samples, seed
         )
-        assert np.array_equal(est.epsilon, epsilon)
-        assert np.array_equal(est.witness_state, witness)
+        slack = 1e-12 * upper
         assert np.array_equal(est.upper_bound, upper)
+        # no step lowers the value, which bounds the trace norm from below
+        assert est.epsilon <= upper + slack
+        assert est.epsilon >= values.max() - slack
+        # with no step the witness is the best start
+        gaps = [np.abs(start.witness_state - np.outer(v, v.conj())).max() for v in starts]
+        assert min(gaps) <= 1e-15
+        assert values[int(np.argmin(gaps))] >= values.max() - slack
+        # the oracle's best sample is a start; the oracle values it by the trace
+        # norm of its whole image, whose anti-Hermitian part is the rounding of
+        # two images of trace norm 1, so allow d_P unit roundoffs for that part
+        assert values.max() >= oracle - slack - enc.dim_physical * np.finfo(float).eps
 
         rho0 = enc.encode(random_density(enc.dim_logical, np.random.default_rng(seed)))
         trace = simulate_iterated(noise, recovery, rho0, n, encoding=enc, epsilon=upper)
@@ -200,26 +236,32 @@ class TestBatchedTraceNorms:
 
     def test_sample_chunks_stay_under_the_byte_budget(self, monkeypatch):
         enc, _, _, composite = noisy_round(0, 2, 2, 2, 1e-3)
-        shapes = []
-        original = robustness._trace_norms
+        calls = {"eigvalsh": [], "eigh": [], "_trace_norms": []}
 
-        def spy(stack):
-            shapes.append(stack.shape)
-            return original(stack)
+        def spy(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda a: calls[name].append(a.shape) or original(a)
+            )
 
-        monkeypatch.setattr(robustness, "_trace_norms", spy)
+        spy(np.linalg, "eigvalsh")
+        spy(np.linalg, "eigh")
+        spy(robustness, "_trace_norms")
         estimate_epsilon(composite, enc, samples=5_000, refine_steps=3, seed=0)
         per_image = 16 * enc.dim_physical**2
-        batches = [shape[0] for shape in shapes if len(shape) == 3]
-        assert sum(batches) == 5_000 and len(batches) > 1
+        image = (enc.dim_physical,) * 2
+        # the pool is the d_S^2 = 4 basis states and the samples
+        batches = [shape[0] for shape in calls["eigvalsh"] if len(shape) == 3]
+        assert sum(batches) == 4 + 5_000 and len(batches) > 1
         assert max(batches) * per_image <= robustness._EPSILON_BLOCK_BYTES
-        # the refinement steps and the witness are one image each
-        assert len(shapes) - len(batches) == 3 + 1
+        # the best start is valued once, and each of at most 3 ascent steps
+        # values its stretched point and, if that does not raise the value,
+        # the plain step; the witness's trace norm is the only one taken
+        assert 1 <= calls["eigh"].count(image) <= 1 + 2 * 3
+        assert calls["_trace_norms"] == [image]
 
     def test_search_applies_no_wrapper(self, repetition, monkeypatch):
-        enc, _, recovery, _ = repetition
-        loop = compose(recovery, make_example2_channel(0.4, 0.05))
-        composite = loop.superoperator() @ enc.superoperator()
+        enc, composite = example2_round(repetition)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the search applied the deviation map through a wrapper")
@@ -280,10 +322,7 @@ class TestEstimateEpsilon:
         assert est.epsilon == direct
 
     def test_round_epsilon_of_mixture_against_grid_oracle(self, repetition):
-        enc, _, recovery, _ = repetition
-        channel = make_example2_channel(0.4, 0.05)
-        loop = compose(recovery, channel)
-        composite = loop.superoperator() @ enc.superoperator()
+        enc, composite = example2_round(repetition)
         delta = composite.matrix - enc.superoperator().matrix
         oracle = max(
             trace_norm((delta @ vec(rho)).reshape(8, 8, order="F"))
@@ -296,12 +335,47 @@ class TestEstimateEpsilon:
 
     def test_upper_bound_of_mixture_round_is_tight(self, repetition):
         # the deviation map of one round is exactly the coherence damping
-        # 2*eps*p = 0.04 of the mixture model, and so is its certificate
-        enc, _, recovery, _ = repetition
-        loop = compose(recovery, make_example2_channel(0.4, 0.05))
-        est = estimate_epsilon(loop.superoperator() @ enc.superoperator(), enc)
-        assert abs(est.upper_bound - 0.04) <= 1e-12
-        assert est.upper_bound >= est.epsilon
+        # 2*eps*p = 0.04 of the mixture model, and so is its certificate;
+        # the witness reaches it at every seed, from the basis states alone
+        enc, composite = example2_round(repetition)
+        for seed in range(5):
+            for budget in ({}, {"samples": 1, "refine_steps": 0}):
+                est = estimate_epsilon(composite, enc, seed=seed, **budget)
+                assert abs(est.upper_bound - 0.04) <= 1e-12
+                assert est.upper_bound - 1e-12 <= est.epsilon <= est.upper_bound
+
+    @pytest.mark.parametrize(
+        "system",
+        ["example2"]
+        + [((4, 4, 4), 0.02, s) for s in (1, 2, 3)]
+        + [
+            (dims, admixture, s)
+            for dims in [(2, 4, 2), (3, 4, 3), (2, 2, 2)]
+            for admixture in (1e-3, 1e-2)
+            for s in range(3)
+        ],
+        ids=str,
+    )
+    def test_witness_not_below_the_sampled_search(self, repetition, system):
+        # at default budgets and the same seed, against the random sampling
+        # and random walk that the ascent replaced
+        if system == "example2":
+            enc, composite = example2_round(repetition)
+        else:
+            dims, admixture, s = system
+            enc, _, _, composite = noisy_round(s, *dims, admixture)
+        for seed in range(4):
+            est = estimate_epsilon(composite, enc, seed=seed)
+            oracle, _, upper = reference_estimate_epsilon(composite, enc, 200, 200, seed)
+            assert oracle - 1e-12 * upper <= est.epsilon <= est.upper_bound
+
+    def test_witness_never_falls_as_the_cap_grows(self):
+        # a stretched step that would lower the value is replaced by the
+        # plain step; on this system some stretches overshoot
+        enc, _, _, composite = noisy_round(2, 4, 4, 4, 0.02)
+        caps = [estimate_epsilon(composite, enc, 20, k, 0) for k in range(25)]
+        slack = 1e-12 * caps[0].upper_bound
+        assert all(b.epsilon >= a.epsilon - slack for a, b in zip(caps, caps[1:]))
 
     def test_dimension_mismatch(self, repetition):
         with pytest.raises(ContractViolation):
