@@ -30,7 +30,7 @@ from .channels import (
 )
 from .codes import IsometricEncoding, SubsystemDecomposition
 from .errors import ContractViolation, NotCorrectableError, NumericError
-from .opcore import above_rank_cut, eigh_clamped, sqrt_psd
+from .opcore import above_rank_cut, sqrt_psd, state_spectrum
 from . import tolerances as tol
 
 logger = logging.getLogger(__name__)
@@ -294,20 +294,9 @@ class CorrectionDetails:
     image_report: StructureReport
 
 
-def _cofactor_spectrum(tau: np.ndarray):
-    """Eigenpairs ``(w, v)`` of ``tau`` above the rank cut, the weights
-    rescaled to sum to one when the cut drops one, so that a reset to ``tau``
-    stays trace preserving."""
-    w, v = eigh_clamped(tau)
-    keep = above_rank_cut(w)
-    if not keep.all():
-        w = w / w[keep].sum()
-    return w[keep], v[:, keep]
-
-
 def _reset_to(spectrum, out_cols: np.ndarray, in_cols: np.ndarray):
     """``(cols, psi, w)`` of the reset of span(in_cols) to
-    ``out_cols tau out_cols^dag``, for ``tau``'s :func:`_cofactor_spectrum`."""
+    ``out_cols tau out_cols^dag``, for ``tau``'s ``state_spectrum``."""
     w, v = spectrum
     return in_cols, np.stack([out_cols @ x for x in v.T], axis=1), w
 
@@ -315,7 +304,7 @@ def _reset_to(spectrum, out_cols: np.ndarray, in_cols: np.ndarray):
 def _cofactor_recovery(encoding, channel, img, strategy, spectrum):
     """Kraus set on (image cofactor -> code cofactor), its TP defect, and
     whether time reversal fell back to replacement; ``spectrum`` is the code
-    cofactor's :func:`_cofactor_spectrum`, which replacement resets to."""
+    cofactor's ``state_spectrum``, which replacement resets to."""
     dec = encoding.decomposition
     d_f, d_g = dec.d_f, img.decomposition.d_f
     tau = encoding.cofactor
@@ -366,7 +355,7 @@ def _correction(encoding, channel, img: StructureReport, strategy: str):
     dec = encoding.decomposition
     d_s, d_f = dec.d_s, dec.d_f
     d_g = img.decomposition.d_f
-    spectrum = _cofactor_spectrum(encoding.cofactor)
+    spectrum = state_spectrum(encoding.cofactor)
     ops_gf, tp_defect, fell_back = _cofactor_recovery(encoding, channel, img, strategy, spectrum)
     u1 = dec.block_columns
     w1 = img.decomposition.block_columns

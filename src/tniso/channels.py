@@ -24,8 +24,9 @@ plus one reset term ``X -> Tr(P X) rho``, which sends the image complement
 kernel and ``tp_defect`` read that form. The reset term's Kraus operators,
 one per reference eigenvector and complement vector (1,536 of 1,538 at
 d_P = 128), are expanded after the block operators only when a caller reads
-``kraus`` (serialization, :func:`compose`, :func:`convex_mix`); the kernels,
-``superoperator()`` included, read the structured form. The package itself
+``kraus`` (:func:`compose`, :func:`convex_mix`); the kernels,
+``superoperator()`` included, ``kraus_count`` and the recovery file (see
+:mod:`tniso.serialize`) read the structured form. The package itself
 multiplies no Kraus lists: a correction round is ``recovery @ (channel @ map)``.
 
 Checks guard the boundary: the public constructors scan their input for
@@ -43,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolation, ConvergenceError, NumericError
-from .opcore import as_matrix, support_projector, trace_norm
+from .opcore import as_matrix, state_spectrum, support_projector, trace_norm
 from . import tolerances as tol
 
 
@@ -167,12 +168,20 @@ class _Reset:
     """The CP map ``X -> Tr(P X) rho`` with ``P = cols cols^dag`` and
     ``rho = psi diag(w) psi^dag``: it prepares rho from span(cols). Its
     Kraus operators, :func:`_rank_one_kraus` of cols, psi and w, are
-    expanded only by :meth:`kraus`."""
+    expanded only by :meth:`kraus`. A given ``state`` is kept as rho (a
+    recovery file's, equal to ``psi diag(w) psi^dag`` to rounding)."""
 
-    def __init__(self, cols: np.ndarray, psi: np.ndarray, w: np.ndarray):
+    def __init__(self, cols: np.ndarray, psi: np.ndarray, w: np.ndarray, state=None):
         self.cols, self.psi, self.w = cols, psi, w
-        self.state = (psi * w) @ psi.conj().T
+        self.state = (psi * w) @ psi.conj().T if state is None else state
         self.trace_row = vec(cols.conj() @ cols.T)  # vec(P^T): Tr(P X) = trace_row @ vec(X)
+
+    @classmethod
+    def of_state(cls, cols: np.ndarray, state: np.ndarray) -> "_Reset":
+        """The reset of span(cols) to the density operator ``state``, with
+        psi and w its ``state_spectrum``."""
+        w, psi = state_spectrum(state)
+        return cls(cols, psi, w, state)
 
     def kraus(self) -> np.ndarray:
         return _rank_one_kraus(self.cols, self.psi, self.w)
@@ -192,9 +201,10 @@ class KrausChannel(_Map):
     product, filled in row blocks. ``kraus`` holds views of the stack.
 
     A channel built by :meth:`_with_reset` (a recovery from
-    :func:`tniso.analysis.build_correction`) holds block operators and a
-    :class:`_Reset` term instead: the kernels apply the blocks' stack and
-    add the term, and ``kraus`` (the blocks, then the term's operators) is
+    :func:`tniso.analysis.build_correction` or a recovery file) holds block
+    operators and a :class:`_Reset` term instead: the kernels apply the
+    blocks' stack and add the term, ``kraus_count`` counts the term's
+    operators, and ``kraus`` (the blocks, then the term's operators) is
     expanded on first read.
     """
 
@@ -206,11 +216,13 @@ class KrausChannel(_Map):
         self._check_trace_preserving()
 
     @classmethod
-    def _with_reset(cls, blocks: np.ndarray, reset: _Reset) -> "KrausChannel":
+    def _with_reset(
+        cls, blocks: np.ndarray, reset: _Reset, tp_tol: float = tol.TP_TOL
+    ) -> "KrausChannel":
         """The channel with Kraus operators ``blocks`` (a finite stack) plus
         those of ``reset``, held without expanding the latter."""
         ch = object.__new__(cls)
-        ch.tp_tol, ch._blocks, ch._reset = tol.TP_TOL, blocks, reset
+        ch.tp_tol, ch._blocks, ch._reset = tp_tol, blocks, reset
         ch._check_trace_preserving()
         return ch
 
@@ -224,6 +236,13 @@ class KrausChannel(_Map):
     @cached_property
     def kraus(self) -> list[np.ndarray]:
         return list(self._stack)
+
+    @property
+    def kraus_count(self) -> int:
+        """``len(kraus)``, counted without expanding a reset term."""
+        if self._reset is None:
+            return len(self._blocks)
+        return len(self._blocks) + len(self._reset.w) * self._reset.cols.shape[1]
 
     def _check_trace_preserving(self) -> None:
         residual = self.tp_defect()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,10 @@ def _resolve_tol(args) -> float:
     return tol.require_tolerance(value, name)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state
+    between calls, and each ``add_argument`` costs a formatter."""
     parser = argparse.ArgumentParser(
         prog="tniso",
         description="Analyze trace-norm isometric encodings under CPTP noise.",
@@ -163,12 +167,12 @@ def _cmd_check_channel(args, tol_):
     report["results"] = {
         "dim_in": channel.dim_in,
         "dim_out": channel.dim_out,
-        "kraus_count": len(channel.kraus),
+        "kraus_count": channel.kraus_count,
         "tp_residual": float(residual),
         "trace_preserving": trace_preserving,
     }
     print(
-        f"channel {args.channel}: {len(channel.kraus)} Kraus operators, "
+        f"channel {args.channel}: {channel.kraus_count} Kraus operators, "
         f"{channel.dim_in} -> {channel.dim_out}, TP residual {residual:.3e}"
     )
     return (EXIT_OK if trace_preserving else EXIT_VERDICT), report
@@ -221,7 +225,7 @@ def _cmd_correct(args, tol_):
         "strategy_requested": details.strategy_requested,
         "strategy_used": details.strategy_used,
         "fell_back": details.fell_back,
-        "kraus_count": len(recovery.kraus),
+        "kraus_count": recovery.kraus_count,
     }
     print(json.dumps(verification, indent=2, sort_keys=True))
     return EXIT_OK, None

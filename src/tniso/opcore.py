@@ -140,6 +140,17 @@ def above_rank_cut(w: np.ndarray) -> np.ndarray:
     return w > tol.RANK_TOL * max(w.max(), 1e-300)
 
 
+def state_spectrum(rho):
+    """Eigenpairs ``(w, v)`` of the state ``rho`` above the rank cut, the
+    weights rescaled to sum to one when the cut drops one, so that a reset
+    to ``rho`` built from them stays trace preserving."""
+    w, v = eigh_clamped(rho)
+    keep = above_rank_cut(w)
+    if not keep.all():
+        w = w / w[keep].sum()
+    return w[keep], v[:, keep]
+
+
 def _psd_eigh(a):
     w, v = np.linalg.eigh(require_hermitian(a))
     if w.min() < -tol.PSD_TOL:

@@ -2,7 +2,15 @@
 
 Matrices are arrays of rows; every entry is a ``[re, im]`` pair of decimal
 numbers. Serialization uses the shortest digit strings that round-trip
-IEEE-754 doubles exactly, so parse-then-emit is lossless.
+IEEE-754 doubles exactly, so parse-then-emit is lossless. Data files are
+written as compact JSON by the C encoder; any layout, such as indented
+files, loads.
+
+A channel is ``{"dim_in", "dim_out", "kraus"}``. A recovery with a reset
+term (see :class:`tniso.channels.KrausChannel`) writes its block operators
+under ``kraus`` and adds ``"reset": {"cols", "state"}``, the image
+complement's columns and the reference state, in place of the rank-one
+operators they stand for; a reset of no columns is omitted.
 """
 
 from __future__ import annotations
@@ -12,16 +20,18 @@ from itertools import chain
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, _kraus_stack, _Reset
 from .codes import IsometricEncoding, SubsystemDecomposition
 from .errors import ContractViolation
-from .opcore import as_matrix
+from .opcore import DensityOperator, as_matrix
 from . import tolerances as tol
 
 
 def matrix_to_json(m) -> list:
+    """Rows of ``[re, im]`` pairs of ``m``; a stack of matrices gives a
+    list of them."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(rows, field: str) -> np.ndarray:
@@ -46,11 +56,18 @@ def matrix_from_json(rows, field: str) -> np.ndarray:
 
 
 def channel_to_dict(channel: KrausChannel) -> dict:
-    return {
+    payload = {
         "dim_in": channel.dim_in,
         "dim_out": channel.dim_out,
-        "kraus": [matrix_to_json(k) for k in channel.kraus],
+        "kraus": matrix_to_json(channel._blocks),
     }
+    reset = channel._reset
+    if reset is not None and reset.cols.shape[1]:
+        payload["reset"] = {
+            "cols": matrix_to_json(reset.cols),
+            "state": matrix_to_json(reset.state),
+        }
+    return payload
 
 
 def _int_field(payload: dict, key: str, kind: str) -> int:
@@ -65,6 +82,27 @@ def _int_field(payload: dict, key: str, kind: str) -> int:
     return value
 
 
+def _reset_from_dict(payload, dim_in: int, dim_out: int) -> _Reset:
+    """The reset term of a recovery file: ``cols`` must be dim_in rows and
+    ``state`` a density operator on the output space."""
+    try:
+        cols = matrix_from_json(payload["cols"], "reset cols")
+        state = matrix_from_json(payload["state"], "reset state")
+    except (KeyError, TypeError) as exc:
+        raise ContractViolation(f"malformed reset payload: {exc}") from exc
+    if cols.shape[0] != dim_in:
+        raise ContractViolation(f"reset cols shape {cols.shape} does not have {dim_in} rows")
+    if state.shape != (dim_out, dim_out):
+        raise ContractViolation(
+            f"reset state shape {state.shape} does not match dims ({dim_out}, {dim_out})"
+        )
+    try:
+        DensityOperator(state)
+    except ContractViolation as exc:
+        raise ContractViolation(f"reset state is not a density operator: {exc}") from exc
+    return _Reset.of_state(cols, state)
+
+
 def channel_from_dict(payload: dict, tp_tol: float = tol.TP_TOL) -> KrausChannel:
     try:
         kraus = [matrix_from_json(k, "kraus") for k in payload["kraus"]]
@@ -76,7 +114,12 @@ def channel_from_dict(payload: dict, tp_tol: float = tol.TP_TOL) -> KrausChannel
             raise ContractViolation(
                 f"Kraus shape {k.shape} does not match dims ({dim_out}, {dim_in})"
             )
-    return KrausChannel(kraus, tp_tol=tp_tol)
+    if "reset" not in payload:
+        return KrausChannel(kraus, tp_tol=tp_tol)
+    if not kraus:
+        raise ContractViolation("Kraus list must be nonempty")
+    reset = _reset_from_dict(payload["reset"], dim_in, dim_out)
+    return KrausChannel._with_reset(_kraus_stack(kraus), reset, tp_tol=tp_tol)
 
 
 def encoding_to_dict(encoding: IsometricEncoding) -> dict:
@@ -108,9 +151,11 @@ def state_from_json(payload) -> np.ndarray:
 
 
 def dump_json(obj, path) -> None:
+    """Write a data file: ``json.dump`` to a handle, and ``json.dumps``
+    with an indent, run the pure-Python encoder, so encode once in C."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path):

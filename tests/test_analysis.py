@@ -37,7 +37,7 @@ from tniso.codes import (
     make_example2_channel,
 )
 from tniso.errors import ContractViolation, NotCorrectableError
-from tniso.opcore import above_rank_cut, eigh_clamped, hermitian_basis, trace_norm
+from tniso.opcore import above_rank_cut, eigh_clamped, hermitian_basis, state_spectrum, trace_norm
 from tniso.robustness import perturbed_encoding_correctability, simulate_iterated
 from tniso.serialize import channel_to_dict
 from tniso.sampling import (
@@ -1122,7 +1122,7 @@ def _listed_recovery(enc, channel, strategy):
     if details.strategy_used == "replace":
         ops_gf = _listed_reset(enc.cofactor, np.eye(dec.d_f), np.eye(d_g))
     else:
-        spectrum = analysis._cofactor_spectrum(enc.cofactor)
+        spectrum = state_spectrum(enc.cofactor)
         ops_gf = analysis._cofactor_recovery(enc, channel, img, strategy, spectrum)[0]
     u1, w1 = dec.block_columns, img.decomposition.block_columns
     blocks = [u1 @ np.kron(np.eye(dec.d_s), k) @ w1.conj().T for k in ops_gf]
@@ -1204,7 +1204,18 @@ class TestStructuredRecovery:
         recovery = build_correction(enc, channel, strategy)
         listed = _listed_recovery(enc, channel, strategy)
         assert np.array_equal(np.stack(recovery.kraus), np.stack(listed))
-        assert channel_to_dict(recovery) == channel_to_dict(KrausChannel(listed))
+        # the file holds the leading block operators and the reset, which
+        # loads to the listed channel
+        written = channel_to_dict(recovery)
+        blocks = len(written["kraus"])
+        assert written["kraus"] == channel_to_dict(KrausChannel(listed))["kraus"][:blocks]
+        assert recovery.kraus_count == len(listed)
+        loaded = serialize.channel_from_dict(written)
+        assert loaded.kraus_count == len(listed)
+        assert (
+            np.abs(loaded.superoperator().matrix - KrausChannel(listed).superoperator().matrix).max()
+            <= 1e-14
+        )
 
     def test_preserved_classify_at_d64_never_expands(self, monkeypatch):
         enc, channel = random_preserved_system(2, 24, 16, np.random.default_rng(0))
@@ -1234,21 +1245,26 @@ class TestStructuredRecovery:
         assert ok and max_err <= 1e-12
         assert calls == []
 
-    def test_correct_command_expands_only_to_write(self, monkeypatch, tmp_path, capsys):
-        enc, channel = random_preserved_system(4, 4, 4, np.random.default_rng(0))
+    @pytest.mark.parametrize("dims, count", [((4, 4, 4), 18), ((2, 16, 8), 130)])
+    def test_correct_and_check_channel_never_expand(
+        self, monkeypatch, tmp_path, capsys, dims, count
+    ):
+        # the recovery file holds the reset term, and both commands count
+        # its operators as rank(rho_ref) * (complement columns)
+        enc, channel = random_preserved_system(*dims, np.random.default_rng(0))
         paths = {name: str(tmp_path / f"{name}.json") for name in ("channel", "code", "out")}
         serialize.dump_json(serialize.channel_to_dict(channel), paths["channel"])
         serialize.dump_json(serialize.encoding_to_dict(enc), paths["code"])
-        calls, at_write = _record_expansions(monkeypatch), []
-        to_dict = serialize.channel_to_dict
-        monkeypatch.setattr(
-            serialize, "channel_to_dict", lambda ch: at_write.append(len(calls)) or to_dict(ch)
-        )
+        calls = _record_expansions(monkeypatch)
         argv = ["correct", "--channel", paths["channel"], "--code", paths["code"]]
         assert cli.main(argv + ["--out", paths["out"]]) == 0
         verification = json.loads(capsys.readouterr().out)
-        assert verification["fixed_residual"] <= 1e-12 and verification["kraus_count"] == 18
-        assert at_write == [0] and calls == [1]
+        assert verification["fixed_residual"] <= 1e-12 and verification["kraus_count"] == count
+        assert "reset" in serialize.load_json(paths["out"])
+        report = str(tmp_path / "check.json")
+        assert cli.main(["check-channel", "--channel", paths["out"], "--out", report]) == 0
+        assert serialize.load_json(report)["results"]["kraus_count"] == count
+        assert calls == []
 
     def test_simulation_never_expands(self, monkeypatch, rng):
         enc, channel = random_preserved_system(4, 4, 4, rng)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tniso import serialize
+from tniso.analysis import build_correction
 from tniso.channels import convex_mix
 from tniso.cli import main
 from tniso.codes import make_example2_channel, make_repetition_example
@@ -616,3 +617,140 @@ class TestStrictJsonReports:
                 reports.append(out)
         for path in reports:
             _strict_json(path.read_text())
+
+
+class TestParserReuse:
+    """The parser is built once per process, and no call leaves state in it."""
+
+    def test_flags_do_not_carry_over(self, generated, tmp_path):
+        pair = ["--channel", generated["channel"], "--code", generated["code"]]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        argv = ["classify", *pair, "--tol", "1e-3", "--strategy", "replace"]
+        assert main(argv + ["--out", str(first)]) == 0
+        assert read(first)["config"]["tol"] == 1e-3
+        assert read(first)["config"]["strategy"] == "replace"
+        assert main(["classify", *pair, "--out", str(second)]) == 0
+        config = read(second)["config"]
+        assert config["tol"] == 1e-08 and config["strategy"] == "petz" and config["seed"] == 0
+
+    def test_argparse_error_leaves_the_next_call_working(self, generated, tmp_path, capsys):
+        pair = ["--channel", generated["channel"], "--code", generated["code"]]
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", *pair, "--seed", "x"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        out = tmp_path / "after.json"
+        assert main(["classify", *pair, "--out", str(out)]) == 0
+        assert read(out)["config"]["seed"] == 0
+        assert read(out)["results"]["preserved"] is True
+
+
+@pytest.fixture(scope="module")
+def structured(tmp_path_factory):
+    """A d_P = 10 system under 1e-3 noise, with the recovery built for the
+    exact channel written structured and as its expanded twin."""
+    root = tmp_path_factory.mktemp("structured")
+    rng = np.random.default_rng(0)
+    enc, channel = random_preserved_system(2, 4, 2, rng)
+    noisy = convex_mix([1.0 - 1e-3, 1e-3], [channel, random_channel(enc.dim_physical, rng)])
+    recovery = build_correction(enc, channel)
+    paths = {k: str(root / f"{k}.json") for k in ("channel", "code", "recovery", "twin")}
+    serialize.dump_json(serialize.channel_to_dict(noisy), paths["channel"])
+    serialize.dump_json(serialize.encoding_to_dict(enc), paths["code"])
+    serialize.dump_json(serialize.channel_to_dict(recovery), paths["recovery"])
+    twin = {"dim_in": 10, "dim_out": 10, "kraus": serialize.matrix_to_json(np.stack(recovery.kraus))}
+    serialize.dump_json(twin, paths["twin"])
+    return paths
+
+
+class TestStructuredRecoveryFiles:
+    @pytest.mark.parametrize("command", ["simulate", "epsilon"])
+    def test_structured_file_and_its_twin_give_the_same_report(
+        self, structured, tmp_path, command
+    ):
+        results = []
+        for recovery in ("recovery", "twin"):
+            out = tmp_path / f"{command}_{recovery}.json"
+            argv = [command, "--channel", structured["channel"], "--code", structured["code"],
+                    "--recovery", structured[recovery], "--out", str(out)]
+            assert main(argv) == 0
+            results.append(read(out)["results"])
+        a, b = results
+        assert a.keys() == b.keys()
+        # residuals agree to rounding; the ratios alpha of successive steps,
+        # the geometric bound eps / (1 - alpha_max) (alpha_max is 0.998 here)
+        # and the witness state (an eigenvector) amplify it
+        loose = {"alpha_estimates", "alpha_max", "geometric_bound", "witness_state"}
+        for key in a:
+            if isinstance(a[key], (bool, int)) and not isinstance(a[key], float):
+                assert a[key] == b[key], key
+            else:
+                x, y = np.asarray(a[key], dtype=float), np.asarray(b[key], dtype=float)
+                assert np.abs(x - y).max() <= (1e-10 if key in loose else 1e-14), key
+        assert a["epsilon_upper"] > 1e-6  # the noise moves the round
+
+    def _check_bad(self, structured, tmp_path, capsys, edit, message):
+        payload = read(structured["recovery"])
+        edit(payload["reset"])
+        bad = tmp_path / "bad_recovery.json"
+        serialize.dump_json(payload, bad)
+        for argv in (
+            ["check-channel", "--channel", str(bad)],
+            ["simulate", "--channel", structured["channel"], "--code", structured["code"],
+             "--recovery", str(bad), "--out", str(tmp_path / "sim.json")],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "reset" in err and message in err and "Traceback" not in err
+        assert not (tmp_path / "sim.json").exists()
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("non-psd", "not PSD"),
+            ("trace", "expected 1"),
+            ("cols-rows", "does not have 10 rows"),
+            ("cols-flat", "rows of [re, im] pairs"),
+            ("non-finite", "entries must be finite"),
+            ("missing", "'state'"),
+        ],
+    )
+    def test_bad_reset_exits_2(self, structured, tmp_path, capsys, case, message):
+        def edit(reset):
+            state = serialize.state_from_json(reset["state"])
+            if case == "non-psd":
+                w, v = np.linalg.eigh(state)
+                w[-1], w[-2] = w[-1] + 0.1, w[-2] - 0.1 - w[-2] - 0.05  # one eigenvalue -0.05
+                reset["state"] = serialize.matrix_to_json((v * w) @ v.conj().T)
+            elif case == "trace":
+                reset["state"] = serialize.matrix_to_json(1.5 * state)
+            elif case == "cols-rows":
+                reset["cols"] = reset["cols"][:-1]
+            elif case == "cols-flat":
+                reset["cols"] = [x for row in reset["cols"] for x in row]
+            elif case == "non-finite":
+                reset["state"][0][0][0] = float("nan")
+            else:
+                del reset["state"]
+
+        self._check_bad(structured, tmp_path, capsys, edit, message)
+
+    def test_reset_that_breaks_trace_preservation_fails_the_gate(
+        self, structured, tmp_path, capsys
+    ):
+        payload = read(structured["recovery"])
+        cols = serialize.matrix_from_json(payload["reset"]["cols"], "cols")
+        payload["reset"]["cols"] = serialize.matrix_to_json(1.01 * cols)
+        bad = tmp_path / "scaled_reset.json"
+        serialize.dump_json(payload, bad)
+        out = tmp_path / "check.json"
+        assert main(["check-channel", "--channel", str(bad), "--out", str(out)]) == 1
+        results = read(out)["results"]
+        assert results["trace_preserving"] is False
+        # the reset's adjoint sends I to 1.01^2 P, P the complement projector
+        projector = cols @ cols.conj().T
+        assert results["tp_residual"] == pytest.approx((1.01**2 - 1) * np.abs(projector).max())
+        assert results["kraus_count"] == 10
+        argv = ["simulate", "--channel", structured["channel"], "--code", structured["code"]]
+        assert main(argv + ["--recovery", str(bad)]) == 2
+        assert "not trace preserving" in capsys.readouterr().err

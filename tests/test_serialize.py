@@ -1,0 +1,137 @@
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from tniso import serialize
+from tniso.analysis import build_correction
+from tniso.sampling import random_preserved_system
+
+# doubles whose shortest repr a writer could get wrong: signed zero, the
+# smallest subnormal, the largest finite values and two inexact fractions
+EDGE = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+def bits(values) -> list[int]:
+    return [struct.unpack("<q", struct.pack("<d", x))[0] for x in values]
+
+
+def flat(payload) -> list[float]:
+    """Every number of a JSON payload, in document order."""
+    if isinstance(payload, dict):
+        return [x for key in sorted(payload) for x in flat(payload[key])]
+    if isinstance(payload, list):
+        return [x for item in payload for x in flat(item)]
+    return [payload]
+
+
+def edge_matrix(d: int, shift: int) -> np.ndarray:
+    """A d x d complex matrix cycling through the edge values."""
+    values = np.roll(np.array(EDGE * (2 * d * d // len(EDGE) + 1))[: 2 * d * d], shift)
+    m = np.empty((d, d), dtype=complex)  # x + 1j * y would turn -0.0 into 0.0
+    m.real, m.imag = values[0::2].reshape(d, d), values[1::2].reshape(d, d)
+    return m
+
+
+def legacy_matrix_to_json(m) -> list:
+    """The writer's former conversion, entry by entry."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+
+
+def legacy_dump_json(obj, path) -> None:
+    """The former, indented data-file layout."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+class TestWriter:
+    @pytest.mark.parametrize("kind", ["channel", "code", "state"])
+    def test_edge_values_round_trip_bit_for_bit(self, tmp_path, kind):
+        mats = [edge_matrix(3, shift) for shift in range(3)]
+        payload = {
+            "channel": {
+                "dim_in": 3, "dim_out": 3, "kraus": serialize.matrix_to_json(np.stack(mats))
+            },
+            "code": {
+                "d_S": 1, "d_F": 3, "d_R": 0,
+                "basis": serialize.matrix_to_json(mats[0]),
+                "tau": serialize.matrix_to_json(mats[1]),
+            },
+            "state": serialize.matrix_to_json(mats[2]),
+        }[kind]
+        path = tmp_path / f"{kind}.json"
+        serialize.dump_json(payload, path)
+        loaded = serialize.load_json(path)
+        assert bits(flat(loaded)) == bits(flat(payload))
+        assert set(EDGE) <= set(flat(loaded))
+        assert "-0.0" in map(str, flat(loaded))
+        # the file is one line of compact JSON
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1 and ", " not in text
+
+    def test_matrix_conversion_matches_the_entrywise_one(self):
+        m = edge_matrix(4, 1)
+        assert bits(flat(serialize.matrix_to_json(m))) == bits(flat(legacy_matrix_to_json(m)))
+        assert serialize.matrix_to_json(np.eye(2)) == legacy_matrix_to_json(np.eye(2))
+        stack = np.stack([m, m.conj().T])
+        assert serialize.matrix_to_json(stack) == [legacy_matrix_to_json(x) for x in stack]
+
+    def test_indented_file_loads_to_the_same_channel(self, tmp_path, example2_channel):
+        payload = serialize.channel_to_dict(example2_channel)
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        serialize.dump_json(payload, compact)
+        legacy_dump_json(payload, indented)
+        assert compact.stat().st_size < indented.stat().st_size
+        a, b = (serialize.channel_from_dict(serialize.load_json(p)) for p in (compact, indented))
+        assert np.array_equal(np.stack(a.kraus), np.stack(b.kraus))
+        assert np.array_equal(np.stack(a.kraus), np.stack(example2_channel.kraus))
+
+
+def _structured_recovery(dims=(2, 4, 2), seed=0):
+    enc, channel = random_preserved_system(*dims, np.random.default_rng(seed))
+    return build_correction(enc, channel)
+
+
+class TestRecoveryFiles:
+    def test_reset_term_is_written_and_loaded_structured(self, tmp_path):
+        recovery = _structured_recovery()
+        payload = serialize.channel_to_dict(recovery)
+        assert payload.keys() == {"dim_in", "dim_out", "kraus", "reset"}
+        assert payload["reset"].keys() == {"cols", "state"}
+        path = tmp_path / "recovery.json"
+        serialize.dump_json(payload, path)
+        loaded = serialize.channel_from_dict(serialize.load_json(path))
+        assert loaded._reset is not None and loaded.kraus_count == recovery.kraus_count
+        assert np.array_equal(loaded._blocks, recovery._blocks)
+        assert np.array_equal(loaded._reset.cols, recovery._reset.cols)
+        assert np.array_equal(loaded._reset.state, recovery._reset.state)
+        # writing the loaded recovery again gives the same numbers
+        assert serialize.channel_to_dict(loaded) == payload
+
+    @pytest.mark.parametrize("dims", [(2, 4, 2), (3, 4, 3), (2, 3, 1)])
+    @pytest.mark.parametrize("strategy", ["time_reversal", "replace"])
+    def test_structured_file_and_its_expanded_twin_agree(self, dims, strategy):
+        enc, channel = random_preserved_system(*dims, np.random.default_rng(1))
+        recovery = build_correction(enc, channel, strategy)
+        structured = serialize.channel_to_dict(recovery)
+        twin = {"dim_in": recovery.dim_in, "dim_out": recovery.dim_out,
+                "kraus": serialize.matrix_to_json(np.stack(recovery.kraus))}
+        assert "reset" in structured and len(twin["kraus"]) == recovery.kraus_count
+        a, b = (serialize.channel_from_dict(p) for p in (structured, twin))
+        assert a.kraus_count == b.kraus_count
+        # the twin is a recovery file as written before, listing every operator
+        assert b._reset is None and np.array_equal(np.stack(b.kraus), np.stack(recovery.kraus))
+        matrix = recovery.superoperator().matrix
+        for loaded in (a, b):
+            assert np.abs(loaded.superoperator().matrix - matrix).max() <= 1e-14
+        assert abs(a.tp_defect() - b.tp_defect()) <= 1e-14
+
+    def test_reset_without_columns_is_omitted(self, repetition):
+        # the repetition code's image fills the physical space
+        recovery = build_correction(repetition.encoding, repetition.channel)
+        assert recovery._reset.cols.shape[1] == 0
+        payload = serialize.channel_to_dict(recovery)
+        assert "reset" not in payload
+        assert payload["kraus"] == [legacy_matrix_to_json(k) for k in recovery.kraus]
