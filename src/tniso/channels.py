@@ -32,7 +32,8 @@ multiplies no Kraus lists: a correction round is ``recovery @ (channel @ map)``.
 Checks guard the boundary: the public constructors scan their input for
 non-finite entries and ``apply`` its operand, while products formed inside
 the package from checked operands (``@``, ``KrausChannel.superoperator``,
-:func:`cesaro_projector`, the correction rounds, which call ``_images``)
+:func:`cesaro_projector`, the correction rounds, which call ``_images``, and
+the differences whose :func:`trace_norm_certificate` the analyses take)
 skip them.
 """
 
@@ -330,22 +331,30 @@ def _hermitian_trace_defect(s: Superoperator, traces) -> float:
 def trace_norm_certificate(s: Superoperator) -> float:
     """Certified bound on ``||s(rho)||_1`` over every state rho.
 
-    For the Choi matrix ``J = sum_ab E_ab kron s(E_ab)`` of a
-    Hermiticity-preserving map this is ``lambda_max(Tr_out |J|)``: the
-    closed-form dual-feasible point ``Y0 = Y1 = |J|`` of the diamond-norm
-    SDP (Watrous, arXiv:1207.5726). Other maps take ``Y0 = (J J^dag)^(1/2)``,
-    ``Y1 = (J^dag J)^(1/2)``. The value is 1 on channels, and
-    ``d_in * d_out * eps * ||J||`` is added to absorb its own rounding.
+    The Choi matrix ``J = sum_ab E_ab kron s(E_ab)`` splits into its
+    Hermitian part ``H = (J + J^dag) / 2``, the Choi matrix of the
+    Hermiticity-preserving map ``s_H(X) = (s(X) + s(X^dag)^dag) / 2``, and
+    ``A = J - H``, that of ``s_A = s - s_H``. For s_H the bound is
+    ``lambda_max(Tr_out |H|)``: the closed-form dual-feasible point
+    ``Y0 = Y1 = |H|`` of the diamond-norm SDP (Watrous, arXiv:1207.5726),
+    read off one ``eigh`` of H. For s_A it is ``sqrt(d_out) * ||A||_F``: a
+    state ``rho = sum_k p_k psi_k psi_k^dag`` has
+    ``s_A(rho) = sum_k p_k v_k^dag A v_k`` with the isometries
+    ``v_k = conj(psi_k) kron I``, so ``||s_A(rho)||_1 <= sqrt(d_out) *
+    max_k ||v_k^dag A v_k||_F <= sqrt(d_out) * ||A||_F``. The triangle
+    inequality bounds ``s = s_H + s_A`` by their sum. The value is 1 on
+    channels, and ``d_in * d_out * eps * ||H||_2`` is added to absorb its
+    own rounding.
     """
     d, n = s.dim_in, s.dim_out
     choi = _unit_images(s).transpose(0, 2, 1, 3).reshape(d * n, d * n)
-    u, sv, vh = np.linalg.svd(choi)
-    bound = 0.0
-    for cols in (u, vh.conj().T):
-        c = cols.reshape(d, n, -1)
-        reduced = np.einsum("aik,k,bik->ab", c, sv, c.conj())
-        bound += float(np.linalg.eigvalsh((reduced + reduced.conj().T) / 2)[-1]) / 2
-    return bound + d * n * float(np.finfo(float).eps) * float(sv[0])
+    herm = (choi + choi.conj().T) / 2
+    w, u = np.linalg.eigh(herm)
+    # Tr_out |H| [a, b] = sum_ik u[a*n + i, k] |w_k| conj(u[b*n + i, k]): one
+    # product of the eigenvectors, rows regrouped by a, with their scaled copy
+    reduced = (u * np.abs(w)).reshape(d, -1) @ u.reshape(d, -1).conj().T
+    bound = np.linalg.eigvalsh(reduced)[-1] + np.sqrt(n) * np.linalg.norm(choi - herm)
+    return float(bound + d * n * np.finfo(float).eps * np.abs(w).max())
 
 
 def minimal_kraus(ops) -> list[np.ndarray]:

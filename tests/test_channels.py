@@ -26,10 +26,11 @@ from tniso.sampling import (
     random_channel,
     random_density,
     random_isometric_encoding,
+    random_preserved_system,
     random_pure_state,
     random_unital_channel,
 )
-from tniso import channels, serialize
+from tniso import analysis, channels, serialize
 from tniso import tolerances as tol
 
 from conftest import PAULI_X
@@ -531,17 +532,64 @@ class TestBlockedSuperoperator:
         assert np.abs(s.matrix - _kraus_superoperator(channel.kraus)).max() <= 1e-15
 
 
+def _choi(s: Superoperator) -> np.ndarray:
+    """``J = sum_ab E_ab kron s(E_ab)``, as the certificate forms it."""
+    d, n = s.dim_in, s.dim_out
+    return channels._unit_images(s).transpose(0, 2, 1, 3).reshape(d * n, d * n)
+
+
+def _from_choi(j: np.ndarray, d: int, n: int) -> Superoperator:
+    """The map on d x d operators whose Choi matrix is j: entry
+    (a*n + i, b*n + j) of j is column a + d*b, row i + n*j of the matrix."""
+    return Superoperator(d, n, j.reshape(d, n, d, n).transpose(3, 1, 2, 0).reshape(n * n, d * d))
+
+
+def _svd_certificate(s: Superoperator) -> float:
+    """The retired kernel, kept as an oracle: a full SVD ``J = U S V^dag`` of
+    the Choi matrix and the mean of ``lambda_max(Tr_out (U S U^dag))`` and
+    ``lambda_max(Tr_out (V S V^dag))``, the dual points ``(J J^dag)^(1/2)``
+    and ``(J^dag J)^(1/2)``, both ``|J|`` for Hermitian J."""
+    d, n = s.dim_in, s.dim_out
+    u, sv, vh = np.linalg.svd(_choi(s))
+    bound = 0.0
+    for cols in (u, vh.conj().T):
+        c = cols.reshape(d, n, -1)
+        reduced = np.einsum("aik,k,bik->ab", c, sv, c.conj())
+        bound += float(np.linalg.eigvalsh((reduced + reduced.conj().T) / 2)[-1]) / 2
+    return bound + d * n * float(np.finfo(float).eps) * float(sv[0])
+
+
+def _assert_agrees_with_the_svd_oracle(s, cert):
+    # on maps that preserve Hermiticity up to rounding both kernels round
+    # the same bound; the operands here have Choi norms of order 1
+    scale = max(1.0, float(np.linalg.norm(_choi(s), 2)), cert)
+    assert abs(cert - _svd_certificate(s)) <= 32 * np.finfo(float).eps * scale
+
+
 def _assert_bounds_sampled_states(s, cert, rng):
-    for i in range(12):
-        if i % 2 == 0:
+    # the d_in^2 pure states |i>, (|i> + |j>)/sqrt 2 and (|i> + i|j>)/sqrt 2,
+    # whose projectors span the operators, then random ones
+    eye, (i, j) = np.eye(s.dim_in), np.triu_indices(s.dim_in, 1)
+    basis = [*eye, *((eye[i] + eye[j]) / np.sqrt(2)), *((eye[i] + 1j * eye[j]) / np.sqrt(2))]
+    states = [np.outer(v, v.conj()) for v in basis]
+    for k in range(12):
+        if k % 2 == 0:
             v = random_pure_state(s.dim_in, rng)
-            rho = np.outer(v, v.conj())
+            states.append(np.outer(v, v.conj()))
         else:
-            rho = random_density(s.dim_in, rng, rank=int(rng.integers(1, s.dim_in + 1)))
+            states.append(random_density(s.dim_in, rng, rank=int(rng.integers(1, s.dim_in + 1))))
+    for rho in states:
         value = trace_norm(s(rho))
         # at d_in = 1 the bound is attained, and both sides are roundings of
         # one sum of singular values: allow the oracle's SVD its own ulps
         assert value <= cert + 4 * s.dim_out * np.finfo(float).eps * value
+
+
+def _anti_hermitian(n: int, size: float, rng) -> np.ndarray:
+    """i K for a random Hermitian n x n K, scaled to Frobenius norm ``size``."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = g + g.conj().T
+    return 1j * k * (size / np.linalg.norm(k))
 
 
 class TestTraceNormCertificate:
@@ -556,6 +604,7 @@ class TestTraceNormCertificate:
         delta = Superoperator(d_in, d_out, e1.matrix - e2.matrix)
         cert = trace_norm_certificate(delta)
         assert type(cert) is float
+        _assert_agrees_with_the_svd_oracle(delta, cert)
         _assert_bounds_sampled_states(delta, cert, rng)
         zero = Superoperator(d_in, d_out, np.zeros_like(delta.matrix))
         assert trace_norm_certificate(zero) == 0.0
@@ -575,7 +624,83 @@ class TestTraceNormCertificate:
         rng = np.random.default_rng(seed)
         enc = random_isometric_encoding(d_s, d_f, d_r, rng)
         flipped = enc.superoperator() @ Superoperator(d_s, d_s, transpose_superoperator(d_s))
-        _assert_bounds_sampled_states(flipped, trace_norm_certificate(flipped), rng)
+        cert = trace_norm_certificate(flipped)
+        _assert_agrees_with_the_svd_oracle(flipped, cert)
+        _assert_bounds_sampled_states(flipped, cert, rng)
+
+    # classify's four differences on a preserved system (detection's
+    # verification, fixed, protection and correction) and, on a 1e-4 near
+    # miss that detection rejects before verification, the fixed one
+    @pytest.mark.parametrize("dims", [(2, 4, 2), (3, 4, 3), (4, 4, 4)])
+    @pytest.mark.parametrize("admixture", [0.0, 1e-4])
+    def test_classify_differences_agree_with_the_svd_oracle(self, dims, admixture, monkeypatch):
+        certified = []
+        real = analysis.trace_norm_certificate
+
+        def spy(s):
+            certified.append((s, real(s)))
+            return certified[-1][1]
+
+        monkeypatch.setattr(analysis, "trace_norm_certificate", spy)
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            enc, channel = random_preserved_system(*dims, rng)
+            if admixture:
+                noise = random_channel(enc.dim_physical, rng)
+                channel = convex_mix([1 - admixture, admixture], [channel, noise])
+            report = analysis.classify(enc, channel)
+            assert report.preserved == (admixture == 0.0)
+        assert len(certified) == (8 if admixture == 0.0 else 2)
+        for s, cert in certified:
+            _assert_agrees_with_the_svd_oracle(s, cert)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_purely_anti_hermitian_choi(self, n, rng):
+        # d_in = 1 and 1 -> iK: the only state goes to iK, whose trace norm
+        # the Hermitian part, zero, does not see; sqrt(n) ||iK||_F does
+        ik = _anti_hermitian(n, 1.0, rng)
+        s = Superoperator(1, n, vec(ik)[:, None])
+        cert = trace_norm_certificate(s)
+        assert cert >= trace_norm(ik)
+        assert cert == pytest.approx(np.sqrt(n), rel=1e-12)
+        _assert_bounds_sampled_states(s, cert, rng)
+
+    def test_anti_hermitian_perturbation_of_example2(self, repetition, example2_channel, rng):
+        # one round of example2's mixture moves the code by its coherence
+        # damping, 0.04, which the basis state (|0> + |1>)/sqrt 2 attains; a
+        # 1e-9 anti-Hermitian Choi part raises that state's value by about
+        # 1e-9, far above the rounding slack, and the certificate covers it
+        enc, _, recovery, _ = repetition
+        s_phi = enc.superoperator()
+        round_ = recovery @ (example2_channel @ s_phi)
+        d, n = s_phi.dim_in, s_phi.dim_out
+        choi = _choi(Superoperator(d, n, round_.matrix - s_phi.matrix))
+        perturbed = _from_choi(choi + _anti_hermitian(d * n, 1e-9, rng), d, n)
+        cert = trace_norm_certificate(perturbed)
+        assert abs(cert - 0.04 - np.sqrt(n) * 1e-9) <= 1e-12
+        _assert_bounds_sampled_states(perturbed, cert, rng)
+
+    def test_one_eigh_and_no_svd(self, monkeypatch, rng):
+        calls = []
+        for name in ("svd", "eigh"):
+            real = getattr(np.linalg, name)
+
+            def spy(a, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        s = random_channel(3, rng, dim_out=5).superoperator()
+        trace_norm_certificate(s)
+        assert calls == [("eigh", (15, 15))]
+
+        # a preserved classify at (4,4,4) takes 4 certificates of 80 x 80
+        # Choi matrices, and no SVD of that size
+        calls.clear()
+        enc, channel = random_preserved_system(4, 4, 4, rng)
+        assert analysis.classify(enc, channel).preserved
+        assert [c for c in calls if c[0] == "svd" and c[1][-2:] == (80, 80)] == []
+        assert calls.count(("eigh", (80, 80))) == 4
 
 
 class TestCheckAtTheBoundary:
@@ -605,6 +730,31 @@ class TestCheckAtTheBoundary:
         with pytest.raises(NumericError, match="non-finite"):
             Superoperator(1, 1, [[np.nan]])
         assert built == [1]
+
+    def test_certificate_operands_skip_the_scan(self, monkeypatch, rng):
+        # analysis._distance and detection's verification certify the
+        # difference of two checked maps without the constructor's scan
+        enc, channel = random_preserved_system(2, 2, 1, rng)
+        s_phi = enc.superoperator()
+        image = channel @ s_phi
+        scanned, certified = [], []
+        real_scan, real_cert = Superoperator.__post_init__, analysis.trace_norm_certificate
+
+        def counted(self):
+            scanned.append(self)
+            real_scan(self)
+
+        def spy(s):
+            certified.append(s)
+            return real_cert(s)
+
+        monkeypatch.setattr(Superoperator, "__post_init__", counted)
+        monkeypatch.setattr(analysis, "trace_norm_certificate", spy)
+        analysis._distance(image, s_phi)
+        assert scanned == [] and len(certified) == 1
+        assert analysis.detect_structure(image).found
+        assert len(certified) == 2 and all(s is not c for s in scanned for c in certified)
+        assert all(c.matrix.shape == (25, 4) and c.matrix.dtype == complex for c in certified)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0])
     def test_tolerance_arguments_are_refused(self, bad, rng):
