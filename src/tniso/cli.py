@@ -132,27 +132,40 @@ def _load_system(args):
     return channel, encoding, recovery
 
 
-def _emit(report: dict, out_path, started: float) -> None:
-    report["meta"] = {**report.get("meta", {}), "duration_s": time.perf_counter() - started}
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+# the arguments each report echoes under "config"; "tol" is the resolved
+# tolerance, and correct writes no report
+_CONFIG = {
+    "check-channel": ("channel", "seed"),
+    "classify": ("channel", "code", "strategy", "tol", "seed"),
+    "simulate": ("channel", "code", "recovery", "state", "iters", "tol", "seed"),
+    "epsilon": ("channel", "code", "recovery", "samples", "refine", "tol", "seed"),
+    "example": ("name", "p", "epsilon", "iters", "out", "seed"),
+}
 
 
-def _base_report(command: str, config: dict) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "results": {},
+def _write_report(args, tol_, results: dict, meta: dict, started: float) -> None:
+    """The JSON report, to ``--out`` (``example``: ``<name>_report.json`` in
+    that directory) or else to stdout; wall-clock data lives under ``meta``."""
+    report = {
+        "command": args.command,
+        "config": {k: tol_ if k == "tol" else getattr(args, k) for k in _CONFIG[args.command]},
+        "results": results,
         "versions": {
             "tniso": __version__,
             "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
+        "meta": {**meta, "duration_s": time.perf_counter() - started},
     }
+    text = json.dumps(report, indent=2, sort_keys=True)
+    out = args.out
+    if args.command == "example":
+        out = os.path.join(args.out, f"{args.name}_report.json")
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _cmd_check_channel(args, tol_):
@@ -163,8 +176,7 @@ def _cmd_check_channel(args, tol_):
     )
     residual = channel.tp_defect()
     trace_preserving = residual <= tol.TP_TOL
-    report = _base_report("check-channel", {"channel": args.channel, "seed": args.seed})
-    report["results"] = {
+    results = {
         "dim_in": channel.dim_in,
         "dim_out": channel.dim_out,
         "kraus_count": channel.kraus_count,
@@ -175,7 +187,7 @@ def _cmd_check_channel(args, tol_):
         f"channel {args.channel}: {channel.kraus_count} Kraus operators, "
         f"{channel.dim_in} -> {channel.dim_out}, TP residual {residual:.3e}"
     )
-    return (EXIT_OK if trace_preserving else EXIT_VERDICT), report
+    return (EXIT_OK if trace_preserving else EXIT_VERDICT), results, {}
 
 
 def _cmd_classify(args, tol_):
@@ -183,32 +195,12 @@ def _cmd_classify(args, tol_):
     result = classify(encoding, channel, tol_=tol_, strategy=_STRATEGIES[args.strategy])
     table = result.as_dict()
     print(f"{'property':<24}{'verdict':<9}")
-    for key in (
-        "fixed",
-        "preserved",
-        "noiseless_certificate",
-        "correctable",
-        "completely_correctable",
-        "protectable",
-        "unitarily_correctable",
-        "unitarily_recoverable",
-    ):
-        print(f"{key:<24}{'yes' if table[key] else 'no':<9}")
+    for key, value in table.items():
+        if key != "residuals":
+            print(f"{key:<24}{'yes' if value else 'no':<9}")
     for key, value in sorted(table["residuals"].items()):
         print(f"  residual[{key}] = {value:.3e}")
-    report = _base_report(
-        "classify",
-        {
-            "channel": args.channel,
-            "code": args.code,
-            "strategy": args.strategy,
-            "tol": tol_,
-            "seed": args.seed,
-        },
-    )
-    report["results"] = table
-    report["meta"] = result.meta
-    return EXIT_OK, report
+    return EXIT_OK, table, result.meta
 
 
 def _cmd_correct(args, tol_):
@@ -228,7 +220,7 @@ def _cmd_correct(args, tol_):
         "kraus_count": recovery.kraus_count,
     }
     print(json.dumps(verification, indent=2, sort_keys=True))
-    return EXIT_OK, None
+    return EXIT_OK, None, {}
 
 
 def _round_epsilon(channel, recovery, encoding, **budget):
@@ -269,21 +261,15 @@ def _cmd_simulate(args, tol_):
 
     results = {
         "iterations": args.iters,
-        "errors": [float(x) for x in trace.errors],
-        "decoded_errors": [float(x) for x in trace.decoded_errors],
-        "final_decoded_state": serialize.state_to_json(
-            encoding.decode(trace.states[-1])
-        ),
-        "alpha_estimates": [
-            None if not np.isfinite(a) else float(a) for a in trace.alpha_estimates
-        ],
+        "errors": trace.errors.tolist(),
+        "decoded_errors": trace.decoded_errors.tolist(),
+        "final_decoded_state": serialize.state_to_json(encoding.decode(trace.states[-1])),
+        "alpha_estimates": [a if np.isfinite(a) else None for a in trace.alpha_estimates.tolist()],
         "alpha_max": None if trace.alpha_max is None else float(trace.alpha_max),
         "epsilon_witness": float(est.epsilon),
         "epsilon_upper": float(est.upper_bound),
-        "linear_bound": [float(x) for x in trace.linear_bound],
-        "geometric_bound": None
-        if trace.geometric_bound is None
-        else float(trace.geometric_bound),
+        "linear_bound": trace.linear_bound.tolist(),
+        "geometric_bound": None if trace.geometric_bound is None else float(trace.geometric_bound),
         "linear_bound_ok": prop3_ok,
         "linear_bound_margin": float(margin),
         "geometric_bound_ok": geo.ok,
@@ -300,20 +286,7 @@ def _cmd_simulate(args, tol_):
         f"decoded error {results['decoded_errors'][-1]:.6f}, "
         f"per-round epsilon <= {est.upper_bound:.6f}"
     )
-    report = _base_report(
-        "simulate",
-        {
-            "channel": args.channel,
-            "code": args.code,
-            "recovery": args.recovery,
-            "state": args.state,
-            "iters": args.iters,
-            "tol": tol_,
-            "seed": args.seed,
-        },
-    )
-    report["results"] = results
-    return EXIT_OK, report
+    return EXIT_OK, results, {}
 
 
 def _cmd_epsilon(args, tol_):
@@ -332,20 +305,7 @@ def _cmd_epsilon(args, tol_):
         f"perturbation bracket: [{est.epsilon:.6e}, {est.upper_bound:.6e}] "
         f"({est.samples} samples, {est.refine_steps} refinement steps)"
     )
-    report = _base_report(
-        "epsilon",
-        {
-            "channel": args.channel,
-            "code": args.code,
-            "recovery": args.recovery,
-            "samples": args.samples,
-            "refine": args.refine,
-            "tol": tol_,
-            "seed": args.seed,
-        },
-    )
-    report["results"] = results
-    return EXIT_OK, report
+    return EXIT_OK, results, {}
 
 
 def _example_goldens_repetition(system, p, tol_):
@@ -425,10 +385,7 @@ def _cmd_example(args, tol_):
         deltas, trace, epsilon_upper = _example_goldens_example2(
             system, channel, args.p, args.epsilon, args.iters
         )
-        extra = {
-            "errors": [float(x) for x in trace.decoded_errors],
-            "epsilon_upper": float(epsilon_upper),
-        }
+        extra = {"errors": trace.decoded_errors.tolist(), "epsilon_upper": float(epsilon_upper)}
     paths = {
         "channel": os.path.join(args.out, f"{args.name}_channel.json"),
         "code": os.path.join(args.out, f"{args.name}_code.json"),
@@ -444,19 +401,8 @@ def _cmd_example(args, tol_):
             print(f"GOLDEN MISMATCH: {d}", file=sys.stderr)
     else:
         print("golden checks passed")
-    report = _base_report(
-        "example",
-        {
-            "name": args.name,
-            "p": args.p,
-            "epsilon": args.epsilon,
-            "iters": args.iters,
-            "out": args.out,
-            "seed": args.seed,
-        },
-    )
-    report["results"] = {"files": paths, "golden_ok": not deltas, "deltas": deltas, **extra}
-    return (EXIT_OK if not deltas else EXIT_VERDICT), report
+    results = {"files": paths, "golden_ok": not deltas, "deltas": deltas, **extra}
+    return (EXIT_OK if not deltas else EXIT_VERDICT), results, {}
 
 
 _DISPATCH = {
@@ -479,18 +425,15 @@ def main(argv=None) -> int:
             raise ContractViolation(f"iters must be at least 1, got {args.iters}")
         if args.seed < 0:
             raise ContractViolation(f"seed must be nonnegative, got {args.seed}")
-        code, report = _DISPATCH[args.command](args, tol_)
+        code, results, meta = _DISPATCH[args.command](args, tol_)
+        if results is not None:
+            _write_report(args, tol_, results, meta, started)
     except NotCorrectableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except (TnisoError, FileNotFoundError, json.JSONDecodeError, OSError) as exc:
+    except (TnisoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if report is not None:
-        out = getattr(args, "out", None)
-        if args.command == "example":
-            out = os.path.join(args.out, f"{args.name}_report.json")
-        _emit(report, out, started)
     return code
 
 

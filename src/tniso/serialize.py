@@ -159,5 +159,10 @@ def dump_json(obj, path) -> None:
 
 
 def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document in ``path``. A file that is not UTF-8 JSON raises
+    ``ContractViolation`` naming the path; an unreadable one, ``OSError``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ContractViolation(f"{path} is not a UTF-8 JSON file: {exc}") from exc

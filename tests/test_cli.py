@@ -6,7 +6,7 @@ import pytest
 from tniso import serialize
 from tniso.analysis import build_correction
 from tniso.channels import convex_mix
-from tniso.cli import main
+from tniso.cli import _CONFIG, main
 from tniso.codes import make_example2_channel, make_repetition_example
 from tniso.sampling import random_channel, random_preserved_system
 
@@ -475,6 +475,94 @@ class TestReportContract:
     def test_bad_env_tolerance_exits_2(self, generated, monkeypatch):
         monkeypatch.setenv("TNISO_TOL", "not-a-number")
         assert main(["check-channel", "--channel", generated["channel"]]) == 2
+
+    @pytest.mark.parametrize("command", sorted(_CONFIG))
+    def test_report_skeleton(self, generated, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("TNISO_TOL", raising=False)
+        out = tmp_path / "repetition_report.json"
+        argv = _report_argv(command, generated, tmp_path)
+        if command != "example":
+            argv += ["--out", str(out)]
+        assert main(argv) == 0
+        report = read(out)
+        assert set(report) == {"command", "config", "results", "versions", "meta"}
+        assert report["command"] == command
+        assert set(report["config"]) == set(_CONFIG[command])
+        assert report["config"]["seed"] == 0
+        for key, value in report["config"].items():
+            if f"--{key}" in argv:
+                assert value == type(value)(argv[argv.index(f"--{key}") + 1])
+
+    @pytest.mark.parametrize("command", ["classify", "simulate", "epsilon"])
+    @pytest.mark.parametrize(
+        "env, flag, expected", [(None, None, 1e-8), ("1e-7", None, 1e-7), ("1e-7", "1e-6", 1e-6)]
+    )
+    def test_config_tol_is_the_resolved_tolerance(
+        self, generated, tmp_path, monkeypatch, command, env, flag, expected
+    ):
+        monkeypatch.delenv("TNISO_TOL", raising=False)
+        if env is not None:
+            monkeypatch.setenv("TNISO_TOL", env)
+        out = tmp_path / "r.json"
+        argv = _report_argv(command, generated, tmp_path) + ["--out", str(out)]
+        if flag is not None:
+            argv += ["--tol", flag]
+        assert main(argv) == 0
+        assert read(out)["config"]["tol"] == expected
+
+
+def _report_argv(command, generated, tmp_path):
+    """A passing invocation of a report-writing command on the repetition system."""
+    if command == "example":
+        return ["example", "repetition", "--out", str(tmp_path)]
+    argv = [command, "--channel", generated["channel"]]
+    if command != "check-channel":
+        argv += ["--code", generated["code"]]
+    if command in ("simulate", "epsilon"):
+        argv += ["--recovery", generated["recovery"]]
+    if command == "simulate":
+        argv += ["--iters", "2"]
+    if command == "epsilon":
+        argv += ["--samples", "2", "--refine", "5"]
+    return argv
+
+
+class TestUnwritableOrUndecodableFiles:
+    """File errors exit 2 naming the path, whichever file it is."""
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [
+            *[(c, t) for c in ("check-channel", "classify", "correct", "simulate", "epsilon")
+              for t in ("missing dir", "directory")],
+            ("example", "directory"),
+        ],
+    )
+    def test_unwritable_out_exits_2(self, generated, tmp_path, capsys, command, target):
+        argv = _report_argv(command, generated, tmp_path)
+        if target == "missing dir":
+            path = tmp_path / "missing" / "x.json"
+        else:
+            path = tmp_path / "repetition_report.json"
+            path.mkdir()
+        if command != "example":
+            argv += ["--out", str(path)]
+        assert main(argv) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [("check-channel", "channel"), ("classify", "channel"), ("classify", "code")],
+    )
+    def test_non_utf8_input_exits_2(self, generated, tmp_path, capsys, command, field):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00\x01\x02")
+        argv = _report_argv(command, generated, tmp_path)
+        argv[argv.index(f"--{field}") + 1] = str(binary)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(binary) in err and "UTF-8" in err
 
 
 class TestInputValidation:

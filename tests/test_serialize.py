@@ -6,6 +6,7 @@ import pytest
 
 from tniso import serialize
 from tniso.analysis import build_correction
+from tniso.errors import ContractViolation
 from tniso.sampling import random_preserved_system
 
 # doubles whose shortest repr a writer could get wrong: signed zero, the
@@ -135,3 +136,12 @@ class TestRecoveryFiles:
         payload = serialize.channel_to_dict(recovery)
         assert "reset" not in payload
         assert payload["kraus"] == [legacy_matrix_to_json(k) for k in recovery.kraus]
+
+
+class TestLoader:
+    @pytest.mark.parametrize("raw", [b"\xff\xfe\x00\x01", b"{not json", b""])
+    def test_undecodable_or_non_json_file_names_the_path(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(ContractViolation, match="bad.json is not a UTF-8 JSON file"):
+            serialize.load_json(path)
