@@ -4,7 +4,8 @@ Subcommands: check-channel, classify, correct, simulate, epsilon, example.
 Exit codes are stable across commands: 0 success, 1 analysis verdict
 failure, 2 input error. Reports are deterministic for a fixed config and
 seed; wall-clock duration lives under a separate "meta" key so the report
-body can be hashed.
+body can be hashed. Each command's human summary goes to stdout, or to
+stderr when the JSON report does, so that stdout is then one JSON document.
 """
 
 from __future__ import annotations
@@ -183,24 +184,21 @@ def _cmd_check_channel(args, tol_):
         "tp_residual": float(residual),
         "trace_preserving": trace_preserving,
     }
-    print(
+    summary = (
         f"channel {args.channel}: {channel.kraus_count} Kraus operators, "
         f"{channel.dim_in} -> {channel.dim_out}, TP residual {residual:.3e}"
     )
-    return (EXIT_OK if trace_preserving else EXIT_VERDICT), results, {}
+    return (EXIT_OK if trace_preserving else EXIT_VERDICT), results, {}, summary
 
 
 def _cmd_classify(args, tol_):
     channel, encoding, _ = _load_system(args)
     result = classify(encoding, channel, tol_=tol_, strategy=_STRATEGIES[args.strategy])
     table = result.as_dict()
-    print(f"{'property':<24}{'verdict':<9}")
-    for key, value in table.items():
-        if key != "residuals":
-            print(f"{key:<24}{'yes' if value else 'no':<9}")
-    for key, value in sorted(table["residuals"].items()):
-        print(f"  residual[{key}] = {value:.3e}")
-    return EXIT_OK, table, result.meta
+    lines = [f"{'property':<24}{'verdict':<9}"]
+    lines += [f"{k:<24}{'yes' if v else 'no':<9}" for k, v in table.items() if k != "residuals"]
+    lines += [f"  residual[{k}] = {v:.3e}" for k, v in sorted(table["residuals"].items())]
+    return EXIT_OK, table, result.meta, "\n".join(lines)
 
 
 def _cmd_correct(args, tol_):
@@ -219,8 +217,7 @@ def _cmd_correct(args, tol_):
         "fell_back": details.fell_back,
         "kraus_count": recovery.kraus_count,
     }
-    print(json.dumps(verification, indent=2, sort_keys=True))
-    return EXIT_OK, None, {}
+    return EXIT_OK, None, {}, json.dumps(verification, indent=2, sort_keys=True)
 
 
 def _round_epsilon(channel, recovery, encoding, **budget):
@@ -281,12 +278,12 @@ def _cmd_simulate(args, tol_):
             gb = results["geometric_bound"]
             for i, err in enumerate(results["errors"]):
                 writer.writerow([i, err, results["linear_bound"][i], gb])
-    print(
+    summary = (
         f"simulated {args.iters} rounds: final error {results['errors'][-1]:.6f}, "
         f"decoded error {results['decoded_errors'][-1]:.6f}, "
         f"per-round epsilon <= {est.upper_bound:.6f}"
     )
-    return EXIT_OK, results, {}
+    return EXIT_OK, results, {"epsilon_search_dim": est.search_dim}, summary
 
 
 def _cmd_epsilon(args, tol_):
@@ -301,11 +298,11 @@ def _cmd_epsilon(args, tol_):
         "samples": est.samples,
         "refine_steps": est.refine_steps,
     }
-    print(
+    summary = (
         f"perturbation bracket: [{est.epsilon:.6e}, {est.upper_bound:.6e}] "
         f"({est.samples} samples, {est.refine_steps} refinement steps)"
     )
-    return EXIT_OK, results, {}
+    return EXIT_OK, results, {"epsilon_search_dim": est.search_dim}, summary
 
 
 def _example_goldens_repetition(system, p, tol_):
@@ -394,15 +391,13 @@ def _cmd_example(args, tol_):
     serialize.dump_json(serialize.channel_to_dict(channel), paths["channel"])
     serialize.dump_json(serialize.encoding_to_dict(system.encoding), paths["code"])
     serialize.dump_json(serialize.channel_to_dict(system.recovery), paths["recovery"])
-    for label, path in paths.items():
-        print(f"wrote {label}: {path}")
-    if deltas:
-        for d in deltas:
-            print(f"GOLDEN MISMATCH: {d}", file=sys.stderr)
-    else:
-        print("golden checks passed")
+    for d in deltas:
+        print(f"GOLDEN MISMATCH: {d}", file=sys.stderr)
+    lines = [f"wrote {label}: {path}" for label, path in paths.items()]
+    if not deltas:
+        lines.append("golden checks passed")
     results = {"files": paths, "golden_ok": not deltas, "deltas": deltas, **extra}
-    return (EXIT_OK if not deltas else EXIT_VERDICT), results, {}
+    return (EXIT_OK if not deltas else EXIT_VERDICT), results, {}, "\n".join(lines)
 
 
 _DISPATCH = {
@@ -425,7 +420,9 @@ def main(argv=None) -> int:
             raise ContractViolation(f"iters must be at least 1, got {args.iters}")
         if args.seed < 0:
             raise ContractViolation(f"seed must be nonnegative, got {args.seed}")
-        code, results, meta = _DISPATCH[args.command](args, tol_)
+        code, results, meta, summary = _DISPATCH[args.command](args, tol_)
+        # a report on stdout keeps it to one JSON document
+        print(summary, file=sys.stderr if results is not None and not args.out else sys.stdout)
         if results is not None:
             _write_report(args, tol_, results, meta, started)
     except NotCorrectableError as exc:

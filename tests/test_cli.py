@@ -707,6 +707,40 @@ class TestStrictJsonReports:
             _strict_json(path.read_text())
 
 
+class TestStdoutIsOneJsonDocument:
+    """Without ``--out`` a command's report, or ``correct``'s verification, is
+    stdout's one JSON document and the human summary goes to stderr; with
+    ``--out`` the summary is stdout."""
+
+    @pytest.mark.parametrize("command", ["check-channel", "classify", "simulate", "epsilon", "correct"])
+    def test_stdout_parses_as_json(self, generated, tmp_path, capsys, command):
+        pair = ["--channel", generated["channel"], "--code", generated["code"]]
+        mixed = ["--channel", generated["mixture"], "--code", generated["code"]]
+        argv = {
+            "check-channel": ["check-channel", "--channel", generated["channel"]],
+            "classify": ["classify", *pair],
+            "simulate": ["simulate", *mixed, "--recovery", generated["recovery"]],
+            "epsilon": ["epsilon", *mixed, "--recovery", generated["recovery"]],
+            "correct": ["correct", *pair, "--out", str(tmp_path / "recovery.json")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = capsys.readouterr()
+        doc = json.loads(printed.out)
+        if command == "correct":
+            assert doc["kraus_count"] == 4 and printed.err == ""
+            return
+        assert doc["command"] == command and printed.err.strip()
+        if command in ("simulate", "epsilon"):
+            # one round of example2's mixture moves only the code's coherence
+            assert doc["meta"]["epsilon_search_dim"] == 2
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        to_file = capsys.readouterr()
+        assert (to_file.out, to_file.err) == (printed.err, "")
+        assert read(out)["results"] == doc["results"]
+
+
 class TestParserReuse:
     """The parser is built once per process, and no call leaves state in it."""
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from tniso.opcore import trace_norm
 from tniso.sampling import (
     random_channel,
     random_density,
+    random_isometric_encoding,
     random_preserved_system,
     random_pure_state,
 )
@@ -82,6 +85,48 @@ def reference_estimate_epsilon(perturbed, nominal, samples, refine_steps, seed):
             step *= 0.95
 
     witness = np.outer(best_v, best_v.conj())
+    return trace_norm(delta(witness)), witness, channels.trace_norm_certificate(delta)
+
+
+def full_space_estimate_epsilon(perturbed, nominal, samples, refine_steps, seed):
+    """The retired full-space search, kept as an oracle: the same starts,
+    ascent and stopping rule, with every state valued by the eigenvalues of
+    its whole d_P x d_P image H(v), and the pool valued in one batch (each
+    matrix's eigenvalues do not depend on the batch). Returns (the witness's
+    value, the witness, the upper end)."""
+    delta = robustness._deviation_superoperator(perturbed, nominal)
+    m, d, n, rng = delta.matrix, delta.dim_in, delta.dim_out, np.random.default_rng(seed)
+    t = m.reshape((n, n, d, d), order="F")
+    half = (t + t.conj().transpose(1, 0, 3, 2)).reshape((n * n, d * d), order="F") / 2
+
+    def hermitian_images(vs):
+        return ((vs.conj()[:, :, None] * vs[:, None, :]).reshape(len(vs), d * d) @ half.T).reshape(-1, n, n)
+
+    eye, (i, j) = np.eye(d, dtype=complex), np.triu_indices(d, 1)
+    g = rng.standard_normal((samples, 2, d))
+    drawn = g[:, 0] + 1j * g[:, 1]
+    vs = np.concatenate([
+        eye, (eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2),
+        drawn / np.linalg.norm(drawn, axis=1)[:, None],
+    ])
+    v = vs[np.argmax(np.abs(np.linalg.eigvalsh(hermitian_images(vs))).sum(-1))]
+
+    (w, u), size = np.linalg.eigh(hermitian_images(v[None])[0]), 0.0
+    for _ in range(refine_steps):
+        value = np.abs(w).sum()
+        dual = channels.unvec(half.conj().T @ ((u * np.sign(w)) @ u.conj().T).ravel(), d)
+        top = np.linalg.eigh(dual)[1][:, -1]
+        step = top * np.exp(-1j * np.angle(np.vdot(v, top))) - v
+        last, size = size, np.linalg.norm(step)
+        v = v + (last / (last - size) if 0 < size < last else 1.0) * step
+        v /= np.linalg.norm(v)
+        w, u = np.linalg.eigh(hermitian_images(v[None])[0])
+        if np.abs(w).sum() <= value:
+            v, (w, u) = top, np.linalg.eigh(hermitian_images(top[None])[0])
+        if np.abs(w).sum() - value <= tol.ASCENT_GAIN_TOL * value:
+            break
+
+    witness = np.outer(v, v.conj())
     return trace_norm(delta(witness)), witness, channels.trace_norm_certificate(delta)
 
 
@@ -173,15 +218,15 @@ class TestBatchedTraceNorms:
     def test_bit_identical_to_the_loops(
         self, seed, d_s, d_f, d_r, admixture, samples, refine_steps, n
     ):
-        # d_P >= 5 puts at most 655 pooled images in one chunk, so the
-        # basis starts and 700 samples take two
         d_r = max(d_r, 5 - d_s * d_f)
         enc, noise, recovery, composite = noisy_round(seed, d_s, d_f, d_r, admixture)
-        if samples == 700:
-            assert 16 * enc.dim_physical**2 * samples > robustness._EPSILON_BLOCK_BYTES
-
-        est = estimate_epsilon(composite, enc, samples, refine_steps, seed)
-        start = estimate_epsilon(composite, enc, samples, 0, seed)
+        # the pooled images are r x r, r >= 1 the search dimension, so a
+        # budget of 400 images of 1 x 1 splits the basis starts and 700
+        # samples into at least two chunks
+        budget = 16 * 400 if samples == 700 else robustness._EPSILON_BLOCK_BYTES
+        with mock.patch.object(robustness, "_EPSILON_BLOCK_BYTES", budget):
+            est = estimate_epsilon(composite, enc, samples, refine_steps, seed)
+            start = estimate_epsilon(composite, enc, samples, 0, seed)
         oracle, _, upper = reference_estimate_epsilon(composite, enc, samples, 0, seed)
         starts, values = reference_pool(
             robustness._deviation_superoperator(composite, enc), samples, seed
@@ -247,18 +292,24 @@ class TestBatchedTraceNorms:
         spy(np.linalg, "eigvalsh")
         spy(np.linalg, "eigh")
         spy(robustness, "_trace_norms")
-        estimate_epsilon(composite, enc, samples=5_000, refine_steps=3, seed=0)
-        per_image = 16 * enc.dim_physical**2
-        image = (enc.dim_physical,) * 2
+        est = estimate_epsilon(composite, enc, samples=5_000, refine_steps=3, seed=0)
+        # the states are valued in the deviation's range, of dimension
+        # r = d_S d_F = 4 of d_P = 6, and a chunk holds as many r x r images
+        # as the budget allows
+        r = est.search_dim
+        assert (r, enc.dim_physical) == (4, 6)
+        per_image = 16 * r**2
+        image = (r, r)
         # the pool is the d_S^2 = 4 basis states and the samples
         batches = [shape[0] for shape in calls["eigvalsh"] if len(shape) == 3]
         assert sum(batches) == 4 + 5_000 and len(batches) > 1
-        assert max(batches) * per_image <= robustness._EPSILON_BLOCK_BYTES
+        assert max(batches) == robustness._EPSILON_BLOCK_BYTES // per_image
         # the best start is valued once, and each of at most 3 ascent steps
         # values its stretched point and, if that does not raise the value,
-        # the plain step; the witness's trace norm is the only one taken
+        # the plain step; the witness's trace norm, of its whole d_P x d_P
+        # image, is the only one taken
         assert 1 <= calls["eigh"].count(image) <= 1 + 2 * 3
-        assert calls["_trace_norms"] == [image]
+        assert calls["_trace_norms"] == [(enc.dim_physical,) * 2]
 
     def test_search_applies_no_wrapper(self, repetition, monkeypatch):
         enc, composite = example2_round(repetition)
@@ -293,10 +344,56 @@ class TestBatchedTraceNorms:
 
 class TestEstimateEpsilon:
     def test_zero_perturbation(self, repetition):
-        enc = repetition.encoding
+        enc, channel, recovery, _ = repetition
         est = estimate_epsilon(enc.superoperator(), enc, samples=20, refine_steps=10, seed=1)
         assert est.epsilon <= 1e-14
         assert est.upper_bound <= 1e-13
+        # the corrected repetition round deviates by exactly nothing: its
+        # range is empty, and the search keeps one direction
+        est = estimate_epsilon(recovery @ (channel @ enc), enc)
+        assert (est.epsilon, est.upper_bound, est.search_dim) == (0.0, 0.0, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 3),
+        d_f=st.integers(1, 3),
+        d_r=st.integers(0, 3),
+        admixture=st.one_of(st.just(0.0), st.floats(-6.0, -1.0).map(lambda e: 10.0**e)),
+        generic=st.booleans(),
+        samples=st.sampled_from([1, 50]),
+        refine_steps=st.sampled_from([0, 30, 200]),
+    )
+    def test_range_search_agrees_with_the_full_space_oracle(
+        self, seed, d_s, d_f, d_r, admixture, generic, samples, refine_steps
+    ):
+        if generic:
+            # a perturbation whose images span the whole physical space
+            rng = np.random.default_rng(seed)
+            enc = random_isometric_encoding(d_s, d_f, d_r, rng)
+            d_p = enc.dim_physical
+            stray = random_channel(d_p, rng, kraus_count=d_p).superoperator().matrix
+            delta = admixture * (stray - np.eye(d_p * d_p)) @ enc.superoperator().matrix
+            perturbed = PerturbedEncoding(enc, Superoperator(d_s, d_p, delta), 2 * admixture)
+        else:
+            enc, _, _, perturbed = noisy_round(seed, d_s, d_f, d_r, admixture)
+        est = estimate_epsilon(perturbed, enc, samples, refine_steps, seed)
+        start = estimate_epsilon(perturbed, enc, samples, 0, seed)
+        oracle, _, upper = full_space_estimate_epsilon(perturbed, enc, samples, 0, seed)
+        slack = 1e-12 * upper
+        assert est.upper_bound == start.upper_bound == upper
+        # both searches start from the same state, up to ties within rounding;
+        # where the ascent stops is compared on fixed systems, as rounding can
+        # flip a stretch or the stop on a draw
+        assert abs(start.epsilon - oracle) <= slack
+        assert est.epsilon <= upper + slack
+        if admixture:
+            # no step lowers the value of the deviation's Hermitian part, which
+            # is the deviation up to rounding unless the deviation is rounding
+            assert est.epsilon >= start.epsilon - slack
+        assert 1 <= est.search_dim <= enc.dim_physical
+        if generic:
+            assert est.search_dim == (enc.dim_physical if admixture else 1)
 
     def test_injected_perturbation_against_grid_oracle(self, repetition):
         enc = repetition.encoding
@@ -368,6 +465,11 @@ class TestEstimateEpsilon:
             est = estimate_epsilon(composite, enc, seed=seed)
             oracle, _, upper = reference_estimate_epsilon(composite, enc, 200, 200, seed)
             assert oracle - 1e-12 * upper <= est.epsilon <= est.upper_bound
+            # the range search stops where the full-space search stops
+            full, _, _ = full_space_estimate_epsilon(composite, enc, 200, 200, seed)
+            assert abs(est.epsilon - full) <= 1e-12 * upper
+            # a corrected loop returns every state to the code's span
+            assert est.search_dim == (2 if system == "example2" else dims[0] * dims[1])
 
     def test_witness_never_falls_as_the_cap_grows(self):
         # a stretched step that would lower the value is replaced by the
