@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ from tniso.channels import convex_mix
 from tniso.cli import _CONFIG, main
 from tniso.codes import make_example2_channel, make_repetition_example
 from tniso.sampling import random_channel, random_preserved_system
+
+from conftest import nested_form
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +58,8 @@ class TestCheckChannel:
 
     def test_scaled_kraus_fails(self, generated, tmp_path):
         payload = read(generated["channel"])
-        payload["kraus"] = [
-            [[[1.1 * re, 1.1 * im] for re, im in row] for row in k]
-            for k in payload["kraus"]
-        ]
+        kraus = serialize.matrix_from_json(payload["kraus"], "kraus", ndim=3)
+        payload["kraus"] = serialize.matrix_to_packed(1.1 * kraus)
         bad = tmp_path / "bad.json"
         serialize.dump_json(payload, bad)
         assert main(["check-channel", "--channel", str(bad)]) == 1
@@ -69,11 +70,8 @@ class TestCheckChannel:
         # a 3e-9 TP defect is inside --tol but outside the TP gate that
         # classify loads the channel through
         payload = read(generated["channel"])
-        scale = np.sqrt(1.0 + 3e-9)
-        payload["kraus"] = [
-            [[[scale * re, scale * im] for re, im in row] for row in k]
-            for k in payload["kraus"]
-        ]
+        kraus = serialize.matrix_from_json(payload["kraus"], "kraus", ndim=3)
+        payload["kraus"] = serialize.matrix_to_packed(np.sqrt(1.0 + 3e-9) * kraus)
         bad = tmp_path / "bad.json"
         serialize.dump_json(payload, bad)
         out = tmp_path / "report.json"
@@ -344,7 +342,8 @@ class TestSimulate:
         )
 
     def test_state_wrapped_in_an_object_exits_2(self, generated, tmp_path, capsys):
-        # a state file holds a bare matrix; a {"matrix": ...} object is refused
+        # a state file holds a bare matrix, nested or packed; a {"matrix": ...}
+        # object is neither and is refused
         state = tmp_path / "wrapped_state.json"
         serialize.dump_json({"matrix": serialize.state_to_json(np.diag([1.0, 0.0]))}, state)
         out = tmp_path / "sim_wrapped.json"
@@ -358,7 +357,7 @@ class TestSimulate:
         ]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "state" in err and "Traceback" not in err
+        assert "malformed state payload" in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -571,12 +570,13 @@ class TestInputValidation:
     )
     def test_non_numeric_matrix_entry_exits_2(self, generated, tmp_path, capsys, kind, field):
         # every bad entry stands for the number it replaces, so a loader that
-        # converts strings and booleans would accept the file
+        # converts strings and booleans would accept the file; only the
+        # nested form has entries of their own JSON type
         files = dict(generated)
         if kind == "state":
             payload = [[[True, 0], [0, 0]], [[0, 0], ["0", 0]]]
         else:
-            payload = read(generated[kind])
+            payload = nested_form(read(generated[kind]))
             rows = payload[field][0] if field == "kraus" else payload[field]
             rows[0][0][0] = str(rows[0][0][0])
         files[kind] = str(tmp_path / f"{kind}.json")
@@ -812,7 +812,8 @@ class TestStructuredRecoveryFiles:
         assert a["epsilon_upper"] > 1e-6  # the noise moves the round
 
     def _check_bad(self, structured, tmp_path, capsys, edit, message):
-        payload = read(structured["recovery"])
+        # the nested form, whose rows the edits below can cut and flatten
+        payload = nested_form(read(structured["recovery"]))
         edit(payload["reset"])
         bad = tmp_path / "bad_recovery.json"
         serialize.dump_json(payload, bad)
@@ -876,3 +877,98 @@ class TestStructuredRecoveryFiles:
         argv = ["simulate", "--channel", structured["channel"], "--code", structured["code"]]
         assert main(argv + ["--recovery", str(bad)]) == 2
         assert "not trace preserving" in capsys.readouterr().err
+
+
+def _corrupt(packed: dict, case: str) -> dict:
+    """A copy of a valid packed matrix broken one way."""
+    bad, tag = dict(packed), serialize.PACKED_TAG
+    shape = bad["shape"] = list(bad["shape"])
+    if case == "not-base64":  # characters that a lenient decoder would skip
+        bad[tag] = bad[tag][:4] + "\n!" + bad[tag][4:]
+    elif case == "truncated-text":  # a length that no padding fits
+        bad[tag] = bad[tag][:-1]
+    elif case == "byte-count":
+        bad[tag] = base64.b64encode(base64.b64decode(bad[tag])[:-8]).decode()
+    elif case == "huge-shape":  # allocating 16 * 10^24 bytes or more would fail otherwise
+        bad["shape"] = [10**12] * len(shape)
+    elif case in ("negative-shape", "float-shape", "bool-shape"):
+        shape[0] = {"negative-shape": -1, "float-shape": float(shape[0]), "bool-shape": True}[case]
+    elif case == "ndim":
+        shape.append(1)
+    elif case in ("nan", "inf"):
+        m = serialize.matrix_from_json(packed, "packed", len(shape))
+        m.flat[-1] = complex(0.0, float(case))
+        bad = serialize.matrix_to_packed(m)
+    elif case == "missing-shape":
+        del bad["shape"]
+    elif case == "missing-data":
+        del bad[tag]
+    elif case == "unknown-tag":
+        bad["float32le"] = bad.pop(tag)
+    return bad
+
+
+_PACKED_CASES = {  # case: what the error names
+    "not-base64": "not base64",
+    "truncated-text": "not base64",
+    "byte-count": "needs",
+    "huge-shape": "needs 16" + "0" * 24,  # at least 16 * 10^24 bytes
+    "negative-shape": "non-negative integers",
+    "float-shape": "non-negative integers",
+    "bool-shape": "non-negative integers",
+    "ndim": "axes, expected",
+    "nan": "entries must be finite",
+    "inf": "entries must be finite",
+    "missing-shape": "missing ['shape']",
+    "missing-data": f"missing [{serialize.PACKED_TAG!r}]",
+    "unknown-tag": "unknown ['float32le']",
+}
+
+
+class TestPackedPayloads:
+    """Every packed field of every input file is checked, and a broken one
+    exits 2 naming the field."""
+
+    def _run(self, generated, structured, tmp_path, field, edit):
+        """The exit code of the command that reads ``field``, on files in
+        which ``edit`` replaced that field's packed matrix."""
+        edited = str(tmp_path / "edited.json")
+        if field == "state":
+            serialize.dump_json(edit(serialize.matrix_to_packed(np.eye(2) / 2)), edited)
+            return main(["simulate", "--channel", generated["channel"], "--code", generated["code"],
+                         "--recovery", generated["recovery"], "--state", edited, "--iters", "1"])
+        if field.startswith("reset"):
+            payload = read(structured["recovery"])
+            node, key = payload["reset"], field.split()[1]
+        else:
+            payload = read(generated["channel" if field == "kraus" else "code"])
+            node, key = payload, field
+        node[key] = edit(node[key])
+        serialize.dump_json(payload, edited)
+        if field in ("basis", "tau"):
+            return main(["classify", "--channel", generated["channel"], "--code", edited])
+        return main(["check-channel", "--channel", edited])
+
+    @pytest.mark.parametrize("field", ["kraus", "reset cols", "reset state", "basis", "tau", "state"])
+    def test_valid_packed_field_loads(self, generated, structured, tmp_path, field):
+        assert self._run(generated, structured, tmp_path, field, lambda packed: packed) == 0
+
+    @pytest.mark.parametrize("case", sorted(_PACKED_CASES))
+    @pytest.mark.parametrize("field", ["kraus", "reset cols", "reset state", "basis", "tau", "state"])
+    def test_broken_packed_field_exits_2(self, generated, structured, tmp_path, capsys, field, case):
+        edit = lambda packed: _corrupt(packed, case)
+        capsys.readouterr()
+        assert self._run(generated, structured, tmp_path, field, edit) == 2
+        err = capsys.readouterr().err
+        assert f"malformed {field} payload" in err and _PACKED_CASES[case] in err, err
+        assert "Traceback" not in err
+
+    def test_reports_keep_nested_matrices(self, generated, tmp_path):
+        argv = ["--channel", generated["channel"], "--code", generated["code"],
+                "--recovery", generated["recovery"]]
+        sim, eps = tmp_path / "simulate.json", tmp_path / "epsilon.json"
+        assert main(["simulate", *argv, "--iters", "1", "--out", str(sim)]) == 0
+        assert main(["epsilon", *argv, "--samples", "2", "--refine", "5", "--out", str(eps)]) == 0
+        for path, key in ((sim, "final_decoded_state"), (eps, "witness_state")):
+            matrix = read(path)["results"][key]
+            assert isinstance(matrix, list) and np.shape(matrix) == (2, 2, 2)

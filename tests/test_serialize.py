@@ -6,8 +6,11 @@ import pytest
 
 from tniso import serialize
 from tniso.analysis import build_correction
+from tniso.channels import KrausChannel
 from tniso.errors import ContractViolation
 from tniso.sampling import random_preserved_system
+
+from conftest import nested_form
 
 # doubles whose shortest repr a writer could get wrong: signed zero, the
 # smallest subnormal, the largest finite values and two inexact fractions
@@ -135,7 +138,91 @@ class TestRecoveryFiles:
         assert recovery._reset.cols.shape[1] == 0
         payload = serialize.channel_to_dict(recovery)
         assert "reset" not in payload
-        assert payload["kraus"] == [legacy_matrix_to_json(k) for k in recovery.kraus]
+        kraus = serialize.matrix_from_json(payload["kraus"], "kraus", ndim=3)
+        assert np.array_equal(kraus, np.stack(recovery.kraus))
+
+
+def _data_file(kind: str) -> tuple[dict, callable]:
+    """A data file's payload as the writer emits it, and its loader."""
+    if kind == "channel":
+        ch = random_preserved_system(2, 3, 1, np.random.default_rng(0))[1]
+        return serialize.channel_to_dict(ch), serialize.channel_from_dict
+    if kind == "recovery":
+        return serialize.channel_to_dict(_structured_recovery()), serialize.channel_from_dict
+    enc = random_preserved_system(2, 3, 1, np.random.default_rng(0))[0]
+    return serialize.encoding_to_dict(enc), serialize.encoding_from_dict
+
+
+def _arrays(loaded) -> list[np.ndarray]:
+    """The matrices a loaded channel or code was read from."""
+    if isinstance(loaded, KrausChannel):
+        reset = loaded._reset
+        return [loaded._blocks] + ([] if reset is None else [reset.cols, reset.state])
+    return [loaded.decomposition.basis, loaded.cofactor]
+
+
+class TestPackedFiles:
+    @pytest.mark.parametrize("kind", ["channel", "recovery", "code"])
+    def test_edge_values_round_trip_bit_for_bit(self, tmp_path, kind):
+        mats = [edge_matrix(3, shift) for shift in range(3)]
+        fields = {  # the path of keys to each matrix of the file
+            "channel": {("kraus",): np.stack(mats)},
+            "recovery": {
+                ("kraus",): np.stack(mats[:2]),
+                ("reset", "cols"): mats[2][:, :2],
+                ("reset", "state"): mats[0],
+            },
+            "code": {("basis",): mats[0], ("tau",): mats[1]},
+        }[kind]
+        payload = {}
+        for keys, m in fields.items():
+            node = payload
+            for key in keys[:-1]:
+                node = node.setdefault(key, {})
+            node[keys[-1]] = serialize.matrix_to_packed(m)
+        path = tmp_path / f"{kind}.json"
+        serialize.dump_json(payload, path)
+        loaded = serialize.load_json(path)
+        for keys, m in fields.items():
+            node = loaded
+            for key in keys:
+                node = node[key]
+            back = serialize.matrix_from_json(node, "edge", ndim=m.ndim)
+            assert back.shape == m.shape and back.flags.writeable
+            assert back.tobytes() == np.ascontiguousarray(m).tobytes()
+
+    @pytest.mark.parametrize("kind", ["channel", "recovery", "code"])
+    def test_load_then_dump_gives_the_same_bytes(self, tmp_path, kind):
+        payload, load = _data_file(kind)
+        first, second, third = (tmp_path / f"{kind}{i}.json" for i in range(3))
+        serialize.dump_json(payload, first)
+        serialize.dump_json(serialize.load_json(first), second)
+        loaded = load(serialize.load_json(first))
+        write = serialize.channel_to_dict if kind != "code" else serialize.encoding_to_dict
+        serialize.dump_json(write(loaded), third)
+        assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["channel", "recovery", "code"])
+    def test_nested_indented_file_loads_to_the_packed_arrays(self, tmp_path, kind):
+        payload, load = _data_file(kind)
+        packed, old = tmp_path / "packed.json", tmp_path / "old.json"
+        serialize.dump_json(payload, packed)
+        legacy_dump_json(nested_form(payload), old)
+        assert serialize.PACKED_TAG in packed.read_text()
+        assert serialize.PACKED_TAG not in old.read_text() and old.read_text().count("\n") > 10
+        a, b = (_arrays(load(serialize.load_json(p))) for p in (packed, old))
+        assert len(a) == len(b) == {"channel": 1, "recovery": 3, "code": 2}[kind]
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+
+    def test_data_files_are_packed_and_states_stay_nested(self):
+        payloads = [_data_file(kind)[0] for kind in ("channel", "recovery", "code")]
+        matrices = [payloads[0]["kraus"], payloads[1]["kraus"], *payloads[1]["reset"].values(),
+                    payloads[2]["basis"], payloads[2]["tau"]]
+        for m in matrices:
+            assert m.keys() == {"shape", serialize.PACKED_TAG}
+        assert serialize.state_to_json(np.eye(2) / 2) == [[[0.5, 0.0], [0.0, 0.0]],
+                                                          [[0.0, 0.0], [0.5, 0.0]]]
 
 
 class TestLoader:
