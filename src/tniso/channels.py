@@ -12,10 +12,14 @@ The Choi matrix of :func:`minimal_kraus` is ROW-major instead: its entry at
 Both map types share one image kernel, ``_images(vecs)``: the
 column-stacked images of the operators stacked as the columns of ``vecs``.
 A :class:`Superoperator` multiplies them by its matrix; a
-:class:`KrausChannel` applies its operators to a chunk of them at a time,
-so it never builds its own ``dim_out**2 x dim_in**2`` matrix (only
-:func:`cesaro_projector` needs it). ``apply`` and the one composition rule,
-``channel @ map`` (the channel after the map's images), sit on the kernel.
+:class:`KrausChannel` takes them a chunk at a time, as many as keep its
+products within ``_SUPEROP_BLOCK_BYTES``, and forms ``sum_k M_k X M_k^dag``
+for the chunk's operands X side by side in two matrix products: the
+operators stacked vertically times the operands, regrouped, times the
+stacked adjoints, which the channel forms once. So it never builds its own
+``dim_out**2 x dim_in**2`` matrix (only :func:`cesaro_projector` needs it).
+``apply``, the one composition rule ``channel @ map`` (the channel after the
+map's images) and the correction rounds all call that kernel.
 
 A recovery built by :func:`tniso.analysis.build_correction` is a
 :class:`KrausChannel` held in structured form: its few block operators
@@ -133,9 +137,10 @@ class Superoperator(_Map):
         return self.matrix @ vecs
 
 
-# Byte budget of one block of Kraus products in the image kernel and of the
-# Gram product in :meth:`KrausChannel.superoperator`; a d_P = 10
-# superoperator (160 kB) is one block.
+# Byte budget of one chunk of Kraus products in the image kernel (K*d_out*d
+# entries per operand) and of one block of the Gram product in
+# :meth:`KrausChannel.superoperator`; a d_P = 10 superoperator (160 kB) is
+# one block.
 _SUPEROP_BLOCK_BYTES = 1 << 18
 
 
@@ -176,6 +181,7 @@ class _Reset:
         self.cols, self.psi, self.w = cols, psi, w
         self.state = (psi * w) @ psi.conj().T if state is None else state
         self.trace_row = vec(cols.conj() @ cols.T)  # vec(P^T): Tr(P X) = trace_row @ vec(X)
+        self.state_vec = vec(self.state)
 
     @classmethod
     def of_state(cls, cols: np.ndarray, state: np.ndarray) -> "_Reset":
@@ -195,11 +201,17 @@ class KrausChannel(_Map):
     construction (``sum_k M_k^dag M_k = I`` within ``tp_tol``).
 
     The operators are checked and kept stacked, shape (K, dim_out, dim_in),
-    and the three kernels work on that stack: the image kernel behind
-    ``apply`` and ``@`` is one batched product ``M X M^dag`` summed over k,
-    taken for a chunk of operands X at a time, :meth:`tp_defect` one matrix
-    product of the reshaped stack, and :meth:`superoperator` its Gram
-    product, filled in row blocks. ``kraus`` holds views of the stack.
+    and the three kernels work on that stack. The image kernel behind
+    ``apply`` and ``@`` takes a chunk of c operands X, as many as keep its
+    products within ``_SUPEROP_BLOCK_BYTES``, side by side as one
+    dim_in x c*dim_in matrix, multiplies the stack reshaped to
+    (K*dim_out) x dim_in by it, regroups the product to
+    (c*dim_out) x (K*dim_in) and multiplies that by the adjoint stack (row
+    (k, j) is ``M_k^dag[j, :]``), formed once per channel: two matrix
+    products give ``sum_k M_k X M_k^dag`` for the whole chunk.
+    :meth:`tp_defect` is one matrix product of the reshaped stack, and
+    :meth:`superoperator` its Gram product, filled in row blocks. ``kraus``
+    holds views of the stack.
 
     A channel built by :meth:`_with_reset` (a recovery from
     :func:`tniso.analysis.build_correction` or a recovery file) holds block
@@ -274,24 +286,45 @@ class KrausChannel(_Map):
     def from_unitary(cls, u) -> "KrausChannel":
         return cls([as_matrix(u)])
 
-    def _images(self, vecs: np.ndarray) -> np.ndarray:
-        # sum_k M_k X M_k^dag, for as many operands X at once as keep the
-        # Kraus products within _SUPEROP_BLOCK_BYTES; a reset term adds one
-        # rank-one update vec(rho) (vec(P^T)^T vecs) for all columns
+    @cached_property
+    def _adjoint_stack(self) -> np.ndarray:
+        """The block operators' adjoints stacked vertically, shape
+        (K*dim_in, dim_out): row (k, j) is ``M_k^dag[j, :]``."""
         k, n, d = self._blocks.shape
+        return self._blocks.conj().transpose(0, 2, 1).reshape(k * d, n)
+
+    def _images(self, vecs: np.ndarray) -> np.ndarray:
+        # sum_k M_k X M_k^dag as two matrix products for a chunk of c operands
+        # X side by side (d x c*d): the stacked operators times them,
+        # (K*n) x (c*d), regrouped to (c*n) x (K*d), times the adjoint stack.
+        # A chunk holds as many operands as keep those products within
+        # _SUPEROP_BLOCK_BYTES, and one chunk of all of them needs no loop; a
+        # reset term adds one rank-one update vec(rho) (vec(P^T)^T vecs). The
+        # operands are read F-ordered, where a chunk's columns are its
+        # operands side by side without a copy, and an image's bits do not
+        # depend on the layout of vecs
+        k, n, d = self._blocks.shape
+        vecs = np.asfortranarray(vecs)
         count = vecs.shape[1]
-        xs = vecs.T.reshape(count, d, d).transpose(0, 2, 1)  # unvec of each column
-        m = self._blocks
-        m_dag = m.conj().transpose(0, 2, 1)
-        out = np.empty((n * n, count), dtype=complex)
-        grid = out.reshape(n, n, count)  # grid[j, i, c] is image c's entry (i, j)
-        rows = max(1, _SUPEROP_BLOCK_BYTES // (16 * k * n * max(n, d)))
-        for i in range(0, count, rows):
-            ys = (m @ xs[i : i + rows, None] @ m_dag).sum(axis=1)
-            grid[:, :, i : i + rows] = ys.transpose(2, 1, 0)
+        rows = self._blocks.reshape(k * n, d)
+
+        def images(cols):  # [j, i, c] is image c's entry (i, j)
+            c = cols.shape[1]
+            side = cols.reshape(d, c * d, order="F")
+            regrouped = (rows @ side).reshape(k, n, c, d).transpose(2, 1, 0, 3).reshape(c * n, k * d)
+            return (regrouped @ self._adjoint_stack).reshape(c, n, n).transpose(2, 1, 0)
+
+        step = max(1, _SUPEROP_BLOCK_BYTES // (16 * k * n * max(n, d)))
+        if count <= step:
+            out = images(vecs).reshape(n * n, count)
+        else:
+            out = np.empty((n * n, count), dtype=complex)
+            grid = out.reshape(n, n, count)
+            for i in range(0, count, step):
+                grid[:, :, i : i + step] = images(vecs[:, i : i + step])
         if self._reset is not None:
             r = self._reset
-            out += np.outer(vec(r.state), r.trace_row @ vecs)
+            out += np.outer(r.state_vec, r.trace_row @ vecs)
         return out
 
     def superoperator(self) -> Superoperator:
@@ -308,7 +341,7 @@ class KrausChannel(_Map):
             block = flat[:, i * d : (i + rows) * d].conj().T @ flat
             np.copyto(out[i : i + rows], block.reshape(-1, d, n, d).transpose(0, 2, 1, 3))
             if self._reset is not None:
-                state = vec(self._reset.state)[i * n : (i + rows) * n]
+                state = self._reset.state_vec[i * n : (i + rows) * n]
                 out[i : i + rows] += np.outer(state, self._reset.trace_row).reshape(-1, n, d, d)
         return Superoperator._trusted(d, n, out.reshape(n * n, d * d))
 

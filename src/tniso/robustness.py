@@ -15,8 +15,12 @@ bracket, which bound checks must consume.
 The inputs are checked at the public entry points; past them, the pooled
 images, the simulated trajectories and their differences are finite by
 construction: the correction rounds call the maps' image kernels (``_images``),
-not ``apply``, and :func:`tniso.opcore._trace_norms` takes a stack's trace
-norms, each equal bit for bit to :func:`tniso.opcore.trace_norm` of its matrix.
+not ``apply``, on the vectorized iterates. :func:`tniso.opcore._trace_norms`
+takes a stack's trace norms, each equal bit for bit to
+:func:`tniso.opcore.trace_norm` of its matrix, for the ε witness and the
+perturbed-code check; a simulated trajectory's differences, Hermitian up to
+the rounding of the rounds, take :func:`tniso.opcore._hermitian_trace_norms`,
+one eigensolve each, within ``sqrt(d) ||X - X^dag||_F`` of the trace norm.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from .channels import KrausChannel, Superoperator, trace_norm_certificate, unvec, vec
 from .codes import IsometricEncoding, PerturbedEncoding
 from .errors import ContractViolation
-from .opcore import _trace_norms, above_rank_cut, as_matrix
+from .opcore import _hermitian_trace_norms, _trace_norms, above_rank_cut, as_matrix
 from .sampling import random_density, random_pure_state
 from . import tolerances as tol
 
@@ -39,8 +43,9 @@ from . import tolerances as tol
 class EpsilonEstimate:
     """Bracket on the perturbation size of an almost-isometric encoding.
 
-    ``epsilon``, a lower bound, is the deviation of the pure ``witness_state``
-    the ascent (of at most ``refine_steps`` steps) reached; ``upper_bound``, the
+    ``epsilon``, a lower bound, is the deviation of the pure ``witness_state``:
+    the state the ascent (of at most ``refine_steps`` steps) reached, or its
+    best start if that one's image has the larger trace norm; ``upper_bound``, the
     deviation map's trace-norm certificate, dominates the supremum for any ``seed``.
     ``search_dim`` is the dimension r of the deviation's range, in which the
     ascent valued its states as r x r matrices.
@@ -93,9 +98,12 @@ def estimate_epsilon(
     ``f(v') >= <S, Q^dag H(v') Q> = lambda_max >= <S, Q^dag H(v) Q> = f(v)``
     as ``||Q S Q^dag|| <= 1``. A step c < 1 times the last goes 1 / (1 - c)
     times as far, to the end of their geometric series, if that raises f. The
-    ascent stops at a step that gains at most ``ASCENT_GAIN_TOL`` of f;
-    ``epsilon`` is the trace norm of the witness's full d_P x d_P image, so
-    the lower end holds whatever the rank cut dropped.
+    ascent stops at a step that gains at most ``ASCENT_GAIN_TOL`` of f. The
+    ascent's end and the best start are then valued by the trace norms of
+    their full d_P x d_P images, so the lower end holds whatever the rank cut
+    and delta's anti-Hermitian part drop; the witness is the end unless the
+    start is strictly better, and its value is ``epsilon``, which thus never
+    falls below the best start's.
     """
     if samples < 1:
         raise ContractViolation(f"samples must be at least 1, got {samples}")
@@ -146,7 +154,7 @@ def estimate_epsilon(
     # each step moves one vector: its norms and phase are Python scalars, and
     # the adjoint of the compressed map is formed once
     adjoint = half.conj().T
-    (f, w, u), size = value(v), 0.0
+    start, (f, w, u), size = v, value(v), 0.0
     for _ in range(refine_steps):
         dual = unvec(adjoint @ ((u * np.sign(w)) @ u.conj().T).ravel(), d)
         top = np.linalg.eigh(dual)[1][:, -1]
@@ -161,10 +169,14 @@ def estimate_epsilon(
             break
         f = f_new
 
-    witness = np.outer(v, v.conj())
+    # the ascent's end and the best start, valued by their whole images; the
+    # end is kept unless the start is strictly better
+    states = [np.outer(x, x.conj()) for x in (v, start)]
+    values = _trace_norms(np.stack([unvec(m @ vec(x), n) for x in states]))
+    pick = int(np.argmax(values))
     return EpsilonEstimate(
-        epsilon=float(_trace_norms(unvec(m @ vec(witness), n))),
-        witness_state=witness,
+        epsilon=float(values[pick]),
+        witness_state=states[pick],
         upper_bound=trace_norm_certificate(delta),
         samples=samples,
         refine_steps=refine_steps,
@@ -183,13 +195,14 @@ def _require_epsilon(epsilon):
 
 def _iterates(channel, recovery, x0: np.ndarray, rounds: int) -> np.ndarray:
     """``x0`` and its first ``rounds`` images under recovery after channel,
-    stacked; each round calls the two image kernels on the finite iterate."""
-    out = np.empty((rounds + 1,) + x0.shape, dtype=complex)
-    out[0] = x0
+    stacked; each round calls the two image kernels on the finite iterate,
+    held vectorized as one row of the stack, which is unvectorized once."""
+    d = len(x0)
+    out = np.empty((rounds + 1, d * d), dtype=complex)
+    out[0] = vec(x0)
     for k in range(rounds):
-        image = recovery._images(channel._images(vec(out[k])[:, None]))
-        out[k + 1] = unvec(image[:, 0], len(x0))
-    return out
+        out[k + 1] = recovery._images(channel._images(out[k][:, None]))[:, 0]
+    return np.ascontiguousarray(out.reshape(rounds + 1, d, d).transpose(0, 2, 1))
 
 
 @dataclass(eq=False)
@@ -246,8 +259,15 @@ def simulate_iterated(
     read off this trajectory and says nothing of later rounds. An
     ``epsilon`` that is negative, NaN or infinite is refused.
 
-    The trajectory is held as one stack, and the errors, the decoded errors
-    and the steps are each one batched trace-norm call on it.
+    The trajectory is held as one stack of vectorized iterates, each round
+    one call of each map's image kernel on a bare column, and unvectorized
+    once; the states are bit for bit those of ``recovery(channel(x))`` taken
+    round by round. The errors and the steps are one
+    :func:`tniso.opcore._hermitian_trace_norms` call on their 2(n+1) stacked
+    differences, and the decoded errors one more: the differences of
+    Hermitian iterates are Hermitian up to rounding, so each value is within
+    ``sqrt(d) ||X - X^dag||_F`` (plus the eigensolver's rounding) of the
+    trace norm of its difference X.
     """
     if n < 1:
         raise ContractViolation(f"n must be at least 1, got {n}")
@@ -260,13 +280,12 @@ def simulate_iterated(
 
     path = _iterates(channel, recovery, rho0, n + 1)
     states = list(path[:-1])
-    errors = _trace_norms(rho0 - path[:-1])
+    errors, steps = _hermitian_trace_norms(np.stack([rho0 - path[:-1], path[1:] - path[:-1]]))
     decoded = None
     if encoding is not None:
         logical = encoding._decoded(path[:-1])
-        decoded = _trace_norms(logical[0] - logical)
+        decoded = _hermitian_trace_norms(logical[0] - logical)
 
-    steps = _trace_norms(path[1:] - path[:-1])
     measurable = steps[:-1] >= tol.CONTRACTION_RESIDUAL_FLOOR
     alphas = np.full(n, np.nan)
     alphas[measurable] = steps[1:][measurable] / steps[:-1][measurable]

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -505,6 +507,64 @@ class TestStackedKernels:
         acc = np.einsum("kij,kil->jl", stack.conj(), stack)
         assert abs(scaled.tp_defect() - np.abs(acc - np.eye(d_in)).max()) <= 1e-13
         assert channel.tp_defect() <= 1e-13
+
+
+def _reset_channel(k, n, d, rng) -> KrausChannel:
+    """A d -> n channel held as k block operators on a random subspace plus a
+    reset term that prepares a random state from its complement."""
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    kept = int(rng.integers(1, d))
+    blocks = np.stack(random_channel(kept, rng, dim_out=n, kraus_count=k).kraus)
+    reset = channels._Reset.of_state(u[:, kept:], random_density(n, rng))
+    return KrausChannel._with_reset(blocks @ u[:, :kept].conj().T, reset)
+
+
+class TestImageKernel:
+    """``KrausChannel._images`` against an einsum over the expanded Kraus list."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 5),
+        n=st.integers(1, 7),
+        d=st.integers(1, 7),
+        chunks=st.sampled_from(["one operand", "one chunk", "several chunks"]),
+        reset=st.booleans(),
+        layout=st.sampled_from(["C", "F", "strided"]),
+    )
+    def test_matches_the_einsum_oracle(self, seed, k, n, d, chunks, reset, layout):
+        rng = np.random.default_rng(seed)
+        if reset and d > 1:
+            channel = _reset_channel(k, n, d, rng)
+        else:
+            channel = random_channel(d, rng, dim_out=n, kraus_count=k)
+        k = len(channel._blocks)
+        per_operand = 16 * k * n * max(n, d)
+        # several chunks: three operands a chunk, the last one short
+        budget = 3 * per_operand if chunks == "several chunks" else channels._SUPEROP_BLOCK_BYTES
+        step = max(1, budget // per_operand)
+        count = {"one operand": 1, "one chunk": step, "several chunks": 3 * step - 1}[chunks]
+        xs = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+        vecs = xs.transpose(2, 1, 0).reshape(d * d, count)  # column c is vec(xs[c])
+        if layout == "F":
+            vecs = np.asfortranarray(vecs)
+        elif layout == "strided":
+            padded = np.zeros((2 * d * d, 2 * count), dtype=complex)
+            padded[::2, ::2] = vecs
+            vecs = padded[::2, ::2]
+
+        with mock.patch.object(channels, "_SUPEROP_BLOCK_BYTES", budget):
+            out = channel._images(vecs)
+        m = channel._stack
+        oracle = np.einsum("kij,cjl,kml->cim", m, xs, m.conj())
+        assert out.shape == (n * n, count) and out.flags.c_contiguous
+        images = out.reshape(n, n, count).transpose(2, 1, 0)  # images[c] = unvec(out[:, c])
+        assert np.abs(images - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+        # apply is the kernel's one column, whatever the column's layout
+        x = xs[0]
+        column = vecs[:, :1]
+        assert np.array_equal(channel.apply(x), unvec(channel._images(column)[:, 0], n))
 
 
 class TestBlockedSuperoperator:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tniso.errors import ContractViolation, NumericError
 from tniso.opcore import (
     DensityOperator,
+    _hermitian_trace_norms,
     _trace_norms,
     HermitianOperator,
     hermitian_basis,
@@ -83,6 +84,32 @@ class TestTraceNorm:
     def test_stack_svd_failure_is_numeric(self):
         with pytest.raises(NumericError, match="SVD failed"):
             _trace_norms(np.full((2, 3, 3), np.nan, dtype=complex))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d=st.integers(1, 12),
+        count=st.integers(1, 9),
+        skew=st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 1.0]),
+    )
+    def test_hermitian_stack_within_its_bound(self, seed, d, count, skew):
+        # exactly Hermitian matrices (skew 0, no defect) give the SVD's trace
+        # norms to 1e-13; an anti-Hermitian part moves them by at most
+        # sqrt(d) ||X - X^dag||_F more
+        rng = np.random.default_rng(seed)
+        herm = np.stack([random_hermitian(d, rng) for _ in range(count)])
+        anti = 1j * np.stack([random_hermitian(d, rng) for _ in range(count)])
+        stack = herm + skew * anti
+        norms = _hermitian_trace_norms(stack)
+        assert norms.shape == (count,)
+        exact = _trace_norms(stack)
+        defect = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
+        assert (defect == 0.0).all() if skew == 0.0 else (defect > 0.0).all()
+        assert (np.abs(norms - exact) <= np.sqrt(d) * defect + 1e-13 * exact).all()
+
+    def test_hermitian_stack_failure_is_numeric(self):
+        with pytest.raises(NumericError, match="eigensolve failed"):
+            _hermitian_trace_norms(np.full((2, 3, 3), np.nan, dtype=complex))
 
     def test_unit_trace_on_densities(self, rng):
         from tniso.sampling import random_density

@@ -148,22 +148,43 @@ def reference_pool(delta, samples, seed):
 
 def reference_simulate_iterated(channel, recovery, rho0, n, encoding):
     """The error curves and contraction ratios one trace norm at a time, as
-    the library computed them before: (states, errors, decoded errors, alphas)."""
+    the library computed them before: (states, errors, decoded errors, alphas,
+    gaps), with gaps the three arrays of bounds on how far the library's
+    Hermitian trace norms (see :func:`hermitian_gaps`) may take each curve."""
     states = [rho0]
     for _ in range(n):
         states.append(recovery(channel(states[-1])))
     beyond = recovery(channel(states[-1]))
 
-    errors = np.array([trace_norm(rho0 - s) for s in states])
+    differences = [rho0 - s for s in states]
+    errors = np.array([trace_norm(x) for x in differences])
     logical = [encoding.decode(s) for s in states]
-    decoded = np.array([trace_norm(logical[0] - l) for l in logical])
+    logical_differences = [logical[0] - l for l in logical]
+    decoded = np.array([trace_norm(x) for x in logical_differences])
 
-    steps = [trace_norm(b - a) for a, b in zip(states, states[1:] + [beyond])]
+    step_differences = [b - a for a, b in zip(states, states[1:] + [beyond])]
+    steps = np.array([trace_norm(x) for x in step_differences])
     alphas = np.full(n, np.nan)
     for i in range(n):
         if steps[i] >= tol.CONTRACTION_RESIDUAL_FLOOR:
             alphas[i] = steps[i + 1] / steps[i]
-    return states, errors, decoded, alphas
+    # |a'/b' - a/b| <= (|a' - a| + (a/b) |b' - b|) / (b - |b' - b|)
+    step_gaps = hermitian_gaps(step_differences, steps)
+    ratio_gaps = (step_gaps[1:] + alphas * step_gaps[:-1]) / (steps[:-1] - step_gaps[:-1])
+    gaps = (
+        hermitian_gaps(differences, errors),
+        hermitian_gaps(logical_differences, decoded),
+        ratio_gaps,
+    )
+    return states, errors, decoded, alphas, gaps
+
+
+def hermitian_gaps(diffs, norms):
+    """How far :func:`tniso.opcore._hermitian_trace_norms` may be from the
+    trace norms ``norms`` of the matrices ``diffs``: ``sqrt(d) ||X - X^dag||_F``
+    plus 1e-13 of the norm for the two solvers' rounding."""
+    herm = [np.sqrt(len(x)) * np.linalg.norm(x - x.conj().T) for x in diffs]
+    return np.array(herm) + 1e-13 * norms
 
 
 def reference_per_round(perturbed, loop, test_states, horizon):
@@ -247,14 +268,19 @@ class TestBatchedTraceNorms:
 
         rho0 = enc.encode(random_density(enc.dim_logical, np.random.default_rng(seed)))
         trace = simulate_iterated(noise, recovery, rho0, n, encoding=enc, epsilon=upper)
-        states, errors, decoded, alphas = reference_simulate_iterated(
+        states, errors, decoded, alphas, gaps = reference_simulate_iterated(
             noise, recovery, rho0, n, enc
         )
         assert all(np.array_equal(a, b) for a, b in zip(trace.states, states))
         assert len(trace.states) == len(states)
-        assert np.array_equal(trace.errors, errors)
-        assert np.array_equal(trace.decoded_errors, decoded)
-        assert np.array_equal(trace.alpha_estimates, alphas, equal_nan=True)
+        # the curves take one Hermitian eigensolve per difference, which the
+        # loops' SVDs match within _hermitian_trace_norms' bound
+        error_gaps, decoded_gaps, ratio_gaps = gaps
+        assert (np.abs(trace.errors - errors) <= error_gaps).all()
+        assert (np.abs(trace.decoded_errors - decoded) <= decoded_gaps).all()
+        measured = ~np.isnan(alphas)
+        assert np.array_equal(np.isnan(trace.alpha_estimates), ~measured)
+        assert (np.abs(trace.alpha_estimates - alphas)[measured] <= ratio_gaps[measured]).all()
 
     @pytest.mark.parametrize("horizon", [0, 1, 20])
     @pytest.mark.parametrize("eps", [0.0, 0.02])
@@ -306,10 +332,10 @@ class TestBatchedTraceNorms:
         assert max(batches) == robustness._EPSILON_BLOCK_BYTES // per_image
         # the best start is valued once, and each of at most 3 ascent steps
         # values its stretched point and, if that does not raise the value,
-        # the plain step; the witness's trace norm, of its whole d_P x d_P
-        # image, is the only one taken
+        # the plain step; the trace norms of the whole d_P x d_P images of the
+        # best start and of the ascent's end are the only ones taken
         assert 1 <= calls["eigh"].count(image) <= 1 + 2 * 3
-        assert calls["_trace_norms"] == [(enc.dim_physical,) * 2]
+        assert calls["_trace_norms"] == [(2,) + (enc.dim_physical,) * 2]
 
     def test_search_applies_no_wrapper(self, repetition, monkeypatch):
         enc, composite = example2_round(repetition)
@@ -387,13 +413,26 @@ class TestEstimateEpsilon:
         # flip a stretch or the stop on a draw
         assert abs(start.epsilon - oracle) <= slack
         assert est.epsilon <= upper + slack
-        if admixture:
-            # no step lowers the value of the deviation's Hermitian part, which
-            # is the deviation up to rounding unless the deviation is rounding
-            assert est.epsilon >= start.epsilon - slack
+        # the best start is valued beside the ascent's end, by its whole image
+        assert est.epsilon >= start.epsilon
         assert 1 <= est.search_dim <= enc.dim_physical
         if generic:
             assert est.search_dim == (enc.dim_physical if admixture else 1)
+
+    def test_witness_never_below_its_best_start(self, repetition):
+        # a deviation with no Hermitian part, E_00 -> iA: the ascent values
+        # every state at 0 and ends at |1>, whose image is 0, while the best
+        # start |0> has an image of trace norm ||A||_1 = 0.02
+        enc = repetition.encoding
+        d_p = enc.dim_physical
+        a = np.diag([0.01, -0.01] + [0.0] * (d_p - 2)).astype(complex)
+        delta = np.zeros((d_p * d_p, 4), dtype=complex)
+        delta[:, 0] = vec(1j * a)
+        perturbed = Superoperator(2, d_p, enc.superoperator().matrix + delta)
+        est = estimate_epsilon(perturbed, enc, samples=5, refine_steps=10, seed=0)
+        assert est.epsilon == trace_norm(a)
+        assert np.array_equal(est.witness_state, np.diag([1.0, 0.0]).astype(complex))
+        assert est.epsilon <= est.upper_bound
 
     def test_injected_perturbation_against_grid_oracle(self, repetition):
         enc = repetition.encoding
