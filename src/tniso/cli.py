@@ -2,10 +2,13 @@
 
 Subcommands: check-channel, classify, correct, simulate, epsilon, example.
 Exit codes are stable across commands: 0 success, 1 analysis verdict
-failure, 2 input error. Reports are deterministic for a fixed config and
-seed; wall-clock duration lives under a separate "meta" key so the report
-body can be hashed. Each command's human summary goes to stdout, or to
-stderr when the JSON report does, so that stdout is then one JSON document.
+failure, 2 input error. Reports are deterministic for a fixed config; only
+``epsilon`` reads ``--seed``, which the other commands accept and ignore.
+Wall-clock duration lives under a separate "meta" key so the report body
+can be hashed. ``simulate`` takes its per-round epsilon from the round's
+trace-norm certificate and its bounds from the bound checks. Each command's
+human summary goes to stdout, or to stderr when the JSON report does, so
+that stdout is then one JSON document.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ EXIT_VERDICT = 1
 EXIT_INPUT = 2
 
 _STRATEGIES = {"petz": "time_reversal", "replace": "replace"}
-_SEED_HELP = "seed of the epsilon ascent's random restarts only; other analyses are deterministic (default 0)"
+_SEED_HELP = "seed of epsilon's random restarts; the other commands ignore it (default 0)"
 
 
 def _resolve_tol(args) -> float:
@@ -99,8 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("epsilon", help="estimate the per-round perturbation bracket")
     add_common(p, channel=True, code=True, recovery=True)
-    p.add_argument("--samples", type=int, default=200, help="random restarts of the epsilon ascent")
-    p.add_argument("--refine", type=int, default=200, help="most steps of the epsilon ascent")
 
     p = sub.add_parser("example", help="generate a named example system")
     p.add_argument("name", choices=["repetition", "example2"])
@@ -133,14 +134,14 @@ def _load_system(args):
     return channel, encoding, recovery
 
 
-# the arguments each report echoes under "config"; "tol" is the resolved
-# tolerance, and correct writes no report
+# the arguments each report echoes under "config", those its command reads;
+# "tol" is the resolved tolerance, and correct writes no report
 _CONFIG = {
-    "check-channel": ("channel", "seed"),
-    "classify": ("channel", "code", "strategy", "tol", "seed"),
-    "simulate": ("channel", "code", "recovery", "state", "iters", "tol", "seed"),
-    "epsilon": ("channel", "code", "recovery", "samples", "refine", "tol", "seed"),
-    "example": ("name", "p", "epsilon", "iters", "out", "seed"),
+    "check-channel": ("channel",),
+    "classify": ("channel", "code", "strategy", "tol"),
+    "simulate": ("channel", "code", "recovery", "state", "iters"),
+    "epsilon": ("channel", "code", "recovery", "seed"),
+    "example": ("name", "p", "epsilon", "iters", "out"),
 }
 
 
@@ -220,14 +221,6 @@ def _cmd_correct(args, tol_):
     return EXIT_OK, None, {}, json.dumps(verification, indent=2, sort_keys=True)
 
 
-def _round_epsilon(channel, recovery, encoding, **budget):
-    """Perturbation bracket of one recovery-after-channel round on the code."""
-    composite = channel @ encoding
-    if recovery is not None:
-        composite = recovery @ composite
-    return estimate_epsilon(composite, encoding, **budget)
-
-
 def _cmd_simulate(args, tol_):
     if not args.recovery:
         raise ContractViolation("simulate requires --recovery")
@@ -249,12 +242,12 @@ def _cmd_simulate(args, tol_):
         d = encoding.dim_logical
         rho = encoding.encode(np.full((d, d), 1.0 / d, dtype=complex))
 
-    est = _round_epsilon(channel, recovery, encoding, seed=args.seed)
-    trace = simulate_iterated(
-        channel, recovery, rho, args.iters, encoding=encoding, epsilon=est.upper_bound
-    )
-    prop3_ok, margin = check_prop3_bound(trace, est.upper_bound)
-    geo = check_geometric_bound(trace, est.upper_bound)
+    # the certified per-round epsilon: the round's trace-norm certificate,
+    # bit for bit the upper end of the epsilon command's bracket
+    upper = _round_residual(channel, recovery, encoding)
+    trace = simulate_iterated(channel, recovery, rho, args.iters, encoding=encoding)
+    prop3_ok, margin = check_prop3_bound(trace, upper)
+    geo = check_geometric_bound(trace, upper)
 
     results = {
         "iterations": args.iters,
@@ -263,10 +256,9 @@ def _cmd_simulate(args, tol_):
         "final_decoded_state": serialize.state_to_json(encoding.decode(trace.states[-1])),
         "alpha_estimates": [a if np.isfinite(a) else None for a in trace.alpha_estimates.tolist()],
         "alpha_max": None if trace.alpha_max is None else float(trace.alpha_max),
-        "epsilon_witness": float(est.epsilon),
-        "epsilon_upper": float(est.upper_bound),
-        "linear_bound": trace.linear_bound.tolist(),
-        "geometric_bound": None if trace.geometric_bound is None else float(trace.geometric_bound),
+        "epsilon_upper": float(upper),
+        "linear_bound": (upper * np.arange(args.iters + 1, dtype=float)).tolist(),
+        "geometric_bound": None if geo.bound is None else float(geo.bound),
         "linear_bound_ok": prop3_ok,
         "linear_bound_margin": float(margin),
         "geometric_bound_ok": geo.ok,
@@ -281,27 +273,23 @@ def _cmd_simulate(args, tol_):
     summary = (
         f"simulated {args.iters} rounds: final error {results['errors'][-1]:.6f}, "
         f"decoded error {results['decoded_errors'][-1]:.6f}, "
-        f"per-round epsilon <= {est.upper_bound:.6f}"
+        f"per-round epsilon <= {upper:.6f}"
     )
-    return EXIT_OK, results, {"epsilon_search_dim": est.search_dim}, summary
+    return EXIT_OK, results, {}, summary
 
 
 def _cmd_epsilon(args, tol_):
     channel, encoding, recovery = _load_system(args)
-    est = _round_epsilon(
-        channel, recovery, encoding, samples=args.samples, refine_steps=args.refine, seed=args.seed
-    )
+    composite = channel @ encoding
+    if recovery is not None:
+        composite = recovery @ composite
+    est = estimate_epsilon(composite, encoding, seed=args.seed)
     results = {
         "epsilon_witness": float(est.epsilon),
         "epsilon_upper": float(est.upper_bound),
         "witness_state": serialize.state_to_json(est.witness_state),
-        "samples": est.samples,
-        "refine_steps": est.refine_steps,
     }
-    summary = (
-        f"perturbation bracket: [{est.epsilon:.6e}, {est.upper_bound:.6e}] "
-        f"({est.samples} samples, {est.refine_steps} refinement steps)"
-    )
+    summary = f"perturbation bracket: [{est.epsilon:.6e}, {est.upper_bound:.6e}]"
     return EXIT_OK, results, {"epsilon_search_dim": est.search_dim}, summary
 
 
@@ -347,12 +335,7 @@ def _example_goldens_example2(system, channel, p, eps, iters):
     # the certified upper end of one round's perturbation bracket
     epsilon_upper = _round_residual(channel, system.recovery, system.encoding)
     trace = simulate_iterated(
-        channel,
-        system.recovery,
-        system.encoding.encode(rho_c),
-        iters,
-        encoding=system.encoding,
-        epsilon=epsilon_upper,
+        channel, system.recovery, system.encoding.encode(rho_c), iters, encoding=system.encoding
     )
     ok, margin = check_prop3_bound(trace, epsilon_upper)
     if not ok:

@@ -10,7 +10,11 @@ compressions, r the range's dimension, and the witness is valued by its
 whole image, so that the lower end holds whatever the rank cut drops. The
 deviation map's trace-norm certificate (a closed-form Choi bound,
 :func:`tniso.channels.trace_norm_certificate`) is the upper end of the
-bracket, which bound checks must consume.
+bracket, which bound checks must consume. For one recovery-after-channel
+round on a code that end is :func:`tniso.analysis._round_residual`, bit for
+bit, which needs no search. A simulated trajectory carries no bounds:
+:func:`check_prop3_bound` and :func:`check_geometric_bound` are the one
+place that n * epsilon and epsilon / (1 - alpha) are computed.
 
 The inputs are checked at the public entry points; past them, the pooled
 images, the simulated trajectories and their differences are finite by
@@ -215,7 +219,8 @@ class SimulationTrace:
     the ratio ``||d_(i+1)||_1 / ||d_i||_1`` of successive steps
     ``d_i = s_(i+1) - s_i`` of the trajectory, which the round map's
     fixed-point projector annihilates; steps below
-    ``CONTRACTION_RESIDUAL_FLOOR`` give NaN. Bound arrays have length n+1.
+    ``CONTRACTION_RESIDUAL_FLOOR`` give NaN. The error bounds are the bound
+    checks' to compute, from a certified per-round epsilon.
     """
 
     states: list
@@ -223,9 +228,6 @@ class SimulationTrace:
     decoded_errors: np.ndarray | None
     alpha_estimates: np.ndarray
     alpha_max: float | None
-    epsilon: float | None
-    linear_bound: np.ndarray | None
-    geometric_bound: float | None
 
 
 def simulate_iterated(
@@ -234,7 +236,6 @@ def simulate_iterated(
     rho0,
     n: int,
     encoding: IsometricEncoding | None = None,
-    epsilon: float | None = None,
 ) -> SimulationTrace:
     """Iterate recovery-after-channel from an initial state for n rounds.
 
@@ -253,11 +254,11 @@ def simulate_iterated(
     steps gives
     ``error_n <= sum_(i<n) ||d_i||_1 <= ||d_0||_1 / (1 - alpha_max) + n * floor``.
     For an encoded ``rho0``, ``||d_0||_1`` is one round's deviation from the
-    encoding, at most the per-round ``epsilon`` of :func:`estimate_epsilon`'s
-    upper end; then ``geometric_bound`` is certified for the simulated
-    rounds (``BOUND_SLACK`` absorbs the floor term), though ``alpha_max`` is
-    read off this trajectory and says nothing of later rounds. An
-    ``epsilon`` that is negative, NaN or infinite is refused.
+    encoding, at most the per-round epsilon of :func:`estimate_epsilon`'s
+    upper end; then :func:`check_geometric_bound`'s bound is certified for
+    the simulated rounds (``BOUND_SLACK`` absorbs the floor term), though
+    ``alpha_max`` is read off this trajectory and says nothing of later
+    rounds.
 
     The trajectory is held as one stack of vectorized iterates, each round
     one call of each map's image kernel on a bare column, and unvectorized
@@ -271,8 +272,6 @@ def simulate_iterated(
     """
     if n < 1:
         raise ContractViolation(f"n must be at least 1, got {n}")
-    if epsilon is not None:
-        _require_epsilon(epsilon)
     rho0 = as_matrix(rho0)
     d = channel.dim_in
     if (recovery.dim_in, recovery.dim_out) != (channel.dim_out, d) or rho0.shape != (d, d):
@@ -291,21 +290,12 @@ def simulate_iterated(
     alphas[measurable] = steps[1:][measurable] / steps[:-1][measurable]
     finite = alphas[np.isfinite(alphas)]
     alpha_max = float(finite.max()) if finite.size else None
-
-    linear = geometric = None
-    if epsilon is not None:
-        linear = epsilon * np.arange(n + 1, dtype=float)
-        if alpha_max is not None and alpha_max < 1.0:
-            geometric = epsilon / (1.0 - alpha_max)
     return SimulationTrace(
         states=states,
         errors=errors,
         decoded_errors=decoded,
         alpha_estimates=alphas,
         alpha_max=alpha_max,
-        epsilon=epsilon,
-        linear_bound=linear,
-        geometric_bound=geometric,
     )
 
 

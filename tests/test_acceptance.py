@@ -227,8 +227,7 @@ def test_08_linear_error_bound():
         est = estimate_epsilon(composite, enc, samples=200, refine_steps=200, seed=0)
         for n in (5, 10, 20):
             trace = simulate_iterated(
-                channel, recovery, enc.encode(RHO_COHERENT), n,
-                encoding=enc, epsilon=est.upper_bound,
+                channel, recovery, enc.encode(RHO_COHERENT), n, encoding=enc
             )
             ok, _ = check_prop3_bound(trace, est.upper_bound)
             assert ok

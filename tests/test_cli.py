@@ -378,22 +378,52 @@ class TestEpsilonCommand:
         assert abs(results["epsilon_upper"] - 0.04) <= 1e-12
         assert results["epsilon_upper"] - 1e-12 <= results["epsilon_witness"] <= results["epsilon_upper"]
 
-    @pytest.mark.parametrize(
-        "flag,value,field",
-        [("--samples", "0", "samples"), ("--samples", "-3", "samples"), ("--refine", "-1", "refine_steps")],
-    )
-    def test_bad_sampling_budget_exits_2(self, generated, tmp_path, capsys, flag, value, field):
+    @pytest.mark.parametrize("flag", ["--samples", "--refine"])
+    def test_search_budget_is_not_an_option(self, generated, tmp_path, capsys, flag):
         out = tmp_path / "eps.json"
-        argv = [
-            "epsilon",
-            "--channel", generated["mixture"],
-            "--code", generated["code"],
-            "--out", str(out),
-            flag, value,
-        ]
-        assert main(argv) == 2
-        assert field in capsys.readouterr().err
+        argv = ["epsilon", "--channel", generated["mixture"], "--code", generated["code"]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSimulateReadsTheCertificate:
+    """``simulate``'s epsilon is the round's certificate, the upper end of
+    ``epsilon``'s bracket, and its bounds are the bound checks' numbers."""
+
+    @pytest.fixture(scope="class")
+    def d20(self, tmp_path_factory):
+        """A d_P = 20 system under 2% stray noise, with the recovery built
+        for the exact channel."""
+        root = tmp_path_factory.mktemp("d20")
+        rng = np.random.default_rng(0)
+        enc, exact = random_preserved_system(4, 4, 4, rng)
+        noise = convex_mix([0.98, 0.02], [exact, random_channel(enc.dim_physical, rng)])
+        paths = {k: str(root / f"{k}.json") for k in ("channel", "code", "recovery")}
+        serialize.dump_json(serialize.channel_to_dict(noise), paths["channel"])
+        serialize.dump_json(serialize.encoding_to_dict(enc), paths["code"])
+        serialize.dump_json(serialize.channel_to_dict(build_correction(enc, exact)), paths["recovery"])
+        return paths
+
+    @pytest.mark.parametrize("system", ["example2", "d20"])
+    def test_same_upper_end_and_exact_bounds(self, generated, d20, tmp_path, system):
+        files = d20 if system == "d20" else {**generated, "channel": generated["mixture"]}
+        argv = ["--channel", files["channel"], "--code", files["code"], "--recovery", files["recovery"]]
+        sim, eps = tmp_path / "simulate.json", tmp_path / "epsilon.json"
+        assert main(["simulate", *argv, "--iters", "12", "--out", str(sim)]) == 0
+        assert main(["epsilon", *argv, "--out", str(eps)]) == 0
+        report = read(sim)
+        results, upper = report["results"], report["results"]["epsilon_upper"]
+        assert upper == read(eps)["results"]["epsilon_upper"] > 0
+        assert len(results["linear_bound"]) == 13
+        assert all(b == upper * n for n, b in enumerate(results["linear_bound"]))
+        assert results["alpha_max"] < 1
+        assert results["geometric_bound"] == upper / (1 - results["alpha_max"])
+        assert results["linear_bound_ok"] is True and results["geometric_bound_ok"] is True
+        assert "epsilon_witness" not in results
+        assert "epsilon_search_dim" not in report["meta"]
 
 
 class TestExampleCommand:
@@ -421,12 +451,12 @@ class TestExampleCommand:
 
     def test_example2_report_does_not_depend_on_seed(self, tmp_path):
         # example2 reads only the certified upper end of the bracket, which
-        # no sampling moves; the seed is only recorded
+        # no sampling moves; the seed is accepted and not recorded
         bodies = []
         for seed in ("0", "5"):
             assert main(["example", "example2", "--seed", seed, "--out", str(tmp_path)]) == 0
             report = read(tmp_path / "example2_report.json")
-            assert report.pop("config").pop("seed") == int(seed)
+            assert "seed" not in report["config"]
             report.pop("meta")
             bodies.append(json.dumps(report, sort_keys=True))
         assert bodies[0] == bodies[1]
@@ -487,10 +517,30 @@ class TestReportContract:
         assert set(report) == {"command", "config", "results", "versions", "meta"}
         assert report["command"] == command
         assert set(report["config"]) == set(_CONFIG[command])
-        assert report["config"]["seed"] == 0
+        # only epsilon reads the seed, and only classify the tolerance
+        assert report["config"].get("seed") == (0 if command == "epsilon" else None)
+        assert ("tol" in report["config"]) == (command == "classify")
         for key, value in report["config"].items():
             if f"--{key}" in argv:
                 assert value == type(value)(argv[argv.index(f"--{key}") + 1])
+
+    @pytest.mark.parametrize("command", ["check-channel", "classify", "correct", "simulate"])
+    def test_seed_is_accepted_and_ignored(self, generated, tmp_path, command):
+        # only epsilon reads --seed; the other commands accept it, record
+        # none, and write the same body (correct: recovery file) for any value
+        argv = _report_argv(command, generated, tmp_path)
+        if command == "simulate":
+            argv[argv.index("--channel") + 1] = generated["mixture"]
+        bodies = []
+        for seed in ("0", "5"):
+            out = tmp_path / f"seed{seed}.json"
+            assert main(argv + ["--seed", seed, "--out", str(out)]) == 0
+            doc = read(out)
+            if command != "correct":
+                assert "seed" not in doc.pop("config")
+                doc.pop("meta")
+            bodies.append(json.dumps(doc, sort_keys=True))
+        assert bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("command", ["classify", "simulate", "epsilon"])
     @pytest.mark.parametrize(
@@ -499,15 +549,22 @@ class TestReportContract:
     def test_config_tol_is_the_resolved_tolerance(
         self, generated, tmp_path, monkeypatch, command, env, flag, expected
     ):
+        # simulate and epsilon accept a tolerance but read none, so they
+        # record none, and it moves no number of theirs
         monkeypatch.delenv("TNISO_TOL", raising=False)
+        out, default = tmp_path / "r.json", tmp_path / "default.json"
+        argv = _report_argv(command, generated, tmp_path)
+        assert main(argv + ["--out", str(default)]) == 0
         if env is not None:
             monkeypatch.setenv("TNISO_TOL", env)
-        out = tmp_path / "r.json"
-        argv = _report_argv(command, generated, tmp_path) + ["--out", str(out)]
         if flag is not None:
             argv += ["--tol", flag]
-        assert main(argv) == 0
-        assert read(out)["config"]["tol"] == expected
+        assert main(argv + ["--out", str(out)]) == 0
+        if command == "classify":
+            assert read(out)["config"]["tol"] == expected
+        else:
+            assert "tol" not in read(out)["config"]
+            assert read(out)["results"] == read(default)["results"]
 
 
 def _report_argv(command, generated, tmp_path):
@@ -521,8 +578,6 @@ def _report_argv(command, generated, tmp_path):
         argv += ["--recovery", generated["recovery"]]
     if command == "simulate":
         argv += ["--iters", "2"]
-    if command == "epsilon":
-        argv += ["--samples", "2", "--refine", "5"]
     return argv
 
 
@@ -697,7 +752,7 @@ class TestStrictJsonReports:
                 "petz": ["classify", *pair, "--strategy", "petz"],
                 "replace": ["classify", *pair, "--strategy", "replace"],
                 "sim": ["simulate", *looped],
-                "eps": ["epsilon", *looped, "--samples", "20", "--refine", "20"],
+                "eps": ["epsilon", *looped],
             }
             for kind, argv in runs.items():
                 out = tmp_path / f"{label}_{kind}.json"
@@ -731,9 +786,12 @@ class TestStdoutIsOneJsonDocument:
             assert doc["kraus_count"] == 4 and printed.err == ""
             return
         assert doc["command"] == command and printed.err.strip()
-        if command in ("simulate", "epsilon"):
+        if command == "epsilon":
             # one round of example2's mixture moves only the code's coherence
             assert doc["meta"]["epsilon_search_dim"] == 2
+        if command == "simulate":
+            # simulate reads the round's certificate and runs no search
+            assert "epsilon_search_dim" not in doc["meta"]
         out = tmp_path / "report.json"
         assert main(argv + ["--out", str(out)]) == 0
         to_file = capsys.readouterr()
@@ -747,13 +805,18 @@ class TestParserReuse:
     def test_flags_do_not_carry_over(self, generated, tmp_path):
         pair = ["--channel", generated["channel"], "--code", generated["code"]]
         first, second = tmp_path / "first.json", tmp_path / "second.json"
-        argv = ["classify", *pair, "--tol", "1e-3", "--strategy", "replace"]
+        argv = ["classify", *pair, "--tol", "1e-3", "--strategy", "replace", "--seed", "3"]
         assert main(argv + ["--out", str(first)]) == 0
         assert read(first)["config"]["tol"] == 1e-3
         assert read(first)["config"]["strategy"] == "replace"
         assert main(["classify", *pair, "--out", str(second)]) == 0
         config = read(second)["config"]
-        assert config["tol"] == 1e-08 and config["strategy"] == "petz" and config["seed"] == 0
+        assert config["tol"] == 1e-08 and config["strategy"] == "petz" and "seed" not in config
+        looped = ["epsilon", *pair, "--recovery", generated["recovery"]]
+        assert main(looped + ["--seed", "3", "--out", str(first)]) == 0
+        assert read(first)["config"]["seed"] == 3
+        assert main(looped + ["--out", str(second)]) == 0
+        assert read(second)["config"]["seed"] == 0
 
     def test_argparse_error_leaves_the_next_call_working(self, generated, tmp_path, capsys):
         pair = ["--channel", generated["channel"], "--code", generated["code"]]
@@ -763,7 +826,7 @@ class TestParserReuse:
         assert "--seed" in capsys.readouterr().err
         out = tmp_path / "after.json"
         assert main(["classify", *pair, "--out", str(out)]) == 0
-        assert read(out)["config"]["seed"] == 0
+        assert "seed" not in read(out)["config"]
         assert read(out)["results"]["preserved"] is True
 
 
@@ -968,7 +1031,7 @@ class TestPackedPayloads:
                 "--recovery", generated["recovery"]]
         sim, eps = tmp_path / "simulate.json", tmp_path / "epsilon.json"
         assert main(["simulate", *argv, "--iters", "1", "--out", str(sim)]) == 0
-        assert main(["epsilon", *argv, "--samples", "2", "--refine", "5", "--out", str(eps)]) == 0
+        assert main(["epsilon", *argv, "--out", str(eps)]) == 0
         for path, key in ((sim, "final_decoded_state"), (eps, "witness_state")):
             matrix = read(path)["results"][key]
             assert isinstance(matrix, list) and np.shape(matrix) == (2, 2, 2)

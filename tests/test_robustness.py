@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tniso import channels, robustness
 from tniso import tolerances as tol
-from tniso.analysis import build_correction
+from tniso.analysis import _round_residual, build_correction
 from tniso.channels import KrausChannel, Superoperator, compose, convex_mix, vec
 from tniso.codes import PerturbedEncoding, make_example2_channel
 from tniso.errors import ContractViolation
@@ -267,7 +267,7 @@ class TestBatchedTraceNorms:
         assert values.max() >= oracle - slack - enc.dim_physical * np.finfo(float).eps
 
         rho0 = enc.encode(random_density(enc.dim_logical, np.random.default_rng(seed)))
-        trace = simulate_iterated(noise, recovery, rho0, n, encoding=enc, epsilon=upper)
+        trace = simulate_iterated(noise, recovery, rho0, n, encoding=enc)
         states, errors, decoded, alphas, gaps = reference_simulate_iterated(
             noise, recovery, rho0, n, enc
         )
@@ -366,6 +366,30 @@ class TestBatchedTraceNorms:
         ok, _, _ = perturbed_encoding_correctability(pert, channel, recovery)
         assert calls == []
         assert len(trace.states) == 21 and ok
+
+
+class TestRoundCertificate:
+    """``simulate`` takes its per-round epsilon from ``_round_residual``
+    instead of running the witness search: the two agree bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 3),
+        d_f=st.integers(1, 3),
+        d_r=st.integers(1, 3),
+        admixture=st.one_of(st.just(0.0), st.floats(-6.0, -1.0).map(lambda e: 10.0**e)),
+        strategy=st.sampled_from(["time_reversal", "replace"]),
+    )
+    def test_residual_is_the_upper_end(self, seed, d_s, d_f, d_r, admixture, strategy):
+        rng = np.random.default_rng(seed)
+        enc, exact = random_preserved_system(d_s, d_f, d_r, rng)
+        recovery = build_correction(enc, exact, strategy=strategy)
+        noise = exact
+        if admixture:
+            noise = convex_mix([1.0 - admixture, admixture], [exact, random_channel(enc.dim_physical, rng)])
+        est = estimate_epsilon(recovery @ (noise @ enc), enc, samples=1, refine_steps=0)
+        assert _round_residual(noise, recovery, enc) == est.upper_bound
 
 
 class TestEstimateEpsilon:
@@ -568,12 +592,17 @@ class TestSimulateIterated:
 
     def test_trace_bookkeeping(self, repetition):
         enc, channel, recovery, _ = repetition
-        trace = simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 7, epsilon=0.1)
+        trace = simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 7)
         assert len(trace.states) == 8
         assert len(trace.errors) == 8
-        assert len(trace.linear_bound) == 8
-        np.testing.assert_allclose(trace.linear_bound, 0.1 * np.arange(8))
         assert len(trace.alpha_estimates) == 7
+        # the linear bound is 0.1 n at each of the 8 errors: errors on it
+        # pass with no margin, and one error above it by more than the slack fails
+        trace.errors = 0.1 * np.arange(8)
+        assert check_prop3_bound(trace, 0.1) == (True, 0.0)
+        trace.errors[3] += 2 * tol.BOUND_SLACK
+        ok, margin = check_prop3_bound(trace, 0.1)
+        assert not ok and margin == pytest.approx(-2 * tol.BOUND_SLACK)
 
     def test_input_validation(self, repetition):
         enc, channel, recovery, _ = repetition
@@ -613,7 +642,8 @@ class TestSimulateIteratedSweep:
         eps = estimate_epsilon(composite, enc, samples=1, refine_steps=0).upper_bound
         rho0 = enc.encode(random_density(enc.dim_logical, rng))
 
-        trace = simulate_iterated(noise, recovery, rho0, n, encoding=enc, epsilon=eps)
+        trace = simulate_iterated(noise, recovery, rho0, n, encoding=enc)
+        geometric = check_geometric_bound(trace, eps).bound
         reference = composed_loop_iterates(noise, recovery, rho0, n)
         assert len(trace.states) == n + 1 and len(trace.alpha_estimates) == n
         assert max(np.abs(a - b).max() for a, b in zip(trace.states, reference)) <= 1e-14
@@ -626,12 +656,12 @@ class TestSimulateIteratedSweep:
         summed = np.concatenate([[0.0], np.cumsum(steps)])
         assert (trace.errors <= summed + 1e-13).all()
         if admixture == 0.0:
-            assert trace.alpha_max is None and trace.geometric_bound is None
-        elif trace.geometric_bound is not None:
+            assert trace.alpha_max is None and geometric is None
+        elif geometric is not None:
             # for an encoded start the first step is at most eps
             assert steps[0] <= eps + 1e-13
             floor = n * tol.CONTRACTION_RESIDUAL_FLOOR
-            assert (trace.errors <= trace.geometric_bound + floor + 1e-13).all()
+            assert (trace.errors <= geometric + floor + 1e-13).all()
 
     def test_uses_neither_the_fixed_point_projector_nor_a_composed_loop(
         self, repetition, monkeypatch
@@ -659,12 +689,6 @@ class TestSimulateIteratedSweep:
 class TestEpsilonArgument:
     BAD = [-1.0, -1e-300, float("nan"), float("inf"), -float("inf")]
 
-    @pytest.mark.parametrize("bad", BAD)
-    def test_simulate_refuses(self, repetition, bad):
-        enc, channel, recovery, _ = repetition
-        with pytest.raises(ContractViolation, match="^epsilon must be nonnegative and finite"):
-            simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 5, epsilon=bad)
-
     @pytest.mark.parametrize("check", [check_prop3_bound, check_geometric_bound])
     @pytest.mark.parametrize("bad", BAD)
     def test_bound_checks_refuse(self, repetition, check, bad):
@@ -676,9 +700,10 @@ class TestEpsilonArgument:
 
     def test_zero_is_a_bound(self, repetition):
         enc, channel, recovery, _ = repetition
-        trace = simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 5, epsilon=0.0)
-        np.testing.assert_array_equal(trace.linear_bound, np.zeros(6))
-        assert check_prop3_bound(trace, 0.0)[0]
+        trace = simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 5)
+        ok, margin = check_prop3_bound(trace, 0.0)
+        # the linear bound is 0 at every round, so the margin is the largest error
+        assert ok and margin == -trace.errors.max()
         assert not check_geometric_bound(trace, 0.0).applicable
 
 
@@ -695,9 +720,7 @@ class TestLinearBound:
         loop = compose(recovery, channel)
         composite = loop.superoperator() @ enc.superoperator()
         est = estimate_epsilon(composite, enc, samples=200, refine_steps=200, seed=0)
-        trace = simulate_iterated(
-            channel, recovery, enc.encode(RHO_COHERENT), 10, encoding=enc, epsilon=est.upper_bound
-        )
+        trace = simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 10, encoding=enc)
         ok, margin = check_prop3_bound(trace, est.upper_bound)
         assert ok
         assert trace.decoded_errors[-1] <= 10 * est.upper_bound
