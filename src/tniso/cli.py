@@ -2,13 +2,15 @@
 
 Subcommands: check-channel, classify, correct, simulate, epsilon, example.
 Exit codes are stable across commands: 0 success, 1 analysis verdict
-failure, 2 input error. Reports are deterministic for a fixed config; only
-``epsilon`` reads ``--seed``, which the other commands accept and ignore.
-Wall-clock duration lives under a separate "meta" key so the report body
-can be hashed. ``simulate`` takes its per-round epsilon from the round's
-trace-norm certificate and its bounds from the bound checks. Each command's
-human summary goes to stdout, or to stderr when the JSON report does, so
-that stdout is then one JSON document.
+failure, 2 input error. Each command parses only the flags it reads, with
+one exception: only ``epsilon`` reads ``--seed``, and ``classify``,
+``correct``, ``simulate`` and ``example`` accept it and ignore it only
+because the benchmark's command lines pass it. Reports are deterministic
+for a fixed config. Wall-clock duration lives under a separate "meta" key
+so the report body can be hashed. ``simulate`` takes its per-round epsilon
+from the round's trace-norm certificate and its bounds from the bound
+checks. Each command's human summary goes to stdout, or to stderr when the
+JSON report does, so that stdout is then one JSON document.
 """
 
 from __future__ import annotations
@@ -43,73 +45,94 @@ EXIT_VERDICT = 1
 EXIT_INPUT = 2
 
 _STRATEGIES = {"petz": "time_reversal", "replace": "replace"}
-_SEED_HELP = "seed of epsilon's random restarts; the other commands ignore it (default 0)"
+_SEED_HELP = "ignored; accepted because the benchmark's command lines pass it"
+_OUT_HELP = "output path for the JSON report"
 
 
-def _resolve_tol(args) -> float:
-    """``--tol`` if given, else ``TNISO_TOL``, else the default; must be positive and finite."""
-    if getattr(args, "tol", None) is not None:
-        value, name = args.tol, "tol"
-    else:
-        env = os.environ.get("TNISO_TOL")
-        if env is None:
-            return tol.DETECTION_TOL
-        try:
-            value, name = float(env), "TNISO_TOL"
-        except ValueError as exc:
-            raise ContractViolation(f"TNISO_TOL is not a number: {env!r}") from exc
-    return tol.require_tolerance(value, name)
+class _Checked(argparse.Action):
+    """Store a flag's value once ``check(value, name)`` has passed it. A
+    refused value raises ``ContractViolation`` out of ``parse_args``, an input
+    error (exit 2) naming the flag, where argparse's own refusals exit as
+    usage errors."""
+
+    def __init__(self, option_strings, dest, check, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.check = check
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, self.check(value, self.dest))
+
+
+def _at_least_one(value, name):
+    if value < 1:
+        raise ContractViolation(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def _nonnegative(value, name):
+    if value < 0:
+        raise ContractViolation(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: ``parse_args`` keeps no state
-    between calls, and each ``add_argument`` costs a formatter."""
+    between calls, and each ``add_argument`` costs a formatter. Each command
+    declares its flags, its handler ``run``, called with the parsed
+    arguments, and the arguments its report echoes under ``config``, those
+    the handler reads."""
     parser = argparse.ArgumentParser(
         prog="tniso",
         description="Analyze trace-norm isometric encodings under CPTP noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, channel=False, code=False, recovery=False, state=False):
-        if channel:
-            p.add_argument("--channel", required=True, help="channel JSON file")
-        if code:
-            p.add_argument("--code", required=True, help="code JSON file")
-        if recovery:
-            p.add_argument("--recovery", help="recovery channel JSON file")
-        if state:
-            p.add_argument("--state", help="initial state JSON file")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
-        p.add_argument("--out", help="output path for the JSON report")
+    def command(name, run, config, help, files):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, config=config)
+        for f in files:
+            p.add_argument(f"--{f}", required=f in ("channel", "code"), help=f"{f} JSON file")
+        return p
 
-    p = sub.add_parser("check-channel", help="validate a channel file")
-    add_common(p, channel=True)
+    iters = dict(type=int, default=10, action=_Checked, check=_at_least_one, help="number of rounds")
+    seed = dict(type=int, default=0, action=_Checked, check=_nonnegative, help=_SEED_HELP)
 
-    p = sub.add_parser("classify", help="full code classification table")
-    add_common(p, channel=True, code=True)
-    p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="petz")
+    p = command("check-channel", _cmd_check_channel, ("channel",), "validate a channel file", ["channel"])
+    p.add_argument("--out", help=_OUT_HELP)
 
-    p = sub.add_parser("correct", help="construct and write a recovery channel")
-    add_common(p, channel=True, code=True)
-    p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="petz")
+    for name, run, config, help, out_help in (
+        ("classify", _cmd_classify, ("channel", "code", "strategy", "tol"),
+         "full code classification table", _OUT_HELP),
+        ("correct", _cmd_correct, (),
+         "construct and write a recovery channel", "output path for the recovery (default recovery.json)"),
+    ):
+        p = command(name, run, config, help, ["channel", "code"])
+        p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="petz")
+        p.add_argument("--tol", type=float, default=tol.DETECTION_TOL, action=_Checked,
+                       check=tol.require_tolerance, help="detection tolerance (default 1e-8)")
+        p.add_argument("--seed", **seed)
+        p.add_argument("--out", help=out_help)
 
-    p = sub.add_parser("simulate", help="iterate recovery-after-channel")
-    add_common(p, channel=True, code=True, recovery=True, state=True)
-    p.add_argument("--iters", type=int, default=10, help="number of rounds")
+    p = command("simulate", _cmd_simulate, ("channel", "code", "recovery", "state", "iters"),
+                "iterate recovery-after-channel", ["channel", "code", "recovery", "state"])
+    p.add_argument("--iters", **iters)
     p.add_argument("--csv", help="write (n, error, bounds) rows to this CSV file")
+    p.add_argument("--seed", **seed)
+    p.add_argument("--out", help=_OUT_HELP)
 
-    p = sub.add_parser("epsilon", help="estimate the per-round perturbation bracket")
-    add_common(p, channel=True, code=True, recovery=True)
+    p = command("epsilon", _cmd_epsilon, ("channel", "code", "recovery", "seed"),
+                "estimate the per-round perturbation bracket", ["channel", "code", "recovery"])
+    p.add_argument("--seed", **{**seed, "help": "seed of the witness search's random restarts (default 0)"})
+    p.add_argument("--out", help=_OUT_HELP)
 
-    p = sub.add_parser("example", help="generate a named example system")
+    p = command("example", _cmd_example, ("name", "p", "epsilon", "iters", "out"),
+                "generate a named example system", [])
     p.add_argument("name", choices=["repetition", "example2"])
     p.add_argument("--p", type=float, default=0.4, help="flip probability")
     p.add_argument("--epsilon", type=float, default=0.05, help="phase-flip admixture")
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
+    p.add_argument("--iters", **iters)
+    p.add_argument("--seed", **seed)
     p.add_argument("--out", default=".", help="output directory for generated files")
     return parser
 
@@ -118,39 +141,28 @@ def _load_channel(path):
     return serialize.channel_from_dict(serialize.load_json(path))
 
 
-def _load_system(args):
-    """Channel, code and recovery (None without ``--recovery``), every
-    channel square on the code's physical space."""
+def _load_system(args, recovery_path=None):
+    """Channel, code and the recovery at ``recovery_path`` (None without
+    one), every channel square on the code's physical space."""
     channel = _load_channel(args.channel)
     encoding = serialize.encoding_from_dict(serialize.load_json(args.code))
     d = encoding.dim_physical
     if (channel.dim_in, channel.dim_out) != (d, d):
         raise ContractViolation("channel and code dimensions do not match")
     recovery = None
-    if getattr(args, "recovery", None):
-        recovery = _load_channel(args.recovery)
+    if recovery_path:
+        recovery = _load_channel(recovery_path)
         if (recovery.dim_in, recovery.dim_out) != (d, d):
             raise ContractViolation("recovery and code dimensions do not match")
     return channel, encoding, recovery
 
 
-# the arguments each report echoes under "config", those its command reads;
-# "tol" is the resolved tolerance, and correct writes no report
-_CONFIG = {
-    "check-channel": ("channel",),
-    "classify": ("channel", "code", "strategy", "tol"),
-    "simulate": ("channel", "code", "recovery", "state", "iters"),
-    "epsilon": ("channel", "code", "recovery", "seed"),
-    "example": ("name", "p", "epsilon", "iters", "out"),
-}
-
-
-def _write_report(args, tol_, results: dict, meta: dict, started: float) -> None:
+def _write_report(args, results: dict, meta: dict, started: float) -> None:
     """The JSON report, to ``--out`` (``example``: ``<name>_report.json`` in
     that directory) or else to stdout; wall-clock data lives under ``meta``."""
     report = {
         "command": args.command,
-        "config": {k: tol_ if k == "tol" else getattr(args, k) for k in _CONFIG[args.command]},
+        "config": {k: vars(args)[k] for k in args.config},
         "results": results,
         "versions": {
             "tniso": __version__,
@@ -170,7 +182,7 @@ def _write_report(args, tol_, results: dict, meta: dict, started: float) -> None
         print(text)
 
 
-def _cmd_check_channel(args, tol_):
+def _cmd_check_channel(args):
     # validation is the point here, so load without the TP gate and judge
     # the defect against the gate every other command loads channels through
     channel = serialize.channel_from_dict(
@@ -192,9 +204,9 @@ def _cmd_check_channel(args, tol_):
     return (EXIT_OK if trace_preserving else EXIT_VERDICT), results, {}, summary
 
 
-def _cmd_classify(args, tol_):
+def _cmd_classify(args):
     channel, encoding, _ = _load_system(args)
-    result = classify(encoding, channel, tol_=tol_, strategy=_STRATEGIES[args.strategy])
+    result = classify(encoding, channel, tol_=args.tol, strategy=_STRATEGIES[args.strategy])
     table = result.as_dict()
     lines = [f"{'property':<24}{'verdict':<9}"]
     lines += [f"{k:<24}{'yes' if v else 'no':<9}" for k, v in table.items() if k != "residuals"]
@@ -202,10 +214,10 @@ def _cmd_classify(args, tol_):
     return EXIT_OK, table, result.meta, "\n".join(lines)
 
 
-def _cmd_correct(args, tol_):
+def _cmd_correct(args):
     channel, encoding, _ = _load_system(args)
     recovery, details = build_correction(
-        encoding, channel, strategy=_STRATEGIES[args.strategy], tol_=tol_, return_details=True
+        encoding, channel, strategy=_STRATEGIES[args.strategy], tol_=args.tol, return_details=True
     )
     residual = _round_residual(channel, recovery, encoding)
     out_path = args.out or "recovery.json"
@@ -221,10 +233,10 @@ def _cmd_correct(args, tol_):
     return EXIT_OK, None, {}, json.dumps(verification, indent=2, sort_keys=True)
 
 
-def _cmd_simulate(args, tol_):
+def _cmd_simulate(args):
     if not args.recovery:
         raise ContractViolation("simulate requires --recovery")
-    channel, encoding, recovery = _load_system(args)
+    channel, encoding, recovery = _load_system(args, args.recovery)
     if args.state:
         rho = serialize.state_from_json(serialize.load_json(args.state))
         try:
@@ -278,8 +290,8 @@ def _cmd_simulate(args, tol_):
     return EXIT_OK, results, {}, summary
 
 
-def _cmd_epsilon(args, tol_):
-    channel, encoding, recovery = _load_system(args)
+def _cmd_epsilon(args):
+    channel, encoding, recovery = _load_system(args, args.recovery)
     composite = channel @ encoding
     if recovery is not None:
         composite = recovery @ composite
@@ -293,7 +305,7 @@ def _cmd_epsilon(args, tol_):
     return EXIT_OK, results, {"epsilon_search_dim": est.search_dim}, summary
 
 
-def _example_goldens_repetition(system, p, tol_):
+def _example_goldens_repetition(system, p):
     deltas = []
     image = system.channel(system.encoding.encode(np.diag([1.0, 0.0]).astype(complex)))
     block = system.encoding.decomposition.restrict(image)[:4, :4]
@@ -305,7 +317,7 @@ def _example_goldens_repetition(system, p, tol_):
         )
     protect_loop = compose(system.channel, system.recovery)
     ns_ok, cof, ns_res = check_ns_factorization(
-        protect_loop, system.encoding.decomposition, max(tol_, tol.GOLDEN_NS_FLOOR)
+        protect_loop, system.encoding.decomposition, tol.DETECTION_TOL
     )
     if not ns_ok:
         deltas.append(
@@ -353,12 +365,12 @@ def _example_goldens_example2(system, channel, p, eps, iters):
     return deltas, trace, epsilon_upper
 
 
-def _cmd_example(args, tol_):
+def _cmd_example(args):
     os.makedirs(args.out, exist_ok=True)
     system = make_repetition_example(args.p)
     if args.name == "repetition":
         channel = system.channel
-        deltas = _example_goldens_repetition(system, args.p, tol_)
+        deltas = _example_goldens_repetition(system, args.p)
         extra = {}
     else:
         channel = make_example2_channel(args.p, args.epsilon)
@@ -383,31 +395,15 @@ def _cmd_example(args, tol_):
     return (EXIT_OK if not deltas else EXIT_VERDICT), results, {}, "\n".join(lines)
 
 
-_DISPATCH = {
-    "check-channel": _cmd_check_channel,
-    "classify": _cmd_classify,
-    "correct": _cmd_correct,
-    "simulate": _cmd_simulate,
-    "epsilon": _cmd_epsilon,
-    "example": _cmd_example,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
     try:
-        tol_ = _resolve_tol(args)
-        if getattr(args, "iters", 1) < 1:
-            raise ContractViolation(f"iters must be at least 1, got {args.iters}")
-        if args.seed < 0:
-            raise ContractViolation(f"seed must be nonnegative, got {args.seed}")
-        code, results, meta, summary = _DISPATCH[args.command](args, tol_)
+        args = _build_parser().parse_args(argv)
+        started = time.perf_counter()
+        code, results, meta, summary = args.run(args)
         # a report on stdout keeps it to one JSON document
         print(summary, file=sys.stderr if results is not None and not args.out else sys.stdout)
         if results is not None:
-            _write_report(args, tol_, results, meta, started)
+            _write_report(args, results, meta, started)
     except NotCorrectableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT

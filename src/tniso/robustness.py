@@ -48,9 +48,9 @@ class EpsilonEstimate:
     """Bracket on the perturbation size of an almost-isometric encoding.
 
     ``epsilon``, a lower bound, is the deviation of the pure ``witness_state``:
-    the state the ascent (of at most ``refine_steps`` steps) reached, or its
-    best start if that one's image has the larger trace norm; ``upper_bound``, the
-    deviation map's trace-norm certificate, dominates the supremum for any ``seed``.
+    the state the ascent reached, or its best start if that one's image has
+    the larger trace norm; ``upper_bound``, the deviation map's trace-norm
+    certificate, dominates the supremum whatever the seed of the starts.
     ``search_dim`` is the dimension r of the deviation's range, in which the
     ascent valued its states as r x r matrices.
     """
@@ -58,9 +58,6 @@ class EpsilonEstimate:
     epsilon: float
     witness_state: np.ndarray
     upper_bound: float
-    samples: int
-    refine_steps: int
-    seed: int
     search_dim: int | None = None
 
 
@@ -72,18 +69,16 @@ def _deviation_superoperator(perturbed, nominal: IsometricEncoding) -> Superoper
     return Superoperator(nom.dim_in, nom.dim_out, perturbed.matrix - nom.matrix)
 
 
+# The search budget of :func:`estimate_epsilon`: random pure starts beside
+# the d_S^2 basis starts, and the most ascent steps.
+_EPSILON_SAMPLES = 200
+_EPSILON_STEPS = 200
 # Byte budget of one chunk of pooled r x r images in :func:`estimate_epsilon`:
 # 1,024 at r = 4 and 64 at r = 16.
 _EPSILON_BLOCK_BYTES = 1 << 18
 
 
-def estimate_epsilon(
-    perturbed,
-    nominal: IsometricEncoding,
-    samples: int = 200,
-    refine_steps: int = 200,
-    seed: int = 0,
-) -> EpsilonEstimate:
+def estimate_epsilon(perturbed, nominal: IsometricEncoding, seed: int = 0) -> EpsilonEstimate:
     """Estimate the worst-state trace-norm deviation from a nominal encoding.
 
     A pure state v has the value ``f(v) = ||H(v)||_1``, ``H(v)`` the Hermitian
@@ -94,10 +89,10 @@ def estimate_epsilon(
     and ``||Q^dag H(v) Q||_1 = ||H(v)||_1`` as Q is an isometry. The search
     values states by these r x r compressions. The starts, valued a chunk at a
     time by one matrix product and one batched ``eigvalsh``, are the d_S^2
-    states |i>, (|i> + |j>)/sqrt 2 and (|i> + i|j>)/sqrt 2, then ``samples``
-    random pure states from ``seed``. At most ``refine_steps`` steps of Hager's
-    one-norm ascent, lifted to maps, take the best start v to the sign S of
-    ``Q^dag H(v) Q``, then to the top eigenvector v' of the Hermitian part of
+    states |i>, (|i> + |j>)/sqrt 2 and (|i> + i|j>)/sqrt 2, then
+    ``_EPSILON_SAMPLES`` random pure states from ``seed``, a fixed budget. At
+    most ``_EPSILON_STEPS`` steps of Hager's one-norm ascent, lifted to maps,
+    take the best start v to the sign S of ``Q^dag H(v) Q``, then to the top eigenvector v' of the Hermitian part of
     ``delta^dag(Q S Q^dag)``:
     ``f(v') >= <S, Q^dag H(v') Q> = lambda_max >= <S, Q^dag H(v) Q> = f(v)``
     as ``||Q S Q^dag|| <= 1``. A step c < 1 times the last goes 1 / (1 - c)
@@ -109,10 +104,6 @@ def estimate_epsilon(
     start is strictly better, and its value is ``epsilon``, which thus never
     falls below the best start's.
     """
-    if samples < 1:
-        raise ContractViolation(f"samples must be at least 1, got {samples}")
-    if refine_steps < 0:
-        raise ContractViolation(f"refine_steps must be nonnegative, got {refine_steps}")
     if seed < 0:
         raise ContractViolation(f"seed must be nonnegative, got {seed}")
     delta = _deviation_superoperator(perturbed, nominal)
@@ -138,15 +129,17 @@ def estimate_epsilon(
         # from its eigh, (u * sign(w)) u^dag is sign(Q^dag H(v) Q)^T, whose ravel() is vec(S)
         return ((vs.conj()[:, :, None] * vs[:, None, :]).reshape(len(vs), d * d) @ half.T).reshape(-1, r, r)
 
-    eye, (i, j), pool = np.eye(d, dtype=complex), np.triu_indices(d, 1), d * d + samples
-    basis = np.concatenate([eye, (eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)])
+    eye, (i, j) = np.eye(d, dtype=complex), np.triu_indices(d, 1)
+    g = rng.standard_normal((_EPSILON_SAMPLES, 2, d))
+    drawn = g[:, 0] + 1j * g[:, 1]
+    pool = np.concatenate([
+        eye, (eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2),
+        drawn / np.linalg.norm(drawn, axis=1)[:, None],
+    ])
     rows = max(1, _EPSILON_BLOCK_BYTES // (16 * r * r))
     best, v = -np.inf, None
-    for start in range(0, pool, rows):
-        fixed = basis[start : start + rows]
-        g = rng.standard_normal((min(rows, pool - start) - len(fixed), 2, d))
-        drawn = g[:, 0] + 1j * g[:, 1]
-        vs = np.concatenate([fixed, drawn / np.linalg.norm(drawn, axis=1)[:, None]])
+    for start in range(0, len(pool), rows):
+        vs = pool[start : start + rows]
         vals = np.abs(np.linalg.eigvalsh(hermitian_images(vs))).sum(-1)
         if vals.max() > best:
             best, v = vals.max(), vs[np.argmax(vals)]
@@ -159,7 +152,7 @@ def estimate_epsilon(
     # the adjoint of the compressed map is formed once
     adjoint = half.conj().T
     start, (f, w, u), size = v, value(v), 0.0
-    for _ in range(refine_steps):
+    for _ in range(_EPSILON_STEPS):
         dual = unvec(adjoint @ ((u * np.sign(w)) @ u.conj().T).ravel(), d)
         top = np.linalg.eigh(dual)[1][:, -1]
         step = top * cmath.exp(-1j * cmath.phase(np.vdot(v, top))) - v
@@ -182,9 +175,6 @@ def estimate_epsilon(
         epsilon=float(values[pick]),
         witness_state=states[pick],
         upper_bound=trace_norm_certificate(delta),
-        samples=samples,
-        refine_steps=refine_steps,
-        seed=seed,
         search_dim=r,
     )
 

@@ -49,7 +49,6 @@ ASCENT_GAIN_TOL = 1e-12     # the epsilon witness's ascent stops at a step that 
 
 # Golden checks of the bundled paper examples (``tniso example``).
 GOLDEN_EXACT_TOL = 1e-12    # closed-form golden spectra and images match, and decoded coherence never grows, this tightly
-GOLDEN_NS_FLOOR = 1e-9      # lowest tolerance of the repetition example's noiseless-subsystem split
 GOLDEN_FIXED_TOL = 1e-10    # the repetition code is fixed by its correction this tightly
 GOLDEN_DIGITS_TOL = 1e-3    # the paper's goldens (0.332, 0.335) are printed to three digits
 

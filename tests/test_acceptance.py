@@ -224,7 +224,7 @@ def test_08_linear_error_bound():
         channel = make_example2_channel(0.4, 0.05)
         loop = compose(recovery, channel)
         composite = loop.superoperator() @ enc.superoperator()
-        est = estimate_epsilon(composite, enc, samples=200, refine_steps=200, seed=0)
+        est = estimate_epsilon(composite, enc, seed=0)
         for n in (5, 10, 20):
             trace = simulate_iterated(
                 channel, recovery, enc.encode(RHO_COHERENT), n, encoding=enc

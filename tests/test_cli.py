@@ -1,5 +1,7 @@
+import argparse
 import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from tniso import serialize
 from tniso.analysis import build_correction
 from tniso.channels import convex_mix
-from tniso.cli import _CONFIG, main
+from tniso.cli import _build_parser, main
 from tniso.codes import make_example2_channel, make_repetition_example
 from tniso.sampling import random_channel, random_preserved_system
 
@@ -39,6 +41,25 @@ def read(path):
         return json.load(fh)
 
 
+# each command's flags, in the order ``tniso <command> --help`` lists them
+FLAGS = {
+    "check-channel": ["--channel", "--out"],
+    "classify": ["--channel", "--code", "--strategy", "--tol", "--seed", "--out"],
+    "correct": ["--channel", "--code", "--strategy", "--tol", "--seed", "--out"],
+    "simulate": ["--channel", "--code", "--recovery", "--state", "--iters", "--csv", "--seed", "--out"],
+    "epsilon": ["--channel", "--code", "--recovery", "--seed", "--out"],
+    "example": ["name", "--p", "--epsilon", "--iters", "--seed", "--out"],
+}
+# the arguments each report echoes under "config"; correct writes no report
+CONFIG = {
+    "check-channel": ("channel",),
+    "classify": ("channel", "code", "strategy", "tol"),
+    "simulate": ("channel", "code", "recovery", "state", "iters"),
+    "epsilon": ("channel", "code", "recovery", "seed"),
+    "example": ("name", "p", "epsilon", "iters", "out"),
+}
+
+
 class TestCheckChannel:
     def test_valid_channel(self, generated, tmp_path):
         out = tmp_path / "report.json"
@@ -67,8 +88,8 @@ class TestCheckChannel:
     def test_defect_outside_the_load_gate_fails_whatever_the_tolerance(
         self, generated, tmp_path, capsys
     ):
-        # a 3e-9 TP defect is inside --tol but outside the TP gate that
-        # classify loads the channel through
+        # a 3e-9 TP defect is inside the detection tolerance but outside the
+        # TP gate that classify loads the channel through
         payload = read(generated["channel"])
         kraus = serialize.matrix_from_json(payload["kraus"], "kraus", ndim=3)
         payload["kraus"] = serialize.matrix_to_packed(np.sqrt(1.0 + 3e-9) * kraus)
@@ -78,7 +99,6 @@ class TestCheckChannel:
         assert main(["check-channel", "--channel", str(bad), "--out", str(out)]) == 1
         assert read(out)["results"]["trace_preserving"] is False
         assert 1e-9 < read(out)["results"]["tp_residual"] < 1e-8
-        assert main(["check-channel", "--channel", str(bad), "--tol", "1e-6", "--out", str(out)]) == 1
         # the verdict reads no tolerance from the command line, so the report records none
         assert "tol" not in read(out)["config"]
         capsys.readouterr()
@@ -490,24 +510,8 @@ class TestReportContract:
         payload = read(out)
         assert json.loads(json.dumps(payload)) == payload
 
-    def test_env_tolerance_override(self, generated, tmp_path, monkeypatch):
-        monkeypatch.setenv("TNISO_TOL", "1e-6")
-        out = tmp_path / "c.json"
-        code = main(
-            ["classify", "--channel", generated["mixture"], "--code", generated["code"], "--out", str(out)]
-        )
-        assert code == 0
-        report = read(out)
-        assert report["config"]["tol"] == 1e-6
-        assert report["results"]["preserved"] is False
-
-    def test_bad_env_tolerance_exits_2(self, generated, monkeypatch):
-        monkeypatch.setenv("TNISO_TOL", "not-a-number")
-        assert main(["check-channel", "--channel", generated["channel"]]) == 2
-
-    @pytest.mark.parametrize("command", sorted(_CONFIG))
-    def test_report_skeleton(self, generated, tmp_path, monkeypatch, command):
-        monkeypatch.delenv("TNISO_TOL", raising=False)
+    @pytest.mark.parametrize("command", sorted(CONFIG))
+    def test_report_skeleton(self, generated, tmp_path, command):
         out = tmp_path / "repetition_report.json"
         argv = _report_argv(command, generated, tmp_path)
         if command != "example":
@@ -516,7 +520,7 @@ class TestReportContract:
         report = read(out)
         assert set(report) == {"command", "config", "results", "versions", "meta"}
         assert report["command"] == command
-        assert set(report["config"]) == set(_CONFIG[command])
+        assert set(report["config"]) == set(CONFIG[command])
         # only epsilon reads the seed, and only classify the tolerance
         assert report["config"].get("seed") == (0 if command == "epsilon" else None)
         assert ("tol" in report["config"]) == (command == "classify")
@@ -524,10 +528,11 @@ class TestReportContract:
             if f"--{key}" in argv:
                 assert value == type(value)(argv[argv.index(f"--{key}") + 1])
 
-    @pytest.mark.parametrize("command", ["check-channel", "classify", "correct", "simulate"])
+    @pytest.mark.parametrize("command", ["classify", "correct", "simulate"])
     def test_seed_is_accepted_and_ignored(self, generated, tmp_path, command):
-        # only epsilon reads --seed; the other commands accept it, record
-        # none, and write the same body (correct: recovery file) for any value
+        # only epsilon reads --seed; the commands the benchmark passes it to
+        # accept it, record none, and write the same body (correct: recovery
+        # file) for any value
         argv = _report_argv(command, generated, tmp_path)
         if command == "simulate":
             argv[argv.index("--channel") + 1] = generated["mixture"]
@@ -542,29 +547,14 @@ class TestReportContract:
             bodies.append(json.dumps(doc, sort_keys=True))
         assert bodies[0] == bodies[1]
 
-    @pytest.mark.parametrize("command", ["classify", "simulate", "epsilon"])
-    @pytest.mark.parametrize(
-        "env, flag, expected", [(None, None, 1e-8), ("1e-7", None, 1e-7), ("1e-7", "1e-6", 1e-6)]
-    )
-    def test_config_tol_is_the_resolved_tolerance(
-        self, generated, tmp_path, monkeypatch, command, env, flag, expected
-    ):
-        # simulate and epsilon accept a tolerance but read none, so they
-        # record none, and it moves no number of theirs
-        monkeypatch.delenv("TNISO_TOL", raising=False)
-        out, default = tmp_path / "r.json", tmp_path / "default.json"
-        argv = _report_argv(command, generated, tmp_path)
-        assert main(argv + ["--out", str(default)]) == 0
-        if env is not None:
-            monkeypatch.setenv("TNISO_TOL", env)
+    @pytest.mark.parametrize("flag, expected", [(None, 1e-8), ("1e-6", 1e-6)])
+    def test_config_tol_is_the_resolved_tolerance(self, generated, tmp_path, flag, expected):
+        out = tmp_path / "r.json"
+        argv = _report_argv("classify", generated, tmp_path)
         if flag is not None:
             argv += ["--tol", flag]
         assert main(argv + ["--out", str(out)]) == 0
-        if command == "classify":
-            assert read(out)["config"]["tol"] == expected
-        else:
-            assert "tol" not in read(out)["config"]
-            assert read(out)["results"] == read(default)["results"]
+        assert read(out)["config"]["tol"] == expected
 
 
 def _report_argv(command, generated, tmp_path):
@@ -579,6 +569,77 @@ def _report_argv(command, generated, tmp_path):
     if command == "simulate":
         argv += ["--iters", "2"]
     return argv
+
+
+class TestEachCommandParsesOnlyWhatItReads:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_flags_match_the_table(self, command):
+        commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(commands.choices) == set(FLAGS)
+        actions = commands.choices[command]._actions
+        flags = [a.option_strings[0] if a.option_strings else a.dest for a in actions if a.dest != "help"]
+        assert flags == FLAGS[command]
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [(c, "--tol", "1e-6") for c in ("check-channel", "simulate", "epsilon", "example")]
+        + [("check-channel", "--seed", "0")],
+    )
+    def test_flag_the_command_does_not_read_exits_2(
+        self, generated, tmp_path, capsys, command, flag, value
+    ):
+        argv = _report_argv(command, generated, tmp_path)
+        if command != "example":
+            argv += ["--out", str(tmp_path / "report.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_tniso_tol_is_not_read(self, generated, tmp_path, monkeypatch, command):
+        # correct's body is its recovery file
+        argv = _report_argv(command, generated, tmp_path)
+        out = tmp_path / ("repetition_report.json" if command == "example" else "report.json")
+        if command != "example":
+            argv += ["--out", str(out)]
+        monkeypatch.delenv("TNISO_TOL", raising=False)
+        runs = []
+        for env in (None, "garbage"):
+            if env is not None:
+                monkeypatch.setenv("TNISO_TOL", env)
+            out.unlink(missing_ok=True)
+            code = main(argv)
+            doc = read(out)
+            if command != "correct":
+                doc.pop("meta")
+            runs.append((code, doc))
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+class TestBenchmarkCommandLines:
+    """The benchmark's ``paper-cli`` workload (``perfbench/workloads.py``)
+    passes command lines that the parser must keep accepting."""
+
+    def test_parser_accepts_every_benchmark_argv(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        seen, run = [], workloads._run_cli
+        monkeypatch.setattr(workloads, "_run_cli", lambda argv: seen.append(argv) or run(argv))
+        bench = workloads.PaperCli(0, str(tmp_path))
+        bench.setup()
+        argvs = seen + [argv for _, argv, _, _ in bench._commands(str(tmp_path / "pass"))]
+        assert [argv[0] for argv in seen] == ["example", "example"] and "--seed" in seen[0]
+        assert len(argvs) == 2 + len(workloads.CLI_SYSTEMS) * len(workloads.CLI_COMMANDS)
+        refused = []
+        for argv in argvs:
+            try:
+                _build_parser().parse_args(argv)
+            except SystemExit:
+                refused.append(argv)
+        assert refused == []
 
 
 class TestUnwritableOrUndecodableFiles:
@@ -654,11 +715,6 @@ class TestInputValidation:
         assert "tol must be positive" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_non_positive_env_tol_exits_2(self, generated, monkeypatch, capsys):
-        monkeypatch.setenv("TNISO_TOL", "0")
-        assert main(["check-channel", "--channel", generated["channel"]]) == 2
-        assert "TNISO_TOL must be positive" in capsys.readouterr().err
-
     def test_infinite_tol_exits_2(self, generated, tmp_path, capsys):
         # an infinite tolerance would accept the mixture, which the code's
         # channel does not preserve, as preserved and fixed
@@ -669,14 +725,13 @@ class TestInputValidation:
         assert "tol must be positive and finite, got inf" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_infinite_env_tol_exits_2(self, generated, tmp_path, monkeypatch, capsys):
+    def test_infinite_tol_for_correct_exits_2(self, generated, tmp_path, capsys):
         # an infinite tolerance would write a recovery for a code the
         # mixture does not preserve
-        monkeypatch.setenv("TNISO_TOL", "inf")
         out = tmp_path / "recovery.json"
         argv = ["correct", "--channel", generated["mixture"], "--code", generated["code"]]
-        assert main(argv + ["--out", str(out)]) == 2
-        assert "TNISO_TOL must be positive and finite, got inf" in capsys.readouterr().err
+        assert main(argv + ["--tol", "inf", "--out", str(out)]) == 2
+        assert "tol must be positive and finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "example"])

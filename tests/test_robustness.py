@@ -55,6 +55,13 @@ def pure_qubit_grid(steps):
             yield np.outer(v, v.conj())
 
 
+def budgeted_estimate(perturbed, nominal, samples, refine_steps, seed=0):
+    """:func:`estimate_epsilon` with its fixed search budget set to ``samples``
+    random starts and at most ``refine_steps`` ascent steps."""
+    with mock.patch.multiple(robustness, _EPSILON_SAMPLES=samples, _EPSILON_STEPS=refine_steps):
+        return estimate_epsilon(perturbed, nominal, seed)
+
+
 def reference_estimate_epsilon(perturbed, nominal, samples, refine_steps, seed):
     """The search one wrapped product and one trace norm at a time, as the
     library ran it before the ascent: random pure states, then a random walk
@@ -246,8 +253,8 @@ class TestBatchedTraceNorms:
         # samples into at least two chunks
         budget = 16 * 400 if samples == 700 else robustness._EPSILON_BLOCK_BYTES
         with mock.patch.object(robustness, "_EPSILON_BLOCK_BYTES", budget):
-            est = estimate_epsilon(composite, enc, samples, refine_steps, seed)
-            start = estimate_epsilon(composite, enc, samples, 0, seed)
+            est = budgeted_estimate(composite, enc, samples, refine_steps, seed)
+            start = budgeted_estimate(composite, enc, samples, 0, seed)
         oracle, _, upper = reference_estimate_epsilon(composite, enc, samples, 0, seed)
         starts, values = reference_pool(
             robustness._deviation_superoperator(composite, enc), samples, seed
@@ -318,7 +325,7 @@ class TestBatchedTraceNorms:
         spy(np.linalg, "eigvalsh")
         spy(np.linalg, "eigh")
         spy(robustness, "_trace_norms")
-        est = estimate_epsilon(composite, enc, samples=5_000, refine_steps=3, seed=0)
+        est = budgeted_estimate(composite, enc, 5_000, 3, 0)
         # the states are valued in the deviation's range, of dimension
         # r = d_S d_F = 4 of d_P = 6, and a chunk holds as many r x r images
         # as the budget allows
@@ -344,7 +351,7 @@ class TestBatchedTraceNorms:
             raise AssertionError("the search applied the deviation map through a wrapper")
 
         monkeypatch.setattr(Superoperator, "apply", refuse)
-        est = estimate_epsilon(composite, enc, samples=20, refine_steps=20, seed=0)
+        est = budgeted_estimate(composite, enc, 20, 20, 0)
         assert est.epsilon <= est.upper_bound
 
     def test_rounds_apply_no_wrapper(self, repetition, monkeypatch):
@@ -388,14 +395,14 @@ class TestRoundCertificate:
         noise = exact
         if admixture:
             noise = convex_mix([1.0 - admixture, admixture], [exact, random_channel(enc.dim_physical, rng)])
-        est = estimate_epsilon(recovery @ (noise @ enc), enc, samples=1, refine_steps=0)
+        est = budgeted_estimate(recovery @ (noise @ enc), enc, 1, 0)
         assert _round_residual(noise, recovery, enc) == est.upper_bound
 
 
 class TestEstimateEpsilon:
     def test_zero_perturbation(self, repetition):
         enc, channel, recovery, _ = repetition
-        est = estimate_epsilon(enc.superoperator(), enc, samples=20, refine_steps=10, seed=1)
+        est = budgeted_estimate(enc.superoperator(), enc, 20, 10, 1)
         assert est.epsilon <= 1e-14
         assert est.upper_bound <= 1e-13
         # the corrected repetition round deviates by exactly nothing: its
@@ -427,8 +434,8 @@ class TestEstimateEpsilon:
             perturbed = PerturbedEncoding(enc, Superoperator(d_s, d_p, delta), 2 * admixture)
         else:
             enc, _, _, perturbed = noisy_round(seed, d_s, d_f, d_r, admixture)
-        est = estimate_epsilon(perturbed, enc, samples, refine_steps, seed)
-        start = estimate_epsilon(perturbed, enc, samples, 0, seed)
+        est = budgeted_estimate(perturbed, enc, samples, refine_steps, seed)
+        start = budgeted_estimate(perturbed, enc, samples, 0, seed)
         oracle, _, upper = full_space_estimate_epsilon(perturbed, enc, samples, 0, seed)
         slack = 1e-12 * upper
         assert est.upper_bound == start.upper_bound == upper
@@ -453,7 +460,7 @@ class TestEstimateEpsilon:
         delta = np.zeros((d_p * d_p, 4), dtype=complex)
         delta[:, 0] = vec(1j * a)
         perturbed = Superoperator(2, d_p, enc.superoperator().matrix + delta)
-        est = estimate_epsilon(perturbed, enc, samples=5, refine_steps=10, seed=0)
+        est = budgeted_estimate(perturbed, enc, 5, 10, 0)
         assert est.epsilon == trace_norm(a)
         assert np.array_equal(est.witness_state, np.diag([1.0, 0.0]).astype(complex))
         assert est.epsilon <= est.upper_bound
@@ -468,7 +475,7 @@ class TestEstimateEpsilon:
             for rho in pure_qubit_grid(100)
         )
         assert 0.009 <= oracle <= 0.011
-        est = estimate_epsilon(pert, enc, samples=100, refine_steps=50, seed=2)
+        est = budgeted_estimate(pert, enc, 100, 50, 2)
         assert 0.009 <= est.epsilon <= 0.011
         assert est.epsilon == pytest.approx(oracle, rel=1e-6)
         assert est.upper_bound >= est.epsilon
@@ -476,7 +483,7 @@ class TestEstimateEpsilon:
     def test_witness_recomputed_exactly(self, repetition):
         enc = repetition.encoding
         pert = constant_perturbation(enc, traceless_image(8, 1, 5, 0.02), 0.02)
-        est = estimate_epsilon(pert, enc, samples=50, refine_steps=20, seed=3)
+        est = budgeted_estimate(pert, enc, 50, 20, 3)
         delta = pert.superoperator().matrix - enc.superoperator().matrix
         direct = trace_norm((delta @ vec(est.witness_state)).reshape(8, 8, order="F"))
         assert est.epsilon == direct
@@ -488,7 +495,7 @@ class TestEstimateEpsilon:
             trace_norm((delta @ vec(rho)).reshape(8, 8, order="F"))
             for rho in pure_qubit_grid(100)
         )
-        est = estimate_epsilon(composite, enc, samples=200, refine_steps=200, seed=0)
+        est = estimate_epsilon(composite, enc, seed=0)
         assert est.epsilon == pytest.approx(oracle, rel=0.05)
         # per-round coherence damping of the mixture model: 2*eps*p
         assert est.epsilon == pytest.approx(0.04, rel=0.01)
@@ -499,8 +506,8 @@ class TestEstimateEpsilon:
         # the witness reaches it at every seed, from the basis states alone
         enc, composite = example2_round(repetition)
         for seed in range(5):
-            for budget in ({}, {"samples": 1, "refine_steps": 0}):
-                est = estimate_epsilon(composite, enc, seed=seed, **budget)
+            budgets = (estimate_epsilon(composite, enc, seed), budgeted_estimate(composite, enc, 1, 0, seed))
+            for est in budgets:
                 assert abs(est.upper_bound - 0.04) <= 1e-12
                 assert est.upper_bound - 1e-12 <= est.epsilon <= est.upper_bound
 
@@ -538,7 +545,7 @@ class TestEstimateEpsilon:
         # a stretched step that would lower the value is replaced by the
         # plain step; on this system some stretches overshoot
         enc, _, _, composite = noisy_round(2, 4, 4, 4, 0.02)
-        caps = [estimate_epsilon(composite, enc, 20, k, 0) for k in range(25)]
+        caps = [budgeted_estimate(composite, enc, 20, k, 0) for k in range(25)]
         slack = 1e-12 * caps[0].upper_bound
         assert all(b.epsilon >= a.epsilon - slack for a, b in zip(caps, caps[1:]))
 
@@ -546,19 +553,10 @@ class TestEstimateEpsilon:
         with pytest.raises(ContractViolation):
             estimate_epsilon(Superoperator.identity(3), repetition.encoding)
 
-    @pytest.mark.parametrize(
-        "budget,field",
-        [
-            ({"samples": 0}, "samples"),
-            ({"samples": -3}, "samples"),
-            ({"refine_steps": -1}, "refine_steps"),
-            ({"seed": -1}, "seed"),
-        ],
-    )
-    def test_rejects_bad_sampling_budget(self, repetition, budget, field):
+    def test_rejects_a_negative_seed(self, repetition):
         enc = repetition.encoding
-        with pytest.raises(ContractViolation, match=field):
-            estimate_epsilon(enc.superoperator(), enc, **budget)
+        with pytest.raises(ContractViolation, match="seed"):
+            estimate_epsilon(enc.superoperator(), enc, seed=-1)
 
 
 class TestSimulateIterated:
@@ -639,7 +637,7 @@ class TestSimulateIteratedSweep:
             stray = random_channel(enc.dim_physical, rng)
             noise = convex_mix([1.0 - admixture, admixture], [exact, stray])
         composite = compose(recovery, noise).superoperator() @ enc.superoperator()
-        eps = estimate_epsilon(composite, enc, samples=1, refine_steps=0).upper_bound
+        eps = budgeted_estimate(composite, enc, 1, 0).upper_bound
         rho0 = enc.encode(random_density(enc.dim_logical, rng))
 
         trace = simulate_iterated(noise, recovery, rho0, n, encoding=enc)
@@ -719,7 +717,7 @@ class TestLinearBound:
         channel = make_example2_channel(0.4, 0.05)
         loop = compose(recovery, channel)
         composite = loop.superoperator() @ enc.superoperator()
-        est = estimate_epsilon(composite, enc, samples=200, refine_steps=200, seed=0)
+        est = estimate_epsilon(composite, enc, seed=0)
         trace = simulate_iterated(channel, recovery, enc.encode(RHO_COHERENT), 10, encoding=enc)
         ok, margin = check_prop3_bound(trace, est.upper_bound)
         assert ok
