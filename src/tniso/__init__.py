@@ -32,7 +32,6 @@ from .channels import (
     check_support_invariance,
     compose,
     convex_mix,
-    trace_norm_contraction_witness,
     unvec,
     vec,
 )

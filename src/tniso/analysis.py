@@ -399,8 +399,10 @@ def build_correction(
     complement, rho_ref the reference state), which ``apply``, ``@`` and
     ``tp_defect`` and ``superoperator()`` read directly. Its Kraus list, the
     block operators and then the reset's rank(tau)·(d_P - d_S·d_G) rank-one
-    operators, is expanded only when ``kraus`` is read (to write the
-    recovery, or by :func:`~tniso.channels.compose`).
+    operators, is expanded only when ``kraus`` is read (by
+    :func:`~tniso.channels.convex_mix`, or by :func:`~tniso.channels.compose`
+    with the recovery inside); ``compose(recovery, channel)`` keeps the reset
+    term.
     """
     tol.require_tolerance(tol_, "tol_")
     _, img = _image(encoding, channel, tol_)

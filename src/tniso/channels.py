@@ -28,10 +28,14 @@ plus one reset term ``X -> Tr(P X) rho``, which sends the image complement
 kernel and ``tp_defect`` read that form. The reset term's Kraus operators,
 one per reference eigenvector and complement vector (1,536 of 1,538 at
 d_P = 128), are expanded after the block operators only when a caller reads
-``kraus`` (:func:`compose`, :func:`convex_mix`); the kernels,
-``superoperator()`` included, ``kraus_count`` and the recovery file (see
-:mod:`tniso.serialize`) read the structured form. The package itself
-multiplies no Kraus lists: a correction round is ``recovery @ (channel @ map)``.
+``kraus`` (:func:`convex_mix`, or ``compose(channel, recovery)``); the
+kernels, ``superoperator()`` included, ``kraus_count`` and the recovery file
+(see :mod:`tniso.serialize`) read the structured form. So does the loop
+``compose(recovery, channel)``: it multiplies out only the recovery's block
+operators and keeps the reset term, with the effect ``P`` pulled back
+through the channel (52,292 operators at d_P = 128, of which 68 are formed).
+The package itself multiplies no Kraus lists: a correction round is
+``recovery @ (channel @ map)``.
 
 Checks guard the boundary: the public constructors scan their input for
 non-finite entries and ``apply`` its operand, while products formed inside
@@ -49,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolation, ConvergenceError, NumericError
-from .opcore import as_matrix, state_spectrum, support_projector, trace_norm
+from .opcore import as_matrix, state_spectrum, support_projector
 from . import tolerances as tol
 
 
@@ -162,20 +166,29 @@ def _kraus_stack(ops) -> np.ndarray:
     return stack
 
 
-def _rank_one_kraus(cols: np.ndarray, psi: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _rank_one_kraus(cols: np.ndarray, psi: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     """The operators ``sqrt(w_m) psi_m c^dag`` for each column ``psi_m`` of
-    psi and c of cols, m-major, stacked."""
-    ops = psi.T[:, None, :, None] * cols.conj().T[None, :, None, :]
+    psi and c of cols, m-major, stacked, written into the contiguous stack
+    ``out`` when one is given."""
+    n, d = psi.shape[0], cols.shape[0]
+    if out is None:
+        out = np.empty((len(w) * cols.shape[1], n, d), dtype=complex)
+    ops = out.reshape(len(w), cols.shape[1], n, d)
+    np.multiply(psi.T[:, None, :, None], cols.conj().T[None, :, None, :], out=ops)
     ops *= np.sqrt(w)[:, None, None, None]
-    return ops.reshape(-1, psi.shape[0], cols.shape[0])
+    return out
 
 
 class _Reset:
     """The CP map ``X -> Tr(P X) rho`` with ``P = cols cols^dag`` and
-    ``rho = psi diag(w) psi^dag``: it prepares rho from span(cols). Its
-    Kraus operators, :func:`_rank_one_kraus` of cols, psi and w, are
-    expanded only by :meth:`kraus`. A given ``state`` is kept as rho (a
-    recovery file's, equal to ``psi diag(w) psi^dag`` to rounding)."""
+    ``rho = psi diag(w) psi^dag``: it measures the effect P and prepares
+    rho. P is a projector, onto span(cols), for a built recovery's
+    orthonormal cols; pulled back through a channel by :func:`compose`, the
+    cols need not be orthonormal and P is any effect. Every reader uses cols
+    only through P or its columns. Its Kraus operators,
+    :func:`_rank_one_kraus` of cols, psi and w, are expanded only by
+    :meth:`kraus`. A given ``state`` is kept as rho (a recovery file's,
+    equal to ``psi diag(w) psi^dag`` to rounding)."""
 
     def __init__(self, cols: np.ndarray, psi: np.ndarray, w: np.ndarray, state=None):
         self.cols, self.psi, self.w = cols, psi, w
@@ -190,8 +203,8 @@ class _Reset:
         w, psi = state_spectrum(state)
         return cls(cols, psi, w, state)
 
-    def kraus(self) -> np.ndarray:
-        return _rank_one_kraus(self.cols, self.psi, self.w)
+    def kraus(self, out=None) -> np.ndarray:
+        return _rank_one_kraus(self.cols, self.psi, self.w, out)
 
 
 class KrausChannel(_Map):
@@ -214,7 +227,8 @@ class KrausChannel(_Map):
     holds views of the stack.
 
     A channel built by :meth:`_with_reset` (a recovery from
-    :func:`tniso.analysis.build_correction` or a recovery file) holds block
+    :func:`tniso.analysis.build_correction` or a recovery file, or a loop
+    :func:`compose` forms after one) holds block
     operators and a :class:`_Reset` term instead: the kernels apply the
     blocks' stack and add the term, ``kraus_count`` counts the term's
     operators, and ``kraus`` (the blocks, then the term's operators) is
@@ -241,10 +255,15 @@ class KrausChannel(_Map):
 
     @cached_property
     def _stack(self) -> np.ndarray:
-        """Every Kraus operator stacked: the blocks, then the reset term's."""
+        """Every Kraus operator stacked: the blocks, then the reset term's,
+        written in place after them."""
         if self._reset is None:
             return self._blocks
-        return np.concatenate([self._blocks, self._reset.kraus()])
+        k = len(self._blocks)
+        stack = np.empty((self.kraus_count, self.dim_out, self.dim_in), dtype=complex)
+        stack[:k] = self._blocks
+        self._reset.kraus(out=stack[k:])
+        return stack
 
     @cached_property
     def kraus(self) -> list[np.ndarray]:
@@ -407,13 +426,27 @@ def minimal_kraus(ops) -> list[np.ndarray]:
 
 
 def compose(e2: KrausChannel, e1: KrausChannel) -> KrausChannel:
-    """The channel e2 after e1, with Kraus products {M2_j M1_i}."""
+    """The channel e2 after e1, with Kraus products {M2_j M1_i}, j-major.
+
+    When e2 holds a reset term ``X -> Tr(P X) rho`` with ``P = C C^dag`` (a
+    built recovery), so does the result, and only e2's block operators are
+    multiplied out: ``Tr(P e1(X)) = Tr(sum_i M1_i^dag P M1_i X)``, so the
+    term keeps rho and takes the columns ``M1_i^dag c``, column ``c*K1 + i``
+    for column c of C. Expanded, its operators are the products of e2's
+    reset operators with e1's, in the order above, to rounding. An inner
+    reset (e2 plain) is expanded into the products.
+    """
     if e2.dim_in != e1.dim_out:
         raise ContractViolation(
             f"cannot compose: {e2.dim_in} != {e1.dim_out} (inner dims)"
         )
-    products = e2._stack[:, None] @ e1._stack[None]
-    return KrausChannel(products.reshape(-1, e2.dim_out, e1.dim_in))
+    products = (e2._blocks[:, None] @ e1._stack[None]).reshape(-1, e2.dim_out, e1.dim_in)
+    r = e2._reset
+    if r is None:
+        return KrausChannel(products)
+    pulled = e1._stack.conj().transpose(0, 2, 1) @ r.cols  # [i, :, c] = M1_i^dag c
+    cols = pulled.transpose(1, 2, 0).reshape(e1.dim_in, -1)
+    return KrausChannel._with_reset(products, _Reset(cols, r.psi, r.w, r.state))
 
 
 def convex_mix(weights, channels: list[KrausChannel]) -> KrausChannel:
@@ -544,39 +577,3 @@ def check_support_invariance(
     residual = max(float(np.abs(comp @ k @ p).max()) for k in channel.kraus)
     return residual <= tol_, residual
 
-
-def trace_norm_contraction_witness(
-    channel: KrausChannel,
-    samples: int,
-    seed: int = 0,
-    state_sampler=None,
-) -> float:
-    """Max observed ratio ||E(r1)-E(r2)||_1 / ||r1-r2||_1 over random pairs.
-
-    CPTP maps never increase trace distance, so the result must not exceed
-    1 beyond rounding. Pairs closer than ``PAIR_DISTANCE_FLOOR`` in trace
-    norm are resampled.
-    ``state_sampler(rng) -> ndarray`` overrides the default Haar-mixed
-    sampler (useful for restricting to encoded states).
-    """
-    from .sampling import random_density
-
-    if samples < 1:
-        raise ContractViolation(f"samples must be at least 1, got {samples}")
-    if seed < 0:
-        raise ContractViolation(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
-    if state_sampler is None:
-        state_sampler = lambda r: random_density(channel.dim_in, r)
-    worst = 0.0
-    for _ in range(samples):
-        for _attempt in range(100):
-            r1, r2 = state_sampler(rng), state_sampler(rng)
-            dist = trace_norm(r1 - r2)
-            if dist > tol.PAIR_DISTANCE_FLOOR:
-                break
-        else:
-            raise ConvergenceError("could not sample a non-degenerate state pair")
-        ratio = trace_norm(channel(r1) - channel(r2)) / dist
-        worst = max(worst, ratio)
-    return worst

@@ -61,15 +61,6 @@ def random_channel(
     return KrausChannel(ops)
 
 
-def random_unital_channel(
-    dim: int, rng: np.random.Generator, unitary_count: int = 3
-) -> KrausChannel:
-    """Random mixed-unitary channel (unital and CPTP by construction)."""
-    w = rng.dirichlet(np.ones(unitary_count))
-    ops = [np.sqrt(p) * haar_unitary(dim, rng) for p in w]
-    return KrausChannel(ops)
-
-
 def random_isometric_encoding(
     d_s: int, d_f: int, d_r: int, rng: np.random.Generator, full_rank: bool = True
 ):

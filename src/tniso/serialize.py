@@ -23,7 +23,10 @@ A channel is ``{"dim_in", "dim_out", "kraus"}``. A recovery with a reset
 term (see :class:`tniso.channels.KrausChannel`) writes its block operators
 under ``kraus`` and adds ``"reset": {"cols", "state"}``, the image
 complement's columns and the reference state, in place of the rank-one
-operators they stand for; a reset of no columns is omitted.
+operators they stand for; a reset of no columns is omitted. The term is
+``X -> Tr(cols cols^dag X) state`` whatever the columns: a recovery's are
+orthonormal, those of a loop ``compose(recovery, channel)`` are pulled back
+through the channel and need not be, and neither is checked.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ CESARO_TOL = 1e-8           # iterative Cesaro averaging stops at this successiv
 SPAN_CLOSURE_TOL = 1e-12    # a code's span is invariant when the channel moves it off itself by less than this share
 SUPPORT_INVARIANCE_TOL = 1e-10  # Kraus block leaking out of a state's support
 KRAUS_WEIGHT_CUT = 1e-12    # absolute and relative Choi-eigenvalue cut of minimal_kraus
-PAIR_DISTANCE_FLOOR = 1e-12  # contraction-witness state pairs closer than this are resampled
 
 # Structure detection and classification.
 DETECTION_TOL = 1e-8        # default trace-norm reconstruction residual

@@ -22,7 +22,6 @@ from tniso.channels import (
     Superoperator,
     cesaro_projector,
     compose,
-    trace_norm_contraction_witness,
     transpose_superoperator,
     vec,
 )
@@ -46,10 +45,14 @@ from tniso.sampling import (
     random_density,
     random_isometric_encoding,
     random_preserved_system,
-    random_unital_channel,
 )
 
-from conftest import PAULI_X, RHO_COHERENT
+from conftest import (
+    PAULI_X,
+    RHO_COHERENT,
+    random_unital_channel,
+    trace_norm_contraction_witness,
+)
 
 
 @contextmanager

@@ -1135,9 +1135,9 @@ def _record_expansions(monkeypatch) -> list:
     calls = []
     real = channels._Reset.kraus
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         calls.append(1)
-        return real(self)
+        return real(self, *args, **kwargs)
 
     monkeypatch.setattr(channels._Reset, "kraus", counted)
     return calls

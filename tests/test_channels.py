@@ -16,7 +16,6 @@ from tniso.channels import (
     fixes_span,
     minimal_kraus,
     trace_norm_certificate,
-    trace_norm_contraction_witness,
     transpose_superoperator,
     unvec,
     vec,
@@ -30,12 +29,11 @@ from tniso.sampling import (
     random_isometric_encoding,
     random_preserved_system,
     random_pure_state,
-    random_unital_channel,
 )
 from tniso import analysis, channels, serialize
 from tniso import tolerances as tol
 
-from conftest import PAULI_X
+from conftest import PAULI_X, random_unital_channel, trace_norm_contraction_witness
 
 
 def bit_flip(p):
@@ -282,6 +280,75 @@ class TestComposeAndMix:
     def test_compose_dimension_check(self, rng):
         with pytest.raises(ContractViolation):
             compose(KrausChannel.identity(2), KrausChannel.identity(3))
+
+
+def _assert_lists_the_per_pair_products(composed, e2, e1):
+    expected = [k2 @ k1 for k2 in e2.kraus for k1 in e1.kraus]
+    assert composed.kraus_count == e2.kraus_count * e1.kraus_count == len(expected)
+    assert len(composed.kraus) == len(expected)
+    assert max(np.abs(a - b).max() for a, b in zip(composed.kraus, expected)) <= 1e-15
+
+
+class TestComposeKeepsTheResetTerm:
+    """``compose(recovery, channel)`` multiplies out only the recovery's
+    block operators and pulls its reset term back through the channel."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 3),
+        d_f=st.integers(1, 3),
+        d_r=st.integers(0, 3),
+        strategy=st.sampled_from(["time_reversal", "replace"]),
+        stray=st.sampled_from([0.0, 0.02]),
+    )
+    def test_loop_matches_the_expanded_products(self, seed, d_s, d_f, d_r, strategy, stray):
+        rng = np.random.default_rng(seed)
+        enc, exact = random_preserved_system(d_s, d_f, d_r, rng)
+        recovery = analysis.build_correction(enc, exact, strategy)
+        channel = exact
+        if stray:
+            noise = random_channel(enc.dim_physical, rng)
+            channel = convex_mix([1 - stray, stray], [exact, noise])
+        loop = compose(recovery, channel)
+        assert loop._reset is not None
+        assert len(loop._blocks) == len(recovery._blocks) * channel.kraus_count
+        _assert_lists_the_per_pair_products(loop, recovery, channel)
+
+        expected = recovery.superoperator() @ channel
+        assert np.abs(loop.superoperator().matrix - expected.matrix).max() <= 1e-14
+        chained = recovery @ (channel @ enc)
+        assert np.abs((loop @ enc).matrix - chained.matrix).max() <= 1e-14
+
+        # two resets: the outer one is kept, the inner one expanded as today
+        other = "replace" if strategy == "time_reversal" else "time_reversal"
+        recovery2 = analysis.build_correction(enc, exact, other)
+        both = compose(recovery, recovery2)
+        assert both._reset is not None
+        _assert_lists_the_per_pair_products(both, recovery, recovery2)
+        expected = recovery.superoperator() @ recovery2
+        assert np.abs(both.superoperator().matrix - expected.matrix).max() <= 1e-14
+
+        # an inner reset, and plain channels, give the plain product list
+        for e2, e1 in ((channel, recovery), (channel, exact)):
+            composed = compose(e2, e1)
+            assert composed._reset is None
+            expected = [k2 @ k1 for k2 in e2.kraus for k1 in e1.kraus]
+            assert len(composed.kraus) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(composed.kraus, expected))
+
+    def test_the_loop_multiplies_only_the_blocks(self, rng):
+        # at d_P = 20 a recovery has 2 block operators and 16 reset ones
+        enc, channel = random_preserved_system(4, 4, 4, rng)
+        recovery = analysis.build_correction(enc, channel)
+        assert (len(recovery._blocks), recovery.kraus_count) == (2, 18)
+        loop = compose(recovery, channel)
+        assert loop._blocks.shape == (2 * channel.kraus_count, 20, 20)
+        assert loop.kraus_count == 18 * channel.kraus_count
+        assert "_stack" not in vars(loop) and "_stack" not in vars(recovery)
+        ok, residual = analysis.is_fixed(enc, loop)
+        assert ok and residual <= 1e-13
+        assert "_stack" not in vars(loop)
 
 
 class TestCesaroProjector:

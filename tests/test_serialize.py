@@ -6,8 +6,10 @@ import pytest
 
 from tniso import serialize
 from tniso.analysis import build_correction
-from tniso.channels import KrausChannel
+from tniso.channels import KrausChannel, compose
+from tniso.cli import main
 from tniso.errors import ContractViolation
+from tniso import tolerances as tol
 from tniso.sampling import random_preserved_system
 
 from conftest import nested_form
@@ -131,6 +133,26 @@ class TestRecoveryFiles:
         for loaded in (a, b):
             assert np.abs(loaded.superoperator().matrix - matrix).max() <= 1e-14
         assert abs(a.tp_defect() - b.tp_defect()) <= 1e-14
+
+    @pytest.mark.parametrize("strategy", ["time_reversal", "replace"])
+    def test_a_composed_loop_round_trips_structured(self, tmp_path, strategy):
+        # the loop's reset columns are the recovery's pulled back through the
+        # channel, which are not orthonormal: the file holds them as they are
+        enc, channel = random_preserved_system(2, 4, 2, np.random.default_rng(2))
+        loop = compose(build_correction(enc, channel, strategy), channel)
+        payload = serialize.channel_to_dict(loop)
+        assert "reset" in payload
+        loaded = serialize.channel_from_dict(payload)  # through the TP gate
+        assert loaded._reset is not None and loaded.kraus_count == loop.kraus_count
+        assert loaded.tp_defect() <= tol.TP_TOL
+        matrix = loop.superoperator().matrix
+        assert np.abs(loaded.superoperator().matrix - matrix).max() <= 1e-14
+        path, out = tmp_path / "loop.json", tmp_path / "check.json"
+        serialize.dump_json(payload, path)
+        assert main(["check-channel", "--channel", str(path), "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["trace_preserving"] is True
+        assert results["kraus_count"] == loop.kraus_count
 
     def test_reset_without_columns_is_omitted(self, repetition):
         # the repetition code's image fills the physical space
