@@ -17,10 +17,6 @@ from .errors import (
 )
 from .opcore import (
     DensityOperator,
-    HermitianOperator,
-    hermitian_basis,
-    pinv_psd,
-    positive_negative_parts,
     sqrt_psd,
     support_projector,
     trace_norm,

@@ -18,6 +18,7 @@ from .channels import (
     KrausChannel,
     Superoperator,
     _Reset,
+    _factor_certificate,
     _rank_one_kraus,
     _hermitian_trace_defect,
     _unit_images,
@@ -92,8 +93,12 @@ def detect_structure(
     encoding: the trace-norm certificate of ``phi`` minus it bounds the
     error on every state, so the verdict is deterministic. Every stage
     reads the matrix-unit images sliced from ``phi``'s matrix, and QR
-    completes the basis off the block. Never raises on well-formed input;
-    failures come back as ``found=False`` with the failing stage.
+    completes the basis off the block. The certificate is :func:`_distance`
+    of ``phi`` from the candidate: under the unitary reading the candidate
+    is a code's superoperator, so when ``phi`` carries factors too (a channel
+    after a code) it is read off the two maps' factors. Never raises on
+    well-formed input; failures come back as ``found=False`` with the
+    failing stage.
     """
     dtol = tol.require_tolerance(detection_tol, "detection_tol")
     d_q, d_p = phi.dim_in, phi.dim_out
@@ -146,10 +151,11 @@ def detect_structure(
     # stage: verification of the one candidate encoding
     tau = np.diag(weights).astype(complex)
     dec = SubsystemDecomposition(d_q, r, d_p - d_q * r, _orthonormal_completion(u @ vh))
-    candidate = IsometricEncoding(dec, tau).superoperator().matrix
+    candidate = IsometricEncoding(dec, tau).superoperator()
     if flavor == "anti-unitary":
-        candidate = candidate @ transpose_superoperator(d_q)
-    residual = trace_norm_certificate(Superoperator._trusted(d_q, d_p, phi.matrix - candidate))
+        flipped = candidate.matrix @ transpose_superoperator(d_q)
+        candidate = Superoperator._trusted(d_q, d_p, flipped)
+    residual = _distance(phi, candidate)
     if residual > dtol:
         return StructureReport(False, "verification", residual, conjugation=flavor)
     return StructureReport(
@@ -180,8 +186,19 @@ def is_fixed(phi, channel, tol_: float = tol.DETECTION_TOL):
 
 def _distance(a: Superoperator, b: Superoperator) -> float:
     """The :func:`trace_norm_certificate` of ``a - b``: how far apart the
-    two maps can take any state, in trace norm. Both are checked maps, so
-    their difference skips the constructor's scan."""
+    two maps can take any state, in trace norm.
+
+    When both maps carry factors (a code's superoperator, or a channel after
+    one) whose Choi factor has fewer columns p than the Choi matrix's side
+    N = d_in*d_out, the certificate is :func:`_factor_certificate`'s, a QR of
+    the N x p factor and an eigensolve of p x p; otherwise it is taken of the
+    difference's Choi matrix, one eigensolve of N x N. Both are checked
+    maps, so their difference skips the constructor's scan.
+    """
+    if a._factors is not None and b._factors is not None:
+        p = sum(len(x) * len(t) for x, t in (a._factors, b._factors))
+        if p < b.dim_in * b.dim_out:
+            return _factor_certificate(a, b)
     return trace_norm_certificate(Superoperator._trusted(b.dim_in, b.dim_out, a.matrix - b.matrix))
 
 
@@ -571,10 +588,12 @@ class ClassificationReport:
     (``residuals["unitary"] == residuals["preservation"]``; see
     :func:`unitary_correctability`); for a minimal code the NS factorization
     of the noise-plus-unitary loop is implied, not checked separately.
-    Every residual is finite. ``meta`` says how the verdicts were reached
-    (for a preserved code, the noiseless certificate's ``projector`` and
-    whether the recovery ``fell_back`` from time reversal to replacement);
-    it is not part of :meth:`as_dict`.
+    Every residual is finite. ``meta`` says how the verdicts were reached:
+    for a preserved code, the noiseless certificate's ``projector`` and
+    whether the recovery ``fell_back`` from time reversal to replacement;
+    for a rejected one, the detection ``stage`` that rejected the image and
+    the ``detection_tol`` its residual was compared with. It is not part of
+    :meth:`as_dict`.
     """
 
     fixed: bool
@@ -612,10 +631,13 @@ def classify(
 
     The fixed, correction and protection residuals each compare two links of
     the chain ``phi -> E o phi -> R o E o phi -> E o R o E o phi``, each link
-    the channel applied to the images of the one before (``channel @ link``);
-    the corrected loop's superoperator, ``recovery.superoperator() @ channel``,
-    is built only if the full projector decides, and with it the only
-    detection besides the image's.
+    ``channel @ link``. The first keeps the code's factors (``M_k U_1``, one
+    Gram product), so the fixed residual and the image's verification are
+    read off factors when they are narrower than the Choi matrix; each later
+    link applies its channel to the images of the one before. The corrected
+    loop's superoperator, ``recovery.superoperator() @ channel``, is built
+    only if the full projector decides, and with it the only detection
+    besides the image's.
     """
     tol.require_tolerance(tol_, "tol_")
     _check_strategy(strategy)
@@ -635,6 +657,7 @@ def classify(
             unitarily_correctable=False,
             unitarily_recoverable=False,
             residuals=residuals,
+            meta={"stage": rep.stage, "detection_tol": tol_},
         )
 
     recovery, details = _correction(encoding, channel, rep, strategy)

@@ -18,8 +18,21 @@ for the chunk's operands X side by side in two matrix products: the
 operators stacked vertically times the operands, regrouped, times the
 stacked adjoints, which the channel forms once. So it never builds its own
 ``dim_out**2 x dim_in**2`` matrix (only :func:`cesaro_projector` needs it).
-``apply``, the one composition rule ``channel @ map`` (the channel after the
+``apply``, the composition rule ``channel @ map`` (the channel after the
 map's images) and the correction rounds all call that kernel.
+
+A map ``X -> sum_k A_k (X kron tau) A_k^dag`` is built from its factor
+stack A, shape (K, d_out, d_in*d_F), and its d_F x d_F cofactor tau by one
+tau-weighted Gram product (``_gram``; a Kraus channel's ``superoperator()``
+is the case tau = [1]), and keeps both as the private ``_factors`` of its
+:class:`Superoperator`. Two maps carry them: a code's superoperator
+(A = U_1, see :meth:`tniso.codes.IsometricEncoding.superoperator`) and a
+channel with no reset term after a one-factor map such as a code, whose
+factors are ``M_k U_1``: one product of the stacked operators, with no
+images. Every other product goes through the images and carries none. The
+Choi matrix of such a map has rank at most K*d_F, and
+:func:`_factor_certificate` reads the certificate of a difference of two of
+them off their factors.
 
 A recovery built by :func:`tniso.analysis.build_correction` is a
 :class:`KrausChannel` held in structured form: its few block operators
@@ -34,12 +47,14 @@ kernels, ``superoperator()`` included, ``kraus_count`` and the recovery file
 ``compose(recovery, channel)``: it multiplies out only the recovery's block
 operators and keeps the reset term, with the effect ``P`` pulled back
 through the channel (52,292 operators at d_P = 128, of which 68 are formed).
-The package itself multiplies no Kraus lists: a correction round is
-``recovery @ (channel @ map)``.
+The analyses call no :func:`compose`: a correction round is
+``recovery @ (channel @ map)``, and the one stack product they form is the
+first link's ``M_k U_1``.
 
 Checks guard the boundary: the public constructors scan their input for
 non-finite entries and ``apply`` its operand, while products formed inside
-the package from checked operands (``@``, ``KrausChannel.superoperator``,
+the package from checked operands (``@``, the Gram products of
+``KrausChannel.superoperator`` and of a code's superoperator,
 :func:`cesaro_projector`, the correction rounds, which call ``_images``, and
 the differences whose :func:`trace_norm_certificate` the analyses take)
 skip them.
@@ -111,6 +126,9 @@ class Superoperator(_Map):
     dim_out: int
     matrix: np.ndarray
 
+    # (A, tau) of a map built by ``_factored``; None for every other map
+    _factors = None
+
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
         expected = (self.dim_out**2, self.dim_in**2)
@@ -133,6 +151,16 @@ class Superoperator(_Map):
         s.dim_in, s.dim_out, s.matrix = dim_in, dim_out, matrix
         return s
 
+    @classmethod
+    def _factored(cls, stack: np.ndarray, tau: np.ndarray) -> "Superoperator":
+        """The map ``X -> sum_k A_k (X kron tau) A_k^dag`` of the finite
+        factor stack A (K, dim_out, dim_in*d_F) and the Hermitian d_F x d_F
+        cofactor tau, which it keeps as ``_factors``; its matrix is
+        :func:`_gram` of them."""
+        s = cls._trusted(stack.shape[2] // len(tau), stack.shape[1], _gram(stack, tau))
+        s._factors = (stack, tau)
+        return s
+
     def superoperator(self) -> "Superoperator":
         """The map itself; every map type answers this call."""
         return self
@@ -142,10 +170,41 @@ class Superoperator(_Map):
 
 
 # Byte budget of one chunk of Kraus products in the image kernel (K*d_out*d
-# entries per operand) and of one block of the Gram product in
-# :meth:`KrausChannel.superoperator`; a d_P = 10 superoperator (160 kB) is
-# one block.
+# entries per operand) and of one block of the Gram product in :func:`_gram`;
+# a d_P = 10 superoperator (160 kB) is one block.
 _SUPEROP_BLOCK_BYTES = 1 << 18
+
+
+def _gram(stack: np.ndarray, tau: np.ndarray | None = None, reset=None) -> np.ndarray:
+    """The (n*n, d*d) matrix of ``X -> sum_k A_k (X kron tau) A_k^dag``, for
+    the factor stack A (K, n, d*f) and the f x f cofactor tau (None for a
+    channel's Kraus stack, f = 1), plus a :class:`_Reset` term's rank-one
+    update ``vec(rho) vec(P^T)^T`` when one is given.
+
+    Entry ``(i*n + m, j*d + l)`` is
+    ``sum_kfg conj(A_k[i, (j, g)]) tau[f, g] A_k[m, (l, f)]``: the Gram
+    product of the stack flattened to rows (k, g) and columns (m, l) with its
+    tau-weighted copy, filled for a few i at a time so that only one block of
+    at most ``_SUPEROP_BLOCK_BYTES`` is ever held besides the result.
+    """
+    k, n, width = stack.shape
+    f = 1 if tau is None else len(tau)
+    d = width // f
+    if tau is None:
+        flat = weighted = stack.reshape(k, n * d)
+    else:
+        split = stack.reshape(k, n * d, f)
+        flat = split.transpose(0, 2, 1).reshape(k * f, n * d)
+        weighted = (split @ tau).transpose(0, 2, 1).reshape(k * f, n * d)
+    out = np.empty((n, n, d, d), dtype=complex)
+    rows = max(1, _SUPEROP_BLOCK_BYTES // (16 * n * d * d))
+    for i in range(0, n, rows):
+        block = flat[:, i * d : (i + rows) * d].conj().T @ weighted
+        np.copyto(out[i : i + rows], block.reshape(-1, d, n, d).transpose(0, 2, 1, 3))
+        if reset is not None:
+            state = reset.state_vec[i * n : (i + rows) * n]
+            out[i : i + rows] += np.outer(state, reset.trace_row).reshape(-1, n, d, d)
+    return out.reshape(n * n, d * d)
 
 
 def _kraus_stack(ops) -> np.ndarray:
@@ -347,22 +406,21 @@ class KrausChannel(_Map):
         return out
 
     def superoperator(self) -> Superoperator:
-        # entry (i*n + m, j*d + l) of sum_k conj(M_k) kron M_k is
-        # sum_k conj(M_k[i, j]) M_k[m, l]: the Gram product of the flattened
-        # blocks, filled for a few i at a time so that only one block of
-        # at most _SUPEROP_BLOCK_BYTES is ever held besides the result; a
-        # reset term adds its one rank-one update vec(rho) vec(P^T)^T
-        k, n, d = self._blocks.shape
-        flat = self._blocks.reshape(k, n * d)
-        out = np.empty((n, n, d, d), dtype=complex)
-        rows = max(1, _SUPEROP_BLOCK_BYTES // (16 * n * d * d))
-        for i in range(0, n, rows):
-            block = flat[:, i * d : (i + rows) * d].conj().T @ flat
-            np.copyto(out[i : i + rows], block.reshape(-1, d, n, d).transpose(0, 2, 1, 3))
-            if self._reset is not None:
-                state = self._reset.state_vec[i * n : (i + rows) * n]
-                out[i : i + rows] += np.outer(state, self._reset.trace_row).reshape(-1, n, d, d)
-        return Superoperator._trusted(d, n, out.reshape(n * n, d * d))
+        # the Gram product of the flattened blocks, plus the reset's update
+        return Superoperator._trusted(self.dim_in, self.dim_out, _gram(self._blocks, reset=self._reset))
+
+    def __matmul__(self, other) -> Superoperator:
+        """The channel after ``other``. After a map with one factor U (a
+        code's superoperator), a channel with no reset term keeps the factors
+        ``M_k U`` and the cofactor: one product of the stacked operators and
+        one Gram product, no images. Every other operand goes through the
+        images."""
+        other = other.superoperator()
+        factors = other._factors
+        one_factor = factors is not None and len(factors[0]) == 1
+        if one_factor and self._reset is None and self.dim_in == other.dim_out:
+            return Superoperator._factored(self._blocks @ factors[0][0], factors[1])
+        return super().__matmul__(other)
 
 
 def _unit_images(s: Superoperator) -> np.ndarray:
@@ -402,11 +460,51 @@ def trace_norm_certificate(s: Superoperator) -> float:
     choi = _unit_images(s).transpose(0, 2, 1, 3).reshape(d * n, d * n)
     herm = (choi + choi.conj().T) / 2
     w, u = np.linalg.eigh(herm)
+    bound = _top_of_reduced(w, u, d) + np.sqrt(n) * np.linalg.norm(choi - herm)
+    return float(bound + d * n * np.finfo(float).eps * np.abs(w).max())
+
+
+def _top_of_reduced(w: np.ndarray, u: np.ndarray, d: int) -> float:
+    """``lambda_max(Tr_out |H|)`` for ``H = u diag(w) u^dag`` on
+    ``C^d kron C^n``, u's rows ordered ``a*n + i``."""
     # Tr_out |H| [a, b] = sum_ik u[a*n + i, k] |w_k| conj(u[b*n + i, k]): one
     # product of the eigenvectors, rows regrouped by a, with their scaled copy
     reduced = (u * np.abs(w)).reshape(d, -1) @ u.reshape(d, -1).conj().T
-    bound = np.linalg.eigvalsh(reduced)[-1] + np.sqrt(n) * np.linalg.norm(choi - herm)
-    return float(bound + d * n * np.finfo(float).eps * np.abs(w).max())
+    return np.linalg.eigvalsh(reduced)[-1]
+
+
+def _factor_certificate(a: Superoperator, b: Superoperator) -> float:
+    """:func:`trace_norm_certificate` of ``a - b``, read off the factors both
+    maps carry (see :meth:`Superoperator._factored`).
+
+    A map with factor stack A (K, n, d*f) and cofactor tau has the Choi
+    matrix ``Z (I_K kron tau) Z^dag``, where column (k, f) of the
+    (d*n) x (K*f) factor Z is ``sum_a e_a kron A_k[:, (a, f)]``. So the
+    difference has the Choi matrix ``H = Z M Z^dag`` with ``Z = [Z_a, Z_b]``,
+    N x p, and ``M = diag(I kron tau_a, -I kron tau_b)``. H is Hermitian, so
+    the anti-Hermitian term is zero by construction. With the QR factors
+    ``Z = Q R``, ``H = (Q V) diag(w) (Q V)^dag`` for the eigenpairs (w, V) of
+    the p x p ``R M R^dag``: these are H's nonzero eigenpairs, and the dual
+    point ``|H|`` and the rounding term are those of the Choi route, from a
+    QR of N x p and an eigensolve of p x p instead of one of N x N. No rank
+    cut is applied to Z: columns at rounding level carry what a
+    rounding-level residual measures.
+    """
+    d, n = b.dim_in, b.dim_out
+    # each side's Z: column (k, f) is sum_a e_a kron A_k[:, (a, f)], row a*n + i
+    z = [
+        x.reshape(len(x), n, d, len(t)).transpose(2, 1, 0, 3).reshape(d * n, -1)
+        for x, t in (a._factors, b._factors)
+    ]
+    q, r = np.linalg.qr(np.concatenate(z, axis=1))
+
+    def weighted(cols, tau):  # cols (I kron tau) cols^dag
+        return (cols.reshape(len(cols), -1, len(tau)) @ tau).reshape(cols.shape) @ cols.conj().T
+
+    split = z[0].shape[1]
+    h = weighted(r[:, :split], a._factors[1]) - weighted(r[:, split:], b._factors[1])
+    w, v = np.linalg.eigh(h)
+    return float(_top_of_reduced(w, q @ v, d) + d * n * np.finfo(float).eps * np.abs(w).max())
 
 
 def minimal_kraus(ops) -> list[np.ndarray]:

@@ -141,12 +141,12 @@ class IsometricEncoding:
         return np.einsum("...afbf->...ab", block.reshape(stack.shape[:-2] + (dec.d_s, dec.d_f) * 2))
 
     def superoperator(self) -> Superoperator:
-        """Column ``a + d_S*b`` is ``vec(encode(E_ab))``, all in one batched product."""
-        dec = self.decomposition
-        u1, d = dec.block_columns, dec.d_s
-        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d, order="F")
-        images = (u1 @ np.kron(units, self.cofactor[None]) @ u1.conj().T).transpose(1, 2, 0)
-        return Superoperator(d, dec.d_p, images.reshape(dec.d_p**2, -1, order="F"))
+        """Column ``a + d_S*b`` is ``vec(encode(E_ab))``. The map is
+        ``rho -> U_1 (rho kron tau) U_1^dag`` (U_1 the block columns, tau the
+        cofactor), so its matrix is one tau-weighted Gram product of U_1, and
+        the map keeps U_1 and tau as its factors (see
+        :meth:`tniso.channels.Superoperator._factored`)."""
+        return Superoperator._factored(self.decomposition.block_columns[None], self.cofactor)
 
     def code_projector(self) -> np.ndarray:
         """Projector onto the support of the encoded state set."""

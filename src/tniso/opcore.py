@@ -1,9 +1,10 @@
 """Dense complex-operator algebra.
 
-Hermiticity and positivity checks, the trace norm, positive/negative part
-splitting, PSD square roots and pseudo-inverses, and support projectors.
-All functions accept plain ``numpy`` arrays or the thin operator wrappers
-defined here; everything is value-semantic and safe for concurrent use.
+Hermiticity and positivity checks, the trace norm, clamped Hermitian
+eigendecompositions, PSD square roots, and support projectors. All
+functions accept plain ``numpy`` arrays or any object with a ``matrix``
+attribute, such as :class:`DensityOperator`; everything is value-semantic
+and safe for concurrent use.
 
 Two private kernels take the trace norms of a stack of matrices built
 inside the package, with no operand check: :func:`_trace_norms`, by SVD,
@@ -27,7 +28,7 @@ def as_matrix(a) -> np.ndarray:
     """Coerce an operator-like object to a finite 2-D complex ndarray.
 
     Accepts ndarrays, nested sequences, and any object exposing a
-    ``matrix`` attribute (the wrappers below).
+    ``matrix`` attribute (:class:`DensityOperator`).
     """
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
@@ -52,20 +53,6 @@ def require_hermitian(a) -> np.ndarray:
     if defect > tol.HERMITICITY_TOL:
         raise ContractViolation(f"matrix is not Hermitian (defect {defect:.3e})")
     return (m + m.conj().T) / 2
-
-
-@dataclass(eq=False)
-class HermitianOperator:
-    """A square complex matrix verified Hermitian at construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = require_hermitian(self.matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(eq=False)
@@ -145,18 +132,6 @@ def eigh_clamped(a):
     return clamp_eigenvalues(w), v
 
 
-def positive_negative_parts(z):
-    """Split a Hermitian Z into (Z+, Z-) with Z = Z+ - Z-, both PSD.
-
-    Eigenvalues within ``EIG_CLAMP_TOL`` of zero are clamped, so the two
-    parts have exactly orthogonal supports.
-    """
-    w, v = eigh_clamped(z)
-    pos = (v * np.maximum(w, 0.0)) @ v.conj().T
-    neg = (v * np.maximum(-w, 0.0)) @ v.conj().T
-    return (pos + pos.conj().T) / 2, (neg + neg.conj().T) / 2
-
-
 def above_rank_cut(w: np.ndarray) -> np.ndarray:
     """Mask of the eigenvalues above ``RANK_TOL`` times the largest one.
 
@@ -190,43 +165,8 @@ def sqrt_psd(a) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def pinv_psd(a) -> np.ndarray:
-    """Moore-Penrose inverse of a PSD operator.
-
-    Inverts on the support and annihilates the kernel, as cut by
-    :func:`above_rank_cut`.
-    """
-    w, v = _psd_eigh(a)
-    keep = above_rank_cut(w)
-    inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    return (v * inv) @ v.conj().T
-
-
 def support_projector(a) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD operator."""
     w, v = _psd_eigh(a)
     vr = v[:, above_rank_cut(w)]
     return vr @ vr.conj().T
-
-
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Hilbert-Schmidt-orthonormal Hermitian basis of the d x d operators.
-
-    Ordering: diagonal units first, then symmetric and antisymmetric
-    off-diagonal combinations.
-    """
-    basis = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2)
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = -1j / np.sqrt(2)
-            e[j, i] = 1j / np.sqrt(2)
-            basis.append(e)
-    return basis

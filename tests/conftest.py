@@ -1,14 +1,15 @@
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from tniso import serialize
-from tniso.channels import KrausChannel
+from tniso.channels import KrausChannel, Superoperator
 from tniso.codes import make_example2_channel, make_repetition_example
 from tniso.errors import ContractViolation, ConvergenceError
-from tniso.opcore import trace_norm
+from tniso.opcore import _psd_eigh, above_rank_cut, eigh_clamped, require_hermitian, trace_norm
 from tniso.sampling import haar_unitary, random_density
 
 # CI replays the same examples on every run; per-test max_examples still apply
@@ -95,3 +96,75 @@ def random_unital_channel(
     w = rng.dirichlet(np.ones(unitary_count))
     ops = [np.sqrt(p) * haar_unitary(dim, rng) for p in w]
     return KrausChannel(ops)
+
+
+def code_superoperator(encoding) -> Superoperator:
+    """The code's superoperator by its matrix units, kept as the reference:
+    column ``a + d_S*b`` is ``vec(U_1 (E_ab kron tau) U_1^dag)``, the d_S^2
+    units kron the cofactor in one batched product."""
+    dec = encoding.decomposition
+    u1, d = dec.block_columns, dec.d_s
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d, order="F")
+    images = (u1 @ np.kron(units, encoding.cofactor[None]) @ u1.conj().T).transpose(1, 2, 0)
+    return Superoperator(d, dec.d_p, images.reshape(dec.d_p**2, -1, order="F"))
+
+
+@dataclass(eq=False)
+class HermitianOperator:
+    """A square complex matrix verified Hermitian at construction."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        self.matrix = require_hermitian(self.matrix)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+def positive_negative_parts(z):
+    """Split a Hermitian Z into (Z+, Z-) with Z = Z+ - Z-, both PSD.
+
+    Eigenvalues within ``EIG_CLAMP_TOL`` of zero are clamped, so the two
+    parts have exactly orthogonal supports.
+    """
+    w, v = eigh_clamped(z)
+    pos = (v * np.maximum(w, 0.0)) @ v.conj().T
+    neg = (v * np.maximum(-w, 0.0)) @ v.conj().T
+    return (pos + pos.conj().T) / 2, (neg + neg.conj().T) / 2
+
+
+def pinv_psd(a) -> np.ndarray:
+    """Moore-Penrose inverse of a PSD operator.
+
+    Inverts on the support and annihilates the kernel, as cut by
+    :func:`tniso.opcore.above_rank_cut`.
+    """
+    w, v = _psd_eigh(a)
+    keep = above_rank_cut(w)
+    inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    return (v * inv) @ v.conj().T
+
+
+def hermitian_basis(d: int) -> list[np.ndarray]:
+    """Hilbert-Schmidt-orthonormal Hermitian basis of the d x d operators.
+
+    Ordering: diagonal units first, then symmetric and antisymmetric
+    off-diagonal combinations.
+    """
+    basis = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    for i in range(d):
+        for j in range(i + 1, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = e[j, i] = 1.0 / np.sqrt(2)
+            basis.append(e)
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = -1j / np.sqrt(2)
+            e[j, i] = 1j / np.sqrt(2)
+            basis.append(e)
+    return basis

@@ -50,6 +50,7 @@ from tniso.sampling import (
 from conftest import (
     PAULI_X,
     RHO_COHERENT,
+    hermitian_basis,
     random_unital_channel,
     trace_norm_contraction_witness,
 )
@@ -107,8 +108,6 @@ def test_02_repetition_structure():
         composite = channel.superoperator() @ enc.superoperator()
         loop = compose(channel, replace)
         residual = 0.0
-        from tniso.opcore import hermitian_basis
-
         for b in hermitian_basis(2):
             x = composite(b)
             residual = max(residual, trace_norm(loop(x) - x))

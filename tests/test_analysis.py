@@ -37,7 +37,7 @@ from tniso.codes import (
     make_example2_channel,
 )
 from tniso.errors import ContractViolation, NotCorrectableError
-from tniso.opcore import above_rank_cut, eigh_clamped, hermitian_basis, state_spectrum, trace_norm
+from tniso.opcore import above_rank_cut, eigh_clamped, state_spectrum, trace_norm
 from tniso.robustness import perturbed_encoding_correctability, simulate_iterated
 from tniso.serialize import channel_to_dict
 from tniso.sampling import (
@@ -48,7 +48,7 @@ from tniso.sampling import (
     random_preserved_system,
 )
 
-from conftest import PAULI_Z
+from conftest import PAULI_Z, hermitian_basis
 
 
 def _powers_found(encoding, channel, count):
@@ -140,14 +140,18 @@ class TestDetectStructure:
 
     @pytest.mark.parametrize("found", [True, False])
     def test_verification_certifies_one_candidate(self, monkeypatch, found, rng):
+        # a code's superoperator and the candidate both carry factors, 2 + 2
+        # columns against the 21 of the Choi matrix, so the certificate is
+        # read off them; the diagonal map carries none
         calls = []
-        certificate = analysis.trace_norm_certificate
+        for name in ("trace_norm_certificate", "_factor_certificate"):
+            real = getattr(analysis, name)
 
-        def counted(s):
-            calls.append(s)
-            return certificate(s)
+            def counted(*maps, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*maps)
 
-        monkeypatch.setattr(analysis, "trace_norm_certificate", counted)
+            monkeypatch.setattr(analysis, name, counted)
         if found:
             phi = random_isometric_encoding(3, 2, 1, rng).superoperator()
         else:
@@ -155,6 +159,7 @@ class TestDetectStructure:
         report = detect_structure(phi)
         assert report.found == found and report.stage in ("verified", "verification")
         assert len(calls) == 1
+        assert calls == ["_factor_certificate" if found else "trace_norm_certificate"]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -905,6 +910,19 @@ class TestClassify:
         assert not report.correctable
         assert not report.protectable
 
+    def test_a_rejected_report_names_its_stage_and_tolerance(self, rng):
+        # a 2% stray channel at (2,4,2): detection rejects the image at
+        # orthogonality, and meta says so beside the tolerance it compared
+        enc, channel = random_preserved_system(2, 4, 2, rng)
+        near = convex_mix([0.98, 0.02], [channel, random_channel(enc.dim_physical, rng)])
+        report = classify(enc, near)
+        _, image = is_preserved(enc, near)
+        assert not report.preserved and image.stage == "orthogonality"
+        assert report.meta == {"stage": "orthogonality", "detection_tol": tol.DETECTION_TOL}
+        assert report.residuals["preservation"] == image.residual
+        assert classify(enc, near, tol_=1e-3).meta["detection_tol"] == 1e-3
+        assert "stage" not in json.dumps(report.as_dict())
+
     @pytest.mark.parametrize("case", ["repetition", "identity", "mixture", "random"])
     def test_logical_implications(self, case, repetition, rng):
         enc = repetition.encoding
@@ -1027,32 +1045,38 @@ class TestAnalysisPass:
         assert abs(report.residuals["noiseless_fixed_code"] - cert.fixed_residual) <= 1e-12
 
 
-def _count_kraus_applications(monkeypatch) -> list:
-    """One entry per operand a Kraus channel is applied to: each ``apply``
-    call, and each of the map's images in ``channel @ map``."""
-    calls = []
-    real_apply, real_matmul = KrausChannel.apply, KrausChannel.__matmul__
+def _count_kraus_applications(monkeypatch):
+    """Two lists: one entry per operand a Kraus channel's image kernel is
+    applied to (an ``apply`` call is one, ``channel @ map`` one per image of
+    the map), and one per ``channel @ code`` formed from the code's factors
+    instead, one Gram product each."""
+    images, factored = [], []
+    real_images, real_matmul = KrausChannel._images, KrausChannel.__matmul__
 
-    def counted_apply(self, rho):
-        calls.append(1)
-        return real_apply(self, rho)
+    def counted_images(self, vecs):
+        images.extend([1] * vecs.shape[1])
+        return real_images(self, vecs)
 
     def counted_matmul(self, other):
-        calls.extend([1] * other.superoperator().dim_in**2)
-        return real_matmul(self, other)
+        product = real_matmul(self, other)
+        if product._factors is not None:
+            factored.append(1)
+        return product
 
-    monkeypatch.setattr(KrausChannel, "apply", counted_apply)
+    monkeypatch.setattr(KrausChannel, "_images", counted_images)
     monkeypatch.setattr(KrausChannel, "__matmul__", counted_matmul)
-    return calls
+    return images, factored
 
 
 class TestImageLinks:
-    """Analyses compose a channel with a map through the map's images
-    (``channel @ map``): each link applies the Kraus operators once per
-    logical matrix unit, whatever d_P, and no Kraus superoperator is built
+    """Analyses compose a channel with a map by ``channel @ map``: the first
+    link, the channel after the code, is one Gram product of the code's
+    factors, and each later link applies the Kraus operators once per
+    logical matrix unit, whatever d_P; no Kraus superoperator is built
     unless the full fixed-point projector needs one."""
 
-    # links of the image chain each analysis forms, d_S**2 applications each
+    # links of the image chain each analysis forms: the first from the
+    # code's factors, each later one d_S**2 applications
     LINKS = {classify: 3, build_correction: 1, derive_protectable_code: 3, unitary_correctability: 1}
 
     @pytest.fixture(params=["repetition", "random", "wider_image"])
@@ -1069,12 +1093,13 @@ class TestImageLinks:
         self, monkeypatch, system, analysis_fn
     ):
         enc, channel = system
-        calls = _count_kraus_applications(monkeypatch)
+        calls, factored = _count_kraus_applications(monkeypatch)
         built, _ = _record_builds(monkeypatch)
         result = analysis_fn(enc, channel)
         if analysis_fn is classify:
             assert result.meta["projector"] == "fixed"
-        assert len(calls) == self.LINKS[analysis_fn] * enc.dim_logical**2
+        assert len(calls) == (self.LINKS[analysis_fn] - 1) * enc.dim_logical**2
+        assert len(factored) == 1
         assert not any(isinstance(x, KrausChannel) for x in built)
 
     def test_certificate_of_a_corrected_loop_builds_no_kraus_superoperator(
@@ -1087,13 +1112,14 @@ class TestImageLinks:
         assert cert.accepted and cert.projector == "fixed"
         assert not any(isinstance(x, KrausChannel) for x in built)
 
-    def test_near_miss_classify_applies_kraus_once_per_image(self, monkeypatch, rng):
+    def test_near_miss_classify_forms_its_one_link_from_factors(self, monkeypatch, rng):
         enc, channel = random_preserved_system(2, 2, 1, rng)
         near = convex_mix([1.0 - 1e-4, 1e-4], [channel, random_channel(enc.dim_physical, rng)])
-        calls = _count_kraus_applications(monkeypatch)
+        calls, factored = _count_kraus_applications(monkeypatch)
         built, _ = _record_builds(monkeypatch)
         assert not classify(enc, near).preserved
-        assert len(calls) == enc.dim_logical**2
+        assert len(calls) == 0
+        assert len(factored) == 1
         assert not any(isinstance(x, KrausChannel) for x in built)
 
 

@@ -22,7 +22,7 @@ from tniso.channels import (
 )
 from tniso.codes import PerturbedEncoding
 from tniso.errors import ContractViolation, ConvergenceError, NumericError
-from tniso.opcore import hermitian_basis, trace_norm
+from tniso.opcore import trace_norm
 from tniso.sampling import (
     random_channel,
     random_density,
@@ -33,7 +33,13 @@ from tniso.sampling import (
 from tniso import analysis, channels, serialize
 from tniso import tolerances as tol
 
-from conftest import PAULI_X, random_unital_channel, trace_norm_contraction_witness
+from conftest import (
+    PAULI_X,
+    code_superoperator,
+    hermitian_basis,
+    random_unital_channel,
+    trace_norm_contraction_witness,
+)
 
 
 def bit_flip(p):
@@ -693,9 +699,10 @@ def _assert_agrees_with_the_svd_oracle(s, cert):
     assert abs(cert - _svd_certificate(s)) <= 32 * np.finfo(float).eps * scale
 
 
-def _assert_bounds_sampled_states(s, cert, rng):
+def _assert_bounds_sampled_states(s, cert, rng, slack=0.0):
     # the d_in^2 pure states |i>, (|i> + |j>)/sqrt 2 and (|i> + i|j>)/sqrt 2,
-    # whose projectors span the operators, then random ones
+    # whose projectors span the operators, then random ones; ``slack`` is an
+    # absolute allowance for a certificate taken of another rounding of s
     eye, (i, j) = np.eye(s.dim_in), np.triu_indices(s.dim_in, 1)
     basis = [*eye, *((eye[i] + eye[j]) / np.sqrt(2)), *((eye[i] + 1j * eye[j]) / np.sqrt(2))]
     states = [np.outer(v, v.conj()) for v in basis]
@@ -709,7 +716,7 @@ def _assert_bounds_sampled_states(s, cert, rng):
         value = trace_norm(s(rho))
         # at d_in = 1 the bound is attained, and both sides are roundings of
         # one sum of singular values: allow the oracle's SVD its own ulps
-        assert value <= cert + 4 * s.dim_out * np.finfo(float).eps * value
+        assert value <= cert + 4 * s.dim_out * np.finfo(float).eps * value + slack
 
 
 def _anti_hermitian(n: int, size: float, rng) -> np.ndarray:
@@ -757,18 +764,29 @@ class TestTraceNormCertificate:
 
     # classify's four differences on a preserved system (detection's
     # verification, fixed, protection and correction) and, on a 1e-4 near
-    # miss that detection rejects before verification, the fixed one
+    # miss that detection rejects before verification, the fixed one. The
+    # first two are read off the factors where they are narrower than the
+    # Choi matrix: p = 20 columns against N = 20 at (2,4,2), so none there,
+    # and 24 or 28 against 45 and 80 beyond; the oracle takes both routes'
+    # certificates of the difference's matrix
     @pytest.mark.parametrize("dims", [(2, 4, 2), (3, 4, 3), (4, 4, 4)])
     @pytest.mark.parametrize("admixture", [0.0, 1e-4])
     def test_classify_differences_agree_with_the_svd_oracle(self, dims, admixture, monkeypatch):
-        certified = []
-        real = analysis.trace_norm_certificate
+        factored = dims != (2, 4, 2)
+        certified, by_factors = [], []
+        real, real_factored = analysis.trace_norm_certificate, analysis._factor_certificate
 
         def spy(s):
             certified.append((s, real(s)))
             return certified[-1][1]
 
+        def factor_spy(a, b):
+            diff = Superoperator(b.dim_in, b.dim_out, a.matrix - b.matrix)
+            by_factors.append((diff, real_factored(a, b)))
+            return by_factors[-1][1]
+
         monkeypatch.setattr(analysis, "trace_norm_certificate", spy)
+        monkeypatch.setattr(analysis, "_factor_certificate", factor_spy)
         for seed in range(2):
             rng = np.random.default_rng(seed)
             enc, channel = random_preserved_system(*dims, rng)
@@ -777,8 +795,9 @@ class TestTraceNormCertificate:
                 channel = convex_mix([1 - admixture, admixture], [channel, noise])
             report = analysis.classify(enc, channel)
             assert report.preserved == (admixture == 0.0)
-        assert len(certified) == (8 if admixture == 0.0 else 2)
-        for s, cert in certified:
+        assert len(certified) + len(by_factors) == (8 if admixture == 0.0 else 2)
+        assert len(by_factors) == factored * (4 if admixture == 0.0 else 2)
+        for s, cert in certified + by_factors:
             _assert_agrees_with_the_svd_oracle(s, cert)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -821,13 +840,107 @@ class TestTraceNormCertificate:
         trace_norm_certificate(s)
         assert calls == [("eigh", (15, 15))]
 
-        # a preserved classify at (4,4,4) takes 4 certificates of 80 x 80
-        # Choi matrices, and no SVD of that size
+        # a preserved classify at (4,4,4) takes 2 certificates of 80 x 80
+        # Choi matrices (protection and correction), and no SVD of that
+        # size; verification and the fixed residual are read off the
+        # factors, (6 + 1) * 4 = 28 columns each
         calls.clear()
         enc, channel = random_preserved_system(4, 4, 4, rng)
         assert analysis.classify(enc, channel).preserved
         assert [c for c in calls if c[0] == "svd" and c[1][-2:] == (80, 80)] == []
-        assert calls.count(("eigh", (80, 80))) == 4
+        assert calls.count(("eigh", (80, 80))) == 2
+        assert calls.count(("eigh", (28, 28))) == 2
+
+
+class TestFactoredMaps:
+    """A code's superoperator keeps its factor U_1 and cofactor tau, and a
+    channel with no reset term after it keeps the factors M_k U_1: one Gram
+    product each, equal to the kron formula and to the channel applied to
+    the code's images. Their difference's certificate is read off the
+    factors when the stacked Choi factor has fewer columns p than the Choi
+    matrix's side N, and agrees with the SVD oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 4),
+        d_f=st.integers(1, 4),
+        d_r=st.integers(0, 4),
+        full_rank=st.booleans(),
+        stray=st.sampled_from([0.0, 1e-4, 0.02]),
+    )
+    def test_factors_match_the_images_and_the_oracle(self, seed, d_s, d_f, d_r, full_rank, stray):
+        rng = np.random.default_rng(seed)
+        enc, channel = random_preserved_system(d_s, d_f, d_r, rng)
+        if not full_rank:
+            # the same block with a rank-deficient cofactor, still preserved
+            cofactor = random_isometric_encoding(d_s, d_f, d_r, rng, full_rank=False).cofactor
+            enc = enc.with_cofactor(cofactor)
+        if stray:
+            noise = random_channel(enc.dim_physical, rng)
+            channel = convex_mix([1.0 - stray, stray], [channel, noise])
+        s_phi = enc.superoperator()
+        assert np.abs(s_phi.matrix - code_superoperator(enc).matrix).max() <= 1e-15
+        image = channel @ s_phi
+        assert image._factors[0].shape == (channel.kraus_count, enc.dim_physical, d_s * d_f)
+        assert np.abs(image.matrix - channel._images(s_phi.matrix)).max() <= 1e-15
+
+        pairs = [(image, s_phi)]
+        report = analysis.detect_structure(image)
+        if report.found:  # the image of a CP map is unitary-flavoured
+            pairs.append((image, report.encoding().superoperator()))
+        for a, b in pairs:
+            cert = channels._factor_certificate(a, b)
+            diff = Superoperator(b.dim_in, b.dim_out, a.matrix - b.matrix)
+            _assert_agrees_with_the_svd_oracle(diff, cert)
+            # the certificate is of the factors' map, and diff's matrix is
+            # another rounding of it: where the two maps agree to rounding
+            # (verification, or the one state of d_S = 1), a sampled state
+            # of diff reads up to about 2.5 eps * scale above it
+            scale = max(1.0, float(np.linalg.norm(_choi(diff), 2)), cert)
+            _assert_bounds_sampled_states(diff, cert, rng, 8 * np.finfo(float).eps * scale)
+            # _distance reads the factors exactly when they are narrower
+            p = sum(x.shape[0] * len(t) for x, t in (a._factors, b._factors))
+            with mock.patch.object(
+                analysis, "_factor_certificate", wraps=channels._factor_certificate
+            ) as spy:
+                distance = analysis._distance(a, b)
+            assert spy.call_count == (p < b.dim_in * b.dim_out)
+            assert distance == (cert if spy.call_count else trace_norm_certificate(diff))
+
+    def test_a_factor_as_wide_as_the_choi_matrix_takes_the_choi_route(self, monkeypatch):
+        # (2,4,2): 4 Kraus operators after a d_F = 4 code, p = (4 + 1) * 4
+        # = 20 columns against the 2 * 10 rows of the Choi matrix
+        enc, channel = random_preserved_system(2, 4, 2, np.random.default_rng(0))
+        s_phi = enc.superoperator()
+        image = channel @ s_phi
+        assert channel.kraus_count == 4 and image._factors is not None
+        factored = []
+        real = analysis._factor_certificate
+        monkeypatch.setattr(analysis, "_factor_certificate", lambda *m: factored.append(m) or real(*m))
+        diff = Superoperator(2, 10, image.matrix - s_phi.matrix)
+        assert analysis._distance(image, s_phi) == trace_norm_certificate(diff)
+        assert analysis.classify(enc, channel).preserved
+        assert factored == []
+
+    def test_only_the_first_link_carries_factors(self, rng):
+        # a reset term, a Superoperator, a later link and a Cesaro projection
+        # all compose through the images
+        enc, channel = random_preserved_system(2, 2, 1, rng)
+        s_phi = enc.superoperator()
+        image = channel @ s_phi
+        recovery = analysis.build_correction(enc, channel)
+        plain = channel.superoperator()
+        assert s_phi._factors[0].shape == (1, 5, 4) and image._factors is not None
+        for product in (
+            recovery @ s_phi,
+            recovery @ image,
+            channel @ image,
+            plain @ s_phi,
+            cesaro_projector(channel) @ s_phi,
+            Superoperator(2, 5, s_phi.matrix),
+        ):
+            assert product._factors is None
 
 
 class TestCheckAtTheBoundary:
@@ -860,12 +973,17 @@ class TestCheckAtTheBoundary:
 
     def test_certificate_operands_skip_the_scan(self, monkeypatch, rng):
         # analysis._distance and detection's verification certify the
-        # difference of two checked maps without the constructor's scan
+        # difference of two checked maps without the constructor's scan; the
+        # image after the code carries factors, 8 columns against the 10 of
+        # the Choi matrix, so its certificates are read off them, and a copy
+        # of it without factors takes the difference's Choi matrix
         enc, channel = random_preserved_system(2, 2, 1, rng)
         s_phi = enc.superoperator()
         image = channel @ s_phi
-        scanned, certified = [], []
+        plain = Superoperator(image.dim_in, image.dim_out, image.matrix)
+        scanned, certified, factored = [], [], []
         real_scan, real_cert = Superoperator.__post_init__, analysis.trace_norm_certificate
+        real_factored = analysis._factor_certificate
 
         def counted(self):
             scanned.append(self)
@@ -875,13 +993,23 @@ class TestCheckAtTheBoundary:
             certified.append(s)
             return real_cert(s)
 
+        def factor_spy(a, b):
+            factored.extend([a, b])
+            return real_factored(a, b)
+
         monkeypatch.setattr(Superoperator, "__post_init__", counted)
         monkeypatch.setattr(analysis, "trace_norm_certificate", spy)
-        analysis._distance(image, s_phi)
+        monkeypatch.setattr(analysis, "_factor_certificate", factor_spy)
+        analysis._distance(plain, s_phi)
         assert scanned == [] and len(certified) == 1
-        assert analysis.detect_structure(image).found
+        assert analysis.detect_structure(plain).found
         assert len(certified) == 2 and all(s is not c for s in scanned for c in certified)
         assert all(c.matrix.shape == (25, 4) and c.matrix.dtype == complex for c in certified)
+        analysis._distance(image, s_phi)
+        assert analysis.detect_structure(image).found
+        assert scanned == [] and len(certified) == 2 and len(factored) == 4
+        assert factored[:2] == [image, s_phi] and factored[2] is image
+        assert all(c.matrix.shape == (25, 4) and c.matrix.dtype == complex for c in factored)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0])
     def test_tolerance_arguments_are_refused(self, bad, rng):

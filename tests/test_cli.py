@@ -166,6 +166,17 @@ class TestClassify:
         assert report["meta"]["duration_s"] >= 0
         assert "projector" not in json.dumps(report["results"])
 
+    def test_rejection_stage_is_reported_under_meta(self, generated, tmp_path):
+        out = tmp_path / "classify_mixture.json"
+        argv = ["classify", "--channel", generated["mixture"], "--code", generated["code"]]
+        assert main(argv + ["--tol", "1e-6", "--out", str(out)]) == 0
+        report = read(out)
+        assert report["results"]["preserved"] is False
+        assert report["meta"].keys() == {"stage", "detection_tol", "duration_s"}
+        assert report["meta"]["stage"] in ("state_images", "orthogonality", "spectrum", "verification")
+        assert report["meta"]["detection_tol"] == 1e-6
+        assert "stage" not in json.dumps(report["results"])
+
     def test_dimension_mismatch_exits_2(self, generated, tmp_path, capsys):
         small = tmp_path / "small.json"
         serialize.dump_json(

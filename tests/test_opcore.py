@@ -8,16 +8,19 @@ from tniso.opcore import (
     DensityOperator,
     _hermitian_trace_norms,
     _trace_norms,
-    HermitianOperator,
-    hermitian_basis,
-    pinv_psd,
-    positive_negative_parts,
     sqrt_psd,
     support_projector,
     trace_norm,
 )
 
-from conftest import PAULI_X, PAULI_Z
+from conftest import (
+    PAULI_X,
+    PAULI_Z,
+    HermitianOperator,
+    hermitian_basis,
+    pinv_psd,
+    positive_negative_parts,
+)
 
 
 def random_hermitian(d, rng):
