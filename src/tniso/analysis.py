@@ -297,7 +297,7 @@ def _certificate(s_phi, image, moved: float, loop, tol_: float) -> NoiselessCert
     if moved <= tol_ and fixes_span(s_phi.matrix, image.matrix):
         return NoiselessCertificate(True, moved, "fixed")
     s_loop = loop()
-    c_inf = cesaro_projector(s_loop, method="spectral") @ s_phi
+    c_inf = cesaro_projector(s_loop) @ s_phi
     rep = detect_structure(c_inf, detection_tol=tol_)
     fixed_residual = is_fixed(c_inf, s_loop, tol_)[1] if rep.found else rep.residual
     return NoiselessCertificate(rep.found and fixed_residual <= tol_, fixed_residual, "full")

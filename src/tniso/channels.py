@@ -606,57 +606,20 @@ def fixes_span(x: np.ndarray, image: np.ndarray) -> bool:
     return bool((np.linalg.svd(h - np.eye(q.shape[1]), compute_uv=False) < tol.KERNEL_TOL).all())
 
 
-def cesaro_projector(
-    channel: KrausChannel | Superoperator,
-    method: str = "spectral",
-    max_n: int = 2**48,
-    tol_: float = tol.CESARO_TOL,
-) -> Superoperator:
+def cesaro_projector(channel: KrausChannel | Superoperator) -> Superoperator:
     """Projector onto the fixed points of a square channel.
 
     ``channel`` is any map with ``.superoperator()``, matrices included.
 
     The limit of averaged channel powers ``(1/(N+1)) sum_{i<=N} E^i``
-    projects onto the fixed-point set of E.
-
-    ``spectral`` pairs the kernels of (S - I) and its adjoint into an
-    idempotent projector (the eigenvalue-1 spectral projector).
-    ``iterative`` evaluates the partial averages exactly at doubling N via
-    ``sum_{i<2N} S^i = (I + S^N) sum_{i<N} S^i`` and stops once successive
-    averages differ by less than ``tol_``. Each doubling halves the error
-    until rounding in the repeated squaring takes over near 1e-8; past
-    that floor the iteration aborts with the best residual reached.
+    projects onto the fixed-point set of E. It is the eigenvalue-1 spectral
+    projector, which pairs the kernels of (S - I) and its adjoint into an
+    idempotent.
     """
-    tol.require_tolerance(tol_, "tol_")
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("fixed points require a square channel")
-    s = channel.superoperator().matrix
-    if method == "spectral":
-        p = _spectral_fixed_point_projector(s)
-        return Superoperator._trusted(channel.dim_in, channel.dim_out, p)
-    if method != "iterative":
-        raise ContractViolation(f"unknown method {method!r}")
-
-    avg = (np.eye(s.shape[0], dtype=complex) + s) / 2.0  # N = 1 partial average
-    power = s @ s                                        # S^(N+1) for current N+1=2
-    n_terms = 2
-    best = float("inf")
-    while n_terms <= max_n:
-        nxt = (avg + power @ avg) / 2.0
-        delta = float(np.abs(nxt - avg).max())
-        avg = nxt
-        n_terms *= 2
-        if delta < tol_:
-            return Superoperator._trusted(channel.dim_in, channel.dim_out, avg)
-        if delta < best:
-            best = delta
-        elif delta > 4.0 * best:
-            break  # rounding noise dominates; no further progress possible
-        power = power @ power
-    raise ConvergenceError(
-        f"Cesaro averaging did not reach {tol_:g} within {max_n} terms",
-        residual=best,
-    )
+    p = _spectral_fixed_point_projector(channel.superoperator().matrix)
+    return Superoperator._trusted(channel.dim_in, channel.dim_out, p)
 
 
 def check_support_invariance(

@@ -5,6 +5,11 @@ via an explicit basis unitary. A state encoding places the logical state on
 the tensor factor next to a fixed cofactor state and zero on the remainder;
 an observable encoding extends logical observables with identity on the
 cofactor and an arbitrary Hermitian block on the remainder.
+:func:`verify_faithfulness` checks that an observable encoding carries
+statics, unitary dynamics and measurement dynamics over to a state encoding,
+exactly: from the intertwining defect X(A) U_1 - U_1 (A kron I_F) on the
+zero operator, a Hermitian basis and the logical matrix units, with no
+random sample.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ import numpy as np
 from .channels import KrausChannel, Superoperator, _hermitian_trace_defect, convex_mix
 from .errors import ContractViolation
 from .opcore import (
+    _trace_norms,
     above_rank_cut,
     as_matrix,
     eigh_clamped,
+    hermiticity_defect,
     require_hermitian,
     support_projector,
-    trace_norm,
 )
 from . import tolerances as tol
 
@@ -255,93 +261,101 @@ class FaithfulnessReport(NamedTuple):
         return max(self)
 
 
-def _eigen_clusters(w: np.ndarray, gap: float):
-    """Group sorted eigenvalues into clusters separated by more than gap."""
-    order = np.argsort(w)
-    clusters, current = [], [order[0]]
-    for idx in order[1:]:
-        if w[idx] - w[current[-1]] <= gap:
-            current.append(idx)
-        else:
-            clusters.append(current)
-            current = [idx]
-    clusters.append(current)
-    return clusters
-
-
-def _expm_herm(h: np.ndarray, sign: float) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(sign * 1j * w)) @ v.conj().T
+def _observable_units(d: int) -> np.ndarray:
+    """The zero operator, then the Hermitian basis E_ii, E_ij + E_ji and
+    i(E_ij - E_ji) for i < j: d^2 + 1 logical observables."""
+    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[i, j] = E_ij
+    i, j = np.triu_indices(d, 1)
+    upper, lower = units[i, j], units[j, i]
+    diagonal = units[np.arange(d), np.arange(d)]
+    return np.concatenate([np.zeros((1, d, d)), diagonal, upper + lower, 1j * (upper - lower)])
 
 
 def verify_faithfulness(
     encoding: IsometricEncoding,
     observables: ObservableEncoding,
-    samples: int = 50,
-    seed: int = 0,
 ) -> FaithfulnessReport:
-    """Check the three faithfulness conditions on random (state, observable) pairs.
+    """Check the three faithfulness conditions exactly, on matrix units.
 
     (1) statics: encoded expectation values match logical ones;
-    (2) unitary dynamics: conjugation by exp(-i encoded A) commutes with encoding;
-    (3) measurement dynamics: sandwiching by eigenprojectors of the encoded
-        observable decodes to the logical eigenprojector sandwich and stays
-        supported on the logical-cofactor block.
+    (2) unitary dynamics: exp(-i t X(A)) acts on encoded states as exp(-i t A)
+        acts on logical ones, for every t;
+    (3) measurement dynamics: sandwiching by spectral projectors of X(A)
+        decodes to the logical sandwich and stays on the code block.
 
-    Returns the max residual observed per condition.
+    With U_1 the block columns, V_k its k-th block of d_F columns, tau the
+    cofactor and X the observable encoding, the code is
+    phi(E_kl) = V_k tau V_l^dag, and the intertwining defect
+    D(A) = X(A) U_1 - U_1 (A kron I_F) has column blocks D_k(A) with
+    L(A, k, l) = X(A) phi(E_kl) - phi(A E_kl) = D_k(A) tau V_l^dag. Over the
+    zero operator and the Hermitian basis of :func:`_observable_units`, and
+    every k and l, the report holds:
+
+    - statics = max |Tr L(A, k, l)|, the defect of
+      Tr(X(A) phi(rho)) = Tr(A rho), since phi is trace preserving;
+    - unitary_dynamics = max ||L(A, k, l) - L(A, l, k)^dag||_1, the defect of
+      the commutator identity [X(A), phi(rho)] = phi([A, rho]), which
+      generates exp(-i t X(A)) phi(rho) exp(i t X(A)) = phi(exp(-i t A) rho
+      exp(i t A)) for every t;
+    - measurement_dynamics = max ||D_k(A) tau||_1 = max ||L(A, k, l)||_1, the
+      defect of X(A) phi(rho) = phi(A rho). With X(A) Hermitian it gives
+      p(X) phi(rho) q(X) = phi(p(A) rho q(A)) for polynomials p and q, so
+      every spectral projector of X(A) (a polynomial in it) acts on encoded
+      states as the matching projector of A, and their images stay on the
+      code block.
+
+    Each identity's defect is affine in A and linear in rho, so a field is 0
+    exactly when its condition holds for every Hermitian A and every rho: a
+    Hermitian A = sum_j c_j B_j over the basis, with real c_j, is the affine
+    combination (1 - sum_j c_j) 0 + sum_j c_j B_j of checked observables, and
+    rho is a combination of the E_kl. This needs ``encode_observable`` to be
+    affine and to return Hermitian d_P x d_P matrices. An affine encoding
+    need not map 0 to 0 (:class:`ObservableEncoding` maps it to its
+    remainder block), which is why the zero operator is checked. A result of
+    another shape, or not Hermitian within ``HERMITICITY_TOL``, is refused.
+    No sample is drawn: two calls return the same report bit for bit.
     """
-    from .sampling import random_density
-
-    if encoding.decomposition is not observables.decomposition:
-        same = (
-            encoding.decomposition.d_s == observables.decomposition.d_s
-            and encoding.decomposition.d_f == observables.decomposition.d_f
-            and np.allclose(encoding.decomposition.basis, observables.decomposition.basis)
-        )
-        if not same:
-            raise ContractViolation("encodings must share one decomposition")
-    if samples < 1:
-        raise ContractViolation(f"samples must be at least 1, got {samples}")
-    if seed < 0:
-        raise ContractViolation(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
-    d_s = encoding.dim_logical
-    u1 = encoding.decomposition.block_columns
-    comp = np.eye(encoding.dim_physical) - u1 @ u1.conj().T
-
-    r_static = r_unitary = r_measure = 0.0
-    for _ in range(samples):
-        rho = random_density(d_s, rng)
-        a = rng.standard_normal((d_s, d_s)) + 1j * rng.standard_normal((d_s, d_s))
-        a = (a + a.conj().T) / 2
-        sigma = encoding.encode(rho)
-        x = observables.encode_observable(a)
-
-        r_static = max(
-            r_static, abs(complex(np.trace(sigma @ x)) - complex(np.trace(rho @ a)))
-        )
-
-        u_phys = _expm_herm(x, -1.0)
-        u_log = _expm_herm(a, -1.0)
-        lhs = u_phys @ sigma @ u_phys.conj().T
-        rhs = encoding.encode(u_log @ rho @ u_log.conj().T)
-        r_unitary = max(r_unitary, trace_norm(lhs - rhs))
-
-        w_a, v_a = np.linalg.eigh(a)
-        w_x, v_x = np.linalg.eigh(x)
-        for cluster in _eigen_clusters(w_a, tol.SPECTRAL_GAP_TOL):
-            lam = float(np.mean(w_a[cluster]))
-            pa = v_a[:, cluster] @ v_a[:, cluster].conj().T
-            window = tol.SPECTRAL_GAP_TOL + tol.EIGENVALUE_WINDOW * max(1.0, abs(lam))
-            sel = np.abs(w_x - lam) <= window
-            px = v_x[:, sel] @ v_x[:, sel].conj().T
-            sand = px @ sigma @ px
-            r_measure = max(
-                r_measure,
-                trace_norm(encoding.decode(sand) - pa @ rho @ pa),
-                float(np.abs(comp @ sand).max()),
+    dec, other = encoding.decomposition, observables.decomposition
+    if dec is not other:
+        dims, other_dims = (dec.d_s, dec.d_f, dec.d_r), (other.d_s, other.d_f, other.d_r)
+        if dims != other_dims or not np.allclose(dec.basis, other.basis):
+            raise ContractViolation(
+                f"encodings must share one decomposition, got dimensions {dims} and {other_dims}"
             )
-    return FaithfulnessReport(r_static, r_unitary, r_measure)
+    d_s, d_f, d_p = dec.d_s, dec.d_f, dec.d_p
+    units = _observable_units(d_s)
+    x = np.empty((len(units), d_p, d_p), dtype=complex)
+    for n, a in enumerate(units):
+        x_a = as_matrix(observables.encode_observable(a))
+        if x_a.shape != (d_p, d_p):
+            raise ContractViolation(
+                f"encode_observable returned shape {x_a.shape}, expected ({d_p}, {d_p})"
+            )
+        skew = hermiticity_defect(x_a)
+        if skew > tol.HERMITICITY_TOL:
+            raise ContractViolation(
+                f"encode_observable returned a non-Hermitian matrix (defect {skew:.3e})"
+            )
+        x[n] = x_a
+
+    u1 = dec.block_columns
+    v = u1.reshape(d_p, d_s, d_f)
+    defect = (x @ u1).reshape(-1, d_p, d_s, d_f) - np.einsum("pif,aik->apkf", v, units)
+    defect = defect.transpose(0, 2, 1, 3)  # D_k(A), indexed [A, k]
+    v = np.broadcast_to(v.transpose(1, 0, 2), defect.shape)  # V_k, indexed [A, k]
+    d_tau = defect @ encoding.cofactor
+    statics = np.abs(np.einsum("akpf,alpf->akl", d_tau, v.conj())).max()
+    # L(A,k,l) - L(A,l,k)^dag = P_k Q_l^dag with P_k = [D_k tau, V_k tau] and
+    # Q_l = [V_l, -D_l]: its trace norm is that of R_P R_Q^dag, the product
+    # of their triangular QR factors, as the Q factors are isometries
+    r_p = np.linalg.qr(np.concatenate([d_tau, v @ encoding.cofactor], -1))[1]
+    r_q = np.linalg.qr(np.concatenate([v, -defect], -1))[1]
+    commutator = r_p[:, :, None] @ r_q[:, None].conj().swapaxes(-1, -2)
+    return FaithfulnessReport(
+        float(statics),
+        float(_trace_norms(commutator).max()),
+        float(_trace_norms(d_tau).max()),
+    )
 
 
 # ---------------------------------------------------------------------------

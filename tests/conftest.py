@@ -98,6 +98,43 @@ def random_unital_channel(
     return KrausChannel(ops)
 
 
+def iterative_cesaro_projector(
+    channel: KrausChannel, max_n: int = 2**48, tol_: float = 1e-8
+) -> Superoperator:
+    """The fixed-point projector of a square channel as the limit of averaged
+    powers ``(1/N) sum_{i<N} E^i``, kept as an independent reference for
+    :func:`tniso.channels.cesaro_projector`'s spectral projector.
+
+    The partial averages are evaluated exactly at doubling N via
+    ``sum_{i<2N} S^i = (I + S^N) sum_{i<N} S^i``, stopping once successive
+    averages differ by less than ``tol_``. Each doubling halves the error
+    until rounding in the repeated squaring takes over near 1e-8; past that
+    floor the iteration raises ``ConvergenceError`` with the best residual
+    reached.
+    """
+    s = channel.superoperator().matrix
+    avg = (np.eye(s.shape[0], dtype=complex) + s) / 2.0  # N = 1 partial average
+    power = s @ s                                        # S^(N+1) for current N+1=2
+    n_terms = 2
+    best = float("inf")
+    while n_terms <= max_n:
+        nxt = (avg + power @ avg) / 2.0
+        delta = float(np.abs(nxt - avg).max())
+        avg = nxt
+        n_terms *= 2
+        if delta < tol_:
+            return Superoperator(channel.dim_in, channel.dim_out, avg)
+        if delta < best:
+            best = delta
+        elif delta > 4.0 * best:
+            break  # rounding noise dominates; no further progress possible
+        power = power @ power
+    raise ConvergenceError(
+        f"Cesaro averaging did not reach {tol_:g} within {max_n} terms",
+        residual=best,
+    )
+
+
 def code_superoperator(encoding) -> Superoperator:
     """The code's superoperator by its matrix units, kept as the reference:
     column ``a + d_S*b`` is ``vec(U_1 (E_ab kron tau) U_1^dag)``, the d_S^2

@@ -51,6 +51,7 @@ from conftest import (
     PAULI_X,
     RHO_COHERENT,
     hermitian_basis,
+    iterative_cesaro_projector,
     random_unital_channel,
     trace_norm_contraction_witness,
 )
@@ -185,19 +186,19 @@ def test_06_fixed_point_projector():
             d = int(rng.integers(2, 9))
             channel = random_channel(d, rng, kraus_count=int(rng.integers(1, 4)))
             s = channel.superoperator().matrix
-            p = cesaro_projector(channel, method="spectral").matrix
+            p = cesaro_projector(channel).matrix
             assert np.abs(s @ p - p).max() <= 1e-8
             assert np.abs(p @ p - p).max() <= 1e-8
         for _ in range(20):
             d = int(rng.integers(2, 7))
             channel = random_unital_channel(d, rng)
-            ps = cesaro_projector(channel, method="spectral").matrix
-            pi = cesaro_projector(channel, method="iterative", tol_=1e-7).matrix
+            ps = cesaro_projector(channel).matrix
+            pi = iterative_cesaro_projector(channel, tol_=1e-7).matrix
             assert np.abs(ps - pi).max() <= 1e-6
         flip = KrausChannel(
             [np.sqrt(0.7) * np.eye(2, dtype=complex), np.sqrt(0.3) * PAULI_X]
         )
-        proj = cesaro_projector(flip, method="spectral")
+        proj = cesaro_projector(flip)
         for _ in range(10):
             rho = random_density(2, rng)
             expected = 0.5 * (rho + PAULI_X @ rho @ PAULI_X)
@@ -258,7 +259,7 @@ def test_10_faithfulness_conditions():
     with criterion(10, "faithfulness of the repetition encoding"):
         enc, _, _, _ = make_repetition_example(0.4)
         observables = ObservableEncoding(enc.decomposition)
-        report = verify_faithfulness(enc, observables, samples=50, seed=5)
+        report = verify_faithfulness(enc, observables)
         assert report.statics <= 1e-9
         assert report.unitary_dynamics <= 1e-9
         assert report.measurement_dynamics <= 1e-9
@@ -272,5 +273,5 @@ def test_10_faithfulness_conditions():
                 u = enc.decomposition.basis
                 return u @ np.kron(np.eye(2), block) @ u.conj().T
 
-        adversarial = verify_faithfulness(enc, SwappedRoles(), samples=50, seed=5)
+        adversarial = verify_faithfulness(enc, SwappedRoles())
         assert adversarial.statics > 0.1

@@ -308,7 +308,7 @@ class TestNoiselessCertificate:
             loop = compose(build_correction(enc, near, strategy), near)
             cert = noiseless_certificate(enc, loop)
             s_loop = loop.superoperator()
-            rep = detect_structure(cesaro_projector(s_loop, method="spectral") @ enc.superoperator())
+            rep = detect_structure(cesaro_projector(s_loop) @ enc.superoperator())
             assert not cert.accepted and cert.projector == "full" and not rep.found
             assert cert.fixed_residual == rep.residual
             assert np.isfinite(cert.fixed_residual)

@@ -37,6 +37,7 @@ from conftest import (
     PAULI_X,
     code_superoperator,
     hermitian_basis,
+    iterative_cesaro_projector,
     random_unital_channel,
     trace_norm_contraction_witness,
 )
@@ -384,8 +385,8 @@ class TestCesaroProjector:
         for _ in range(6):
             d = int(rng.integers(2, 7))
             channel = random_unital_channel(d, rng)
-            ps = cesaro_projector(channel, method="spectral").matrix
-            pi = cesaro_projector(channel, method="iterative", tol_=1e-7).matrix
+            ps = cesaro_projector(channel).matrix
+            pi = iterative_cesaro_projector(channel, tol_=1e-7).matrix
             assert np.abs(ps - pi).max() <= 1e-6
 
     def test_corrected_mixture_loop_dephases_encoded_states(self, repetition):
@@ -402,15 +403,11 @@ class TestCesaroProjector:
     def test_iterative_nonconvergence_raises(self):
         rot = KrausChannel([np.diag([1.0, np.exp(1j * 0.7)])])
         with pytest.raises(ConvergenceError):
-            cesaro_projector(rot, method="iterative", max_n=8, tol_=1e-12)
+            iterative_cesaro_projector(rot, max_n=8, tol_=1e-12)
 
     def test_requires_square_channel(self, rng):
         with pytest.raises(ContractViolation):
             cesaro_projector(random_channel(2, rng, dim_out=3))
-
-    def test_unknown_method(self):
-        with pytest.raises(ContractViolation):
-            cesaro_projector(KrausChannel.identity(2), method="magic")
 
 
 def _fixes_span(channel, x):
@@ -963,7 +960,6 @@ class TestCheckAtTheBoundary:
             channel @ s,
             s @ s,
             cesaro_projector(channel),
-            cesaro_projector(channel, method="iterative"),
         ]
         assert built == []
         assert all(p.matrix.shape == (9, 9) and p.matrix.dtype == complex for p in products)
@@ -1014,7 +1010,5 @@ class TestCheckAtTheBoundary:
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0])
     def test_tolerance_arguments_are_refused(self, bad, rng):
         channel = random_channel(2, rng)
-        with pytest.raises(ContractViolation, match="^tol_ must be positive and finite"):
-            cesaro_projector(channel, method="iterative", tol_=bad)
         with pytest.raises(ContractViolation, match="^tol_ must be positive and finite"):
             check_support_invariance(channel, np.eye(2) / 2, bad)

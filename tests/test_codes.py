@@ -161,45 +161,159 @@ class TestObservableEncoding:
         np.testing.assert_allclose(out[:2, :2], np.zeros((2, 2)), atol=1e-14)
 
 
+def _faithfulness_by_pairs(enc, obs):
+    """The three faithfulness residuals by a plain loop over the zero
+    observable, the Hermitian basis and the matrix units, with d_P x d_P
+    products and SVDs: the reference for ``verify_faithfulness``."""
+    d = enc.dim_logical
+    units = [np.zeros((d, d), dtype=complex)]
+    units += [np.diag(np.eye(d)[i]).astype(complex) for i in range(d)]
+    for phase in (1.0, 1j):
+        for i in range(d):
+            for j in range(i + 1, d):
+                a = np.zeros((d, d), dtype=complex)
+                a[i, j], a[j, i] = phase, np.conj(phase)
+                units.append(a)
+    statics = unitary = measurement = 0.0
+    for a in units:
+        x = obs.encode_observable(a)
+        for k in range(d):
+            for l in range(d):
+                e = np.zeros((d, d))
+                e[k, l] = 1.0
+                phi = enc.encode(e)
+                statics = max(statics, abs(np.trace(x @ phi) - np.trace(a @ e)))
+                commutator = x @ phi - phi @ x - enc.encode(a @ e - e @ a)
+                unitary = max(unitary, np.linalg.svd(commutator, compute_uv=False).sum())
+                left = x @ phi - enc.encode(a @ e)
+                measurement = max(measurement, np.linalg.svd(left, compute_uv=False).sum())
+    return statics, unitary, measurement
+
+
+class SwappedRoles:
+    """Places the logical observable on the cofactor factor (d_F >= d_S)."""
+
+    def __init__(self, enc):
+        self.decomposition = dec = enc.decomposition
+        self._u1 = dec.block_columns
+
+    def encode_observable(self, a):
+        dec = self.decomposition
+        f = np.zeros((dec.d_f, dec.d_f), dtype=complex)
+        f[: dec.d_s, : dec.d_s] = a
+        return self._u1 @ np.kron(np.eye(dec.d_s), f) @ self._u1.conj().T
+
+
+class CoupledRemainder:
+    """A faithful observable encoding plus a coupling c (|r><w| + |w><r|)
+    between a remainder vector r and the code vector w = U_1 (e_0 kron v),
+    v the cofactor's top eigenvector, so D_0(A) tau = c lambda_max |r><v|
+    and measurement dynamics reads at least c / d_F."""
+
+    def __init__(self, enc, obs, c):
+        dec = self.decomposition = enc.decomposition
+        v = np.linalg.eigh(enc.cofactor)[1][:, -1]
+        w = dec.block_columns @ np.kron(np.eye(dec.d_s)[0], v)
+        r = dec.basis[:, -1]
+        self.c = c
+        self._obs = obs
+        self._coupling = c * (np.outer(r, w.conj()) + np.outer(w, r.conj()))
+
+    def encode_observable(self, a):
+        return self._obs.encode_observable(a) + self._coupling
+
+
+def _faithful_system(d_s, d_f, d_r, seed, full_rank=True):
+    rng = np.random.default_rng(seed)
+    enc = random_isometric_encoding(d_s, d_f, d_r, rng, full_rank)
+    return enc, ObservableEncoding(enc.decomposition, random_hermitian(d_r, rng))
+
+
 class TestFaithfulness:
     def test_trivial_encoding_all_zero(self):
         enc = IsometricEncoding.trivial(2)
         obs = ObservableEncoding(enc.decomposition)
-        report = verify_faithfulness(enc, obs, samples=20, seed=1)
+        report = verify_faithfulness(enc, obs)
         assert report.max_residual <= 1e-12
 
     def test_repetition_encoding_faithful(self, repetition):
         obs = ObservableEncoding(repetition.encoding.decomposition)
-        report = verify_faithfulness(repetition.encoding, obs, samples=50, seed=3)
+        report = verify_faithfulness(repetition.encoding, obs)
         assert report.statics <= 1e-9
         assert report.unitary_dynamics <= 1e-9
         assert report.measurement_dynamics <= 1e-9
 
     def test_adversarial_observables_fail_statics(self, repetition):
-        enc = repetition.encoding
+        report = verify_faithfulness(repetition.encoding, SwappedRoles(repetition.encoding))
+        assert report.statics > 0.1
 
-        class SwappedRoles:
-            # places the logical observable on the cofactor factor instead
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 4),
+        d_f=st.integers(1, 4),
+        d_r=st.integers(0, 4),
+        full_rank=st.booleans(),
+    )
+    def test_faithful_encodings_read_zero(self, seed, d_s, d_f, d_r, full_rank):
+        enc, obs = _faithful_system(d_s, d_f, d_r, seed, full_rank)
+        report = verify_faithfulness(enc, obs)
+        assert report.max_residual <= 1e-12
+        assert verify_faithfulness(enc, obs) == report
+
+    @pytest.mark.parametrize(
+        "dims,full_rank",
+        [
+            ((2, 4, 2), True),
+            ((2, 4, 2), False),
+            ((3, 5, 4), False),
+            ((4, 4, 4), True),
+            ((3, 1, 2), True),
+        ],
+    )
+    def test_matches_the_pairwise_oracle(self, dims, full_rank):
+        enc, obs = _faithful_system(*dims, seed=0, full_rank=full_rank)
+        couplings = [CoupledRemainder(enc, obs, c) for c in (1e-6, 1e-3)]
+        swapped = [SwappedRoles(enc)] if dims[1] >= dims[0] else []
+        for adversary in [obs, *couplings, *swapped]:
+            report = verify_faithfulness(enc, adversary)
+            expected = _faithfulness_by_pairs(enc, adversary)
+            assert np.abs(np.subtract(report, expected)).max() <= 1e-13
+        for coupled in couplings:
+            assert verify_faithfulness(enc, coupled).measurement_dynamics >= coupled.c / 10
+
+    def test_rejects_decompositions_of_other_dimensions(self):
+        enc = IsometricEncoding(SubsystemDecomposition(2, 2, 1, np.eye(5)), np.eye(2) / 2)
+        obs = ObservableEncoding(SubsystemDecomposition(2, 2, 3, np.eye(7)))
+        with pytest.raises(ContractViolation, match="decomposition"):
+            verify_faithfulness(enc, obs)
+
+    def test_rejects_observables_of_the_wrong_shape(self):
+        enc = IsometricEncoding(SubsystemDecomposition(2, 2, 1, np.eye(5)), np.eye(2) / 2)
+
+        class Small:
             decomposition = enc.decomposition
 
             def encode_observable(self, a):
-                block = np.zeros((4, 4), dtype=complex)
-                block[:2, :2] = a
-                big = np.kron(np.eye(2), block)
-                u = enc.decomposition.basis
-                return u @ big @ u.conj().T
+                return np.zeros((3, 3))
 
-        report = verify_faithfulness(enc, SwappedRoles(), samples=50, seed=3)
-        assert report.statics > 0.1
+        with pytest.raises(ContractViolation, match="encode_observable"):
+            verify_faithfulness(enc, Small())
 
-    @pytest.mark.parametrize(
-        "budget,field", [({"samples": 0}, "samples"), ({"samples": -3}, "samples"), ({"seed": -1}, "seed")]
-    )
-    def test_rejects_bad_sampling_budget(self, repetition, budget, field):
-        # with no sample every residual would read 0, faithful or not
+    def test_rejects_non_hermitian_observables(self, repetition):
         enc = repetition.encoding
-        with pytest.raises(ContractViolation, match=field):
-            verify_faithfulness(enc, ObservableEncoding(enc.decomposition), **budget)
+        obs = ObservableEncoding(enc.decomposition)
+
+        class Skewed:
+            decomposition = enc.decomposition
+
+            def encode_observable(self, a):
+                x = obs.encode_observable(a)
+                x[0, 1] += 1e-8
+                return x
+
+        with pytest.raises(ContractViolation, match="encode_observable"):
+            verify_faithfulness(enc, Skewed())
 
 
 class TestExampleGenerators:
