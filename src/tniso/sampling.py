@@ -14,12 +14,6 @@ from .channels import KrausChannel
 from .errors import ContractViolation
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random state vector of the given dimension."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Random mixed state: partial trace of a pure state on dim x rank."""
     rank = dim if rank is None else rank

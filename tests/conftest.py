@@ -9,7 +9,15 @@ from tniso import serialize
 from tniso.channels import KrausChannel, Superoperator
 from tniso.codes import make_example2_channel, make_repetition_example
 from tniso.errors import ContractViolation, ConvergenceError
-from tniso.opcore import _psd_eigh, above_rank_cut, eigh_clamped, require_hermitian, trace_norm
+from tniso.opcore import (
+    _psd_eigh,
+    _trace_norms,
+    above_rank_cut,
+    eigh_clamped,
+    require_hermitian,
+    trace_norm,
+)
+from tniso.robustness import _iterates
 from tniso.sampling import haar_unitary, random_density
 
 # CI replays the same examples on every run; per-test max_examples still apply
@@ -48,6 +56,35 @@ def nested_form(payload):
     if isinstance(payload, dict):
         return {key: nested_form(value) for key, value in payload.items()}
     return payload
+
+
+def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random state vector of the given dimension."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def sampled_per_round(perturbed, channel, recovery, horizon: int) -> np.ndarray:
+    """Per-round maxima of ``||L^n phi'(rho) - phi(rho)||_1`` over the d_S + 9
+    states the perturbed-correctability check once sampled: the maximally
+    mixed state, the logical basis states, then 8 random states from seed 0,
+    pure and mixed by turns; each state's iterates are one stack and one
+    batched trace-norm call. A lower end, which the certified curve must
+    never fall below."""
+    nominal, rng = perturbed.nominal, np.random.default_rng(0)
+    d = nominal.dim_logical
+    states = [np.eye(d, dtype=complex) / d] + [np.diag(e) for e in np.eye(d, dtype=complex)]
+    for i in range(8):
+        if i % 2 == 0:
+            v = random_pure_state(d, rng)
+            states.append(np.outer(v, v.conj()))
+        else:
+            states.append(random_density(d, rng))
+    per_round = np.zeros(horizon + 1)
+    for rho in states:
+        xs = _iterates(channel, recovery, perturbed.apply(rho), horizon)
+        per_round = np.maximum(per_round, _trace_norms(xs - nominal.encode(rho)))
+    return per_round
 
 
 # contraction-witness state pairs closer than this in trace norm are resampled

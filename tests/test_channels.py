@@ -28,7 +28,6 @@ from tniso.sampling import (
     random_density,
     random_isometric_encoding,
     random_preserved_system,
-    random_pure_state,
 )
 from tniso import analysis, channels, serialize
 from tniso import tolerances as tol
@@ -38,6 +37,7 @@ from conftest import (
     code_superoperator,
     hermitian_basis,
     iterative_cesaro_projector,
+    random_pure_state,
     random_unital_channel,
     trace_norm_contraction_witness,
 )

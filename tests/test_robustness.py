@@ -2,10 +2,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tniso import channels, robustness
+from tniso import analysis, channels, robustness
 from tniso import tolerances as tol
 from tniso.analysis import _round_residual, build_correction
 from tniso.channels import KrausChannel, Superoperator, compose, convex_mix, vec
@@ -17,7 +17,6 @@ from tniso.sampling import (
     random_density,
     random_isometric_encoding,
     random_preserved_system,
-    random_pure_state,
 )
 from tniso.robustness import (
     check_geometric_bound,
@@ -27,7 +26,7 @@ from tniso.robustness import (
     simulate_iterated,
 )
 
-from conftest import RHO_COHERENT
+from conftest import RHO_COHERENT, random_pure_state, sampled_per_round
 
 
 def constant_perturbation(encoding, image, bound):
@@ -37,6 +36,50 @@ def constant_perturbation(encoding, image, bound):
         d, encoding.dim_physical, np.outer(vec(image), vec(np.eye(d)).conj())
     )
     return PerturbedEncoding(encoding, delta, bound)
+
+
+def channel_drift(encoding, size, rng):
+    """The encoding drifted by ``size`` toward a random channel E:
+    ``size * (E - phi)``, traceless and Hermiticity-preserving, with epsilon
+    set to its trace-norm certificate."""
+    phi = encoding.superoperator()
+    target = random_channel(encoding.dim_logical, rng, dim_out=encoding.dim_physical)
+    delta = Superoperator(
+        phi.dim_in, phi.dim_out, size * (target.superoperator().matrix - phi.matrix)
+    )
+    return PerturbedEncoding(encoding, delta, channels.trace_norm_certificate(delta))
+
+
+def chain_maps(perturbed, channel, recovery, horizon):
+    """``L^n phi'`` for n <= horizon: the perturbed code's map, then its
+    images under the chain ``recovery @ (channel @ x)``."""
+    x = perturbed.superoperator()
+    yield x
+    for _ in range(horizon):
+        x = recovery @ (channel @ x)
+        yield x
+
+
+def entangled_errors(perturbed, channel, recovery, horizon):
+    """``||(id kron (L^n phi' - phi))(Omega)||_1`` for n <= horizon, Omega the
+    maximally entangled state: the trace norm of the difference's Choi matrix
+    over d_S."""
+    phi = perturbed.nominal.superoperator()
+    d, n = phi.dim_in, phi.dim_out
+    out = []
+    for x in chain_maps(perturbed, channel, recovery, horizon):
+        choi = (x.matrix - phi.matrix).reshape(n, n, d, d, order="F").transpose(2, 0, 3, 1)
+        out.append(trace_norm(choi.reshape(d * n, d * n)) / d)
+    return np.array(out)
+
+
+def chain_rounding(d_p, horizon):
+    """An allowance for the rounding of n rounds of a computed chain of
+    operators of trace norm 1 on d_P dimensions: (n + 1) d_P unit roundoffs
+    at round n. Values of the exact maps never need it; the curve bounds
+    those, and meets a computed value within it only where both are at
+    rounding level."""
+    return (np.arange(horizon + 1) + 1) * d_p * np.finfo(float).eps
 
 
 def traceless_image(dim, i, j, size):
@@ -194,20 +237,6 @@ def hermitian_gaps(diffs, norms):
     return np.array(herm) + 1e-13 * norms
 
 
-def reference_per_round(perturbed, loop, test_states, horizon):
-    """Per-round maxima of the perturbed-correctability check, one iterate and
-    one trace norm at a time."""
-    per_round = np.zeros(horizon + 1)
-    for rho in test_states:
-        target = perturbed.nominal.encode(rho)
-        x = perturbed.apply(rho)
-        per_round[0] = max(per_round[0], trace_norm(x - target))
-        for k in range(1, horizon + 1):
-            x = loop(x)
-            per_round[k] = max(per_round[k], trace_norm(x - target))
-    return per_round
-
-
 def noisy_round(seed, d_s, d_f, d_r, admixture):
     """A random preserved system with a stray-channel admixture in its noise:
     (encoding, noise, recovery, one round's composite on the code)."""
@@ -291,26 +320,18 @@ class TestBatchedTraceNorms:
 
     @pytest.mark.parametrize("horizon", [0, 1, 20])
     @pytest.mark.parametrize("eps", [0.0, 0.02])
-    def test_per_round_maxima_bit_identical(self, repetition, horizon, eps):
+    def test_per_round_bounds_the_sampled_maxima(self, repetition, horizon, eps):
         enc, channel, recovery, _ = repetition
         pert = constant_perturbation(enc, traceless_image(8, 2, 5, eps), eps)
         _, _, per_round = perturbed_encoding_correctability(
             pert, channel, recovery, horizon=horizon
         )
-        # the test states of perturbed_encoding_correctability, in its order
-        rng = np.random.default_rng(0)
-        d = enc.dim_logical
-        states = [np.eye(d, dtype=complex) / d] + [
-            np.diag(np.eye(d)[i]).astype(complex) for i in range(d)
-        ]
-        for i in range(8):
-            if i % 2 == 0:
-                v = random_pure_state(d, rng)
-                states.append(np.outer(v, v.conj()))
-            else:
-                states.append(random_density(d, rng))
-        reference = reference_per_round(pert, lambda x: recovery(channel(x)), states, horizon)
-        assert np.array_equal(per_round, reference)
+        # the certified curve bounds every state's error, so it never falls
+        # below the retired sample's maxima, up to the rounding of the
+        # sample's own iterates
+        sampled = sampled_per_round(pert, channel, recovery, horizon)
+        assert per_round.shape == sampled.shape == (horizon + 1,)
+        assert (per_round >= sampled - chain_rounding(enc.dim_physical, horizon)).all()
 
     def test_sample_chunks_stay_under_the_byte_budget(self, monkeypatch):
         enc, _, _, composite = noisy_round(0, 2, 2, 2, 1e-3)
@@ -827,3 +848,68 @@ class TestPerturbedCorrectability:
         pert = constant_perturbation(enc, traceless_image(8, 2, 5, 0.01), 0.01)
         with pytest.raises(ContractViolation):
             perturbed_encoding_correctability(pert, channel, KrausChannel.identity(8))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 3),
+        d_f=st.integers(1, 3),
+        d_r=st.integers(0, 3),
+        size=st.floats(-4.0, -2.0).map(lambda e: 10.0**e),
+    )
+    def test_curve_is_certified_for_every_input(self, seed, d_s, d_f, d_r, size):
+        # a traceless map into a one-dimensional space is zero: no drift
+        assume(d_s * d_f + d_r > 1)
+        rng = np.random.default_rng(seed)
+        enc, channel = random_preserved_system(d_s, d_f, d_r, rng)
+        recovery = build_correction(enc, channel)
+        pert = channel_drift(enc, size, rng)
+        horizon = 8
+        ok, max_err, curve = perturbed_encoding_correctability(
+            pert, channel, recovery, horizon=horizon
+        )
+        # round 0 is the perturbation's certificate
+        assert curve[0] == channels.trace_norm_certificate(pert.perturbation)
+        # the running minimum: each round adds at most the round residual
+        f = _round_residual(channel, recovery, enc)
+        assert (curve[1:] <= curve[:-1] + f).all()
+        # a loop that resets a d_S = d_F = 1 code outright takes the curve to
+        # rounding level after one round, where computed values carry the
+        # chain's rounding
+        slack = chain_rounding(enc.dim_physical, horizon)
+        assert (curve >= sampled_per_round(pert, channel, recovery, horizon) - slack).all()
+        entangled = entangled_errors(pert, channel, recovery, horizon)
+        assert (entangled <= curve * (1 + 1e-12) + slack).all()
+        again = perturbed_encoding_correctability(pert, channel, recovery, horizon=horizon)
+        assert np.array_equal(again[2], curve) and again[:2] == (ok, max_err)
+
+    def test_epsilon_below_the_certificate_reads_not_ok(self):
+        rng = np.random.default_rng(0)
+        enc, channel = random_preserved_system(2, 4, 2, rng)
+        recovery = build_correction(enc, channel)
+        pert = channel_drift(enc, 1e-3, rng)
+        ok, max_err, curve = perturbed_encoding_correctability(pert, channel, recovery)
+        assert ok
+        # a smaller epsilon cannot be certified; the curve does not depend on it
+        below = PerturbedEncoding(enc, pert.perturbation, 0.9 * pert.epsilon)
+        ok_below, max_below, curve_below = perturbed_encoding_correctability(
+            below, channel, recovery
+        )
+        assert not ok_below
+        assert max_below == max_err and np.array_equal(curve_below, curve)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_raw_rise_is_cut_by_the_running_minimum(self, seed):
+        # at (4,4,4) the closed-form certificate of L^n phi' - phi rises in
+        # some rounds; the curve keeps each round within f of the last
+        rng = np.random.default_rng(seed)
+        enc, channel = random_preserved_system(4, 4, 4, rng)
+        recovery = build_correction(enc, channel)
+        pert = channel_drift(enc, 1e-3, rng)
+        ok, _, curve = perturbed_encoding_correctability(pert, channel, recovery)
+        phi = enc.superoperator()
+        raw = np.array([analysis._distance(x, phi) for x in chain_maps(pert, channel, recovery, 20)])
+        f = _round_residual(channel, recovery, enc)
+        assert ok
+        assert (raw[1:] > curve[1:]).any()
+        assert (curve[1:] <= np.minimum(raw[1:], curve[:-1] + f)).all()
