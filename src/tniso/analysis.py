@@ -24,7 +24,6 @@ from .channels import (
     _unit_images,
     cesaro_projector,
     check_support_invariance,
-    fixes_span,
     minimal_kraus,
     trace_norm_certificate,
     transpose_superoperator,
@@ -92,13 +91,16 @@ def detect_structure(
     block, which divides by no weight, and (6) verifying that one candidate
     encoding: the trace-norm certificate of ``phi`` minus it bounds the
     error on every state, so the verdict is deterministic. Every stage
-    reads the matrix-unit images sliced from ``phi``'s matrix, and QR
-    completes the basis off the block. The certificate is :func:`_distance`
-    of ``phi`` from the candidate: under the unitary reading the candidate
-    is a code's superoperator, so when ``phi`` carries factors too (a channel
-    after a code) it is read off the two maps' factors. Never raises on
-    well-formed input; failures come back as ``found=False`` with the
-    failing stage.
+    reads the matrix-unit images sliced from ``phi``'s matrix; only image
+    0's eigenvectors are taken, the other images' eigenvalues alone, and QR
+    completes the basis off the block. The candidate's decomposition and
+    encoding are unitary and a state by construction, so they skip their
+    constructors' checks. The certificate is :func:`_distance` of ``phi``
+    from the candidate: under the unitary reading the candidate is a code's
+    superoperator, so when ``phi`` carries factors too (a channel after a
+    code) it is read off the two maps' factors, and the candidate's matrix
+    is never formed. Never raises on well-formed input; failures come back
+    as ``found=False`` with the failing stage.
     """
     dtol = tol.require_tolerance(detection_tol, "detection_tol")
     d_q, d_p = phi.dim_in, phi.dim_out
@@ -108,11 +110,14 @@ def detect_structure(
     if defect > tol.INPUT_MAP_TOL:
         return StructureReport(False, "input_map", defect)
 
-    # stage: basis-state images must be states
+    # stage: basis-state images must be states; only image 0's
+    # eigenvectors are read, so the others take eigenvalues alone
     units = _unit_images(phi)
     images = units[np.arange(d_q), np.arange(d_q)]
-    w, v = np.linalg.eigh((images + images.conj().transpose(0, 2, 1)) / 2)
-    spectra, vecs = w[:, ::-1], v[:, :, ::-1]
+    herm = (images + images.conj().transpose(0, 2, 1)) / 2
+    w0, vecs0 = np.linalg.eigh(herm[0])
+    w = np.concatenate([w0[None], np.linalg.eigvalsh(herm[1:])])
+    spectra = w[:, ::-1]
     worst = max(0.0, -float(w.min()))
     if worst > max(dtol, tol.STATE_IMAGE_FLOOR):
         return StructureReport(False, "state_images", worst)
@@ -137,7 +142,7 @@ def detect_structure(
 
     # stage: align the logical slots. On an exact encoding slot j's images
     # are W_j diag(weights), so a small weight moves only its own columns
-    v0 = vecs[0][:, :r]
+    v0 = vecs0[:, ::-1][:, :r]
     head = units[0, 0] @ v0
     blocks = {
         flavor: np.concatenate(
@@ -148,10 +153,12 @@ def detect_structure(
     flavor = max(blocks, key=lambda f: np.linalg.norm(blocks[f]))
     u, _, vh = np.linalg.svd(blocks[flavor], full_matrices=False)
 
-    # stage: verification of the one candidate encoding
+    # stage: verification of the one candidate encoding, a unitary basis
+    # and a density operator by construction; its matrix is formed only if
+    # the certificate is not read off its factors
     tau = np.diag(weights).astype(complex)
-    dec = SubsystemDecomposition(d_q, r, d_p - d_q * r, _orthonormal_completion(u @ vh))
-    candidate = IsometricEncoding(dec, tau).superoperator()
+    dec = SubsystemDecomposition._trusted(d_q, r, d_p - d_q * r, _orthonormal_completion(u @ vh))
+    candidate = IsometricEncoding._trusted(dec, tau).superoperator()
     if flavor == "anti-unitary":
         flipped = candidate.matrix @ transpose_superoperator(d_q)
         candidate = Superoperator._trusted(d_q, d_p, flipped)
@@ -200,6 +207,29 @@ def _distance(a: Superoperator, b: Superoperator) -> float:
         if p < b.dim_in * b.dim_out:
             return _factor_certificate(a, b)
     return trace_norm_certificate(Superoperator._trusted(b.dim_in, b.dim_out, a.matrix - b.matrix))
+
+
+def _block_distance(chain: Superoperator, s_phi: Superoperator) -> float:
+    """The :func:`trace_norm_certificate` of ``X -> U_1^dag (chain -
+    phi)(X) U_1`` for the code's superoperator ``s_phi``, whose factor is
+    the block columns U_1: how far a chain whose images lie in the code's
+    block span(U_1), as phi's do, can take any state from phi, in trace
+    norm.
+
+    The compressed difference's Choi matrix has side d_S*(d_S*d_F) against
+    the d_S*d_P of :func:`_distance`'s. U_1 is an isometry, so for such a
+    chain the compression changes no trace norm and commutes with Tr_out:
+    the two certificates differ only at rounding level.
+    """
+    u1, d, n = s_phi._factors[0][0], s_phi.dim_in, s_phi.dim_out
+    m = u1.shape[1]
+    # row c of the transposed difference is vec(D_c), D_c the difference's
+    # image of matrix unit c, so its (n, n) reshape is D_c^T, and that of
+    # the compression is (U_1^dag D_c U_1)^T = U_1^T D_c^T conj(U_1): the
+    # transposed matrix of the compressed map
+    images = (chain.matrix - s_phi.matrix).T.reshape(d * d, n, n)
+    block = (u1.T @ images @ u1.conj()).reshape(d * d, m * m)
+    return trace_norm_certificate(Superoperator._trusted(d, m, block.T))
 
 
 def _round_residual(channel, recovery, encoding) -> float:
@@ -268,10 +298,11 @@ def noiseless_certificate(
     all k. The argument needs complete positivity and trace preservation;
     for any other square map acceptance says nothing about its powers.
 
-    When the channel fixes the code's span (:func:`fixes_span` on its
-    image) and moves the code by at most ``tol_``, P is the identity there
-    and the projected code is the code, isometric by its type, so nothing
-    is detected. No other projection could be accepted: on a span the
+    When the channel fixes the code's span (:func:`_fixes_code_span`, which
+    takes the code's superoperator, whose columns are orthogonal with one
+    norm, as the span's basis, and reads its image) and moves the code by
+    at most ``tol_``, P is the identity there and the projected code is the
+    code, isometric by its type, so nothing is detected. No other projection could be accepted: on a span the
     channel maps into itself it is ``phi o P_M``, with P_M the fixed-point
     projector of the induced logical map, and an idempotent map that
     preserves the trace norm is the identity. Otherwise the full
@@ -289,12 +320,36 @@ def noiseless_certificate(
     return _certificate(s_phi, image, _distance(image, s_phi), channel.superoperator, tol_)
 
 
+def _fixes_code_span(s_phi: Superoperator, image: Superoperator) -> bool:
+    """Whether a square map S fixes every vector in the span of the code's
+    superoperator ``s_phi``, given ``image = S s_phi``.
+
+    The columns vec(U_1 (E_ab kron tau) U_1^dag) of ``s_phi`` are orthogonal
+    with norm ||tau||_F for every cofactor tau, rank-deficient ones
+    included, so Q = s_phi / ||tau||_F is an orthonormal basis of the span,
+    S Q is ``image / ||tau||_F``, and no SVD of ``s_phi`` is taken. S fixes
+    span(Q) when it maps it into itself (the part of S Q off span(Q), whose
+    spectral norm is the root of its d_S^2 x d_S^2 Gram matrix's largest
+    eigenvalue, is below ``SPAN_CLOSURE_TOL`` of S Q's norm) and every
+    singular value of ``Q^H S Q - I`` is below ``KERNEL_TOL``, the kernel cut
+    of :func:`cesaro_projector`, so the fixed-point projector is the
+    identity on span(Q).
+    """
+    scale = np.linalg.norm(s_phi._factors[1])
+    q, s_q = s_phi.matrix / scale, image.matrix / scale
+    h = q.conj().T @ s_q
+    off = s_q - q @ h
+    closure = np.sqrt(max(np.linalg.eigvalsh(off.conj().T @ off)[-1], 0.0))
+    if closure > tol.SPAN_CLOSURE_TOL * float(np.linalg.norm(s_q)):
+        return False
+    return bool(np.linalg.norm(h - np.eye(len(h)), 2) < tol.KERNEL_TOL)
+
+
 def _certificate(s_phi, image, moved: float, loop, tol_: float) -> NoiselessCertificate:
     """Body of :func:`noiseless_certificate` on the code's ``image`` under the
-    loop: ``moved`` is its fixed residual ``_distance(image, s_phi)``, and
-    ``loop()`` builds the loop's superoperator, which only the full
-    projector needs."""
-    if moved <= tol_ and fixes_span(s_phi.matrix, image.matrix):
+    loop: ``moved`` is its fixed residual, and ``loop()`` builds the loop's
+    superoperator, which only the full projector needs."""
+    if moved <= tol_ and _fixes_code_span(s_phi, image):
         return NoiselessCertificate(True, moved, "fixed")
     s_loop = loop()
     c_inf = cesaro_projector(s_loop) @ s_phi
@@ -589,11 +644,11 @@ class ClassificationReport:
     :func:`unitary_correctability`); for a minimal code the NS factorization
     of the noise-plus-unitary loop is implied, not checked separately.
     Every residual is finite. ``meta`` says how the verdicts were reached:
-    for a preserved code, the noiseless certificate's ``projector`` and
-    whether the recovery ``fell_back`` from time reversal to replacement;
-    for a rejected one, the detection ``stage`` that rejected the image and
-    the ``detection_tol`` its residual was compared with. It is not part of
-    :meth:`as_dict`.
+    the image's detection ``stage`` (``"verified"`` for a preserved code, or
+    the stage that rejected the image) and the ``detection_tol`` its
+    residual was compared with, and for a preserved code the noiseless
+    certificate's ``projector`` and whether the recovery ``fell_back`` from
+    time reversal to replacement. It is not part of :meth:`as_dict`.
     """
 
     fixed: bool
@@ -634,10 +689,17 @@ def classify(
     ``channel @ link``. The first keeps the code's factors (``M_k U_1``, one
     Gram product), so the fixed residual and the image's verification are
     read off factors when they are narrower than the Choi matrix; each later
-    link applies its channel to the images of the one before. The corrected
-    loop's superoperator, ``recovery.superoperator() @ channel``, is built
-    only if the full projector decides, and with it the only detection
-    besides the image's.
+    link applies its channel to the images of the one before. The code side
+    of the chain reads the code's block span(U_1), where phi lands and the
+    built recovery maps back: the correction residual is
+    :func:`_block_distance`, the certificate of ``R o E o phi - phi``
+    compressed to the block, and the noiseless certificate's span check
+    takes ``S_phi / ||tau||_F`` as the span's orthonormal basis. The
+    corrected loop's superoperator, ``recovery.superoperator() @ channel``,
+    is built only if the full projector decides, and with it the only
+    detection besides the image's. ``meta`` names the image's detection
+    ``stage`` and the ``detection_tol`` it was compared with, accepted or
+    not.
     """
     tol.require_tolerance(tol_, "tol_")
     _check_strategy(strategy)
@@ -663,7 +725,7 @@ def classify(
     recovery, details = _correction(encoding, channel, rep, strategy)
     corrected = recovery @ composite
     residuals["protection"] = _distance(channel @ corrected, composite)
-    residuals["correction"] = _distance(corrected, s_phi)
+    residuals["correction"] = _block_distance(corrected, s_phi)
 
     # correctability means noiselessness under the corrected loop; the
     # certificate witnesses that constructively
@@ -685,5 +747,10 @@ def classify(
         unitarily_correctable=uc.unitarily_correctable,
         unitarily_recoverable=uc.unitarily_recoverable,
         residuals=residuals,
-        meta={"projector": cert.projector, "fell_back": details.fell_back},
+        meta={
+            "stage": rep.stage,
+            "detection_tol": tol_,
+            "projector": cert.projector,
+            "fell_back": details.fell_back,
+        },
     )

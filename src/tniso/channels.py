@@ -22,10 +22,13 @@ stacked adjoints, which the channel forms once. So it never builds its own
 map's images) and the correction rounds all call that kernel.
 
 A map ``X -> sum_k A_k (X kron tau) A_k^dag`` is built from its factor
-stack A, shape (K, d_out, d_in*d_F), and its d_F x d_F cofactor tau by one
-tau-weighted Gram product (``_gram``; a Kraus channel's ``superoperator()``
-is the case tau = [1]), and keeps both as the private ``_factors`` of its
-:class:`Superoperator`. Two maps carry them: a code's superoperator
+stack A, shape (K, d_out, d_in*d_F), and its d_F x d_F cofactor tau, which
+it keeps as the private ``_factors`` of its :class:`Superoperator`; its
+matrix is one tau-weighted Gram product of them (``_gram``; a Kraus
+channel's ``superoperator()`` is the case tau = [1]), formed on first read,
+so a map read only through its factors (detection's candidate code, when
+its certificate is read off them) never forms it. Two maps carry factors:
+a code's superoperator
 (A = U_1, see :meth:`tniso.codes.IsometricEncoding.superoperator`) and a
 channel with no reset term after a one-factor map such as a code, whose
 factors are ``M_k U_1``: one product of the stacked operators, with no
@@ -155,11 +158,19 @@ class Superoperator(_Map):
     def _factored(cls, stack: np.ndarray, tau: np.ndarray) -> "Superoperator":
         """The map ``X -> sum_k A_k (X kron tau) A_k^dag`` of the finite
         factor stack A (K, dim_out, dim_in*d_F) and the Hermitian d_F x d_F
-        cofactor tau, which it keeps as ``_factors``; its matrix is
-        :func:`_gram` of them."""
-        s = cls._trusted(stack.shape[2] // len(tau), stack.shape[1], _gram(stack, tau))
-        s._factors = (stack, tau)
+        cofactor tau, which it keeps as ``_factors``; its matrix,
+        :func:`_gram` of them, is formed when first read."""
+        s = object.__new__(cls)
+        s.dim_in, s.dim_out, s._factors = stack.shape[2] // len(tau), stack.shape[1], (stack, tau)
         return s
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the matrix of a
+        # factored map before its first read
+        if name != "matrix" or self._factors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.matrix = _gram(*self._factors)
+        return self.matrix
 
     def superoperator(self) -> "Superoperator":
         """The map itself; every map type answers this call."""
@@ -580,30 +591,6 @@ def _spectral_fixed_point_projector(s: np.ndarray) -> np.ndarray:
     right = vh.conj().T[:, keep]
     left = u[:, keep]
     return right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
-
-
-def fixes_span(x: np.ndarray, image: np.ndarray) -> bool:
-    """Whether a square map S fixes every vector in span(x), given ``image = S x``.
-
-    Q is an orthonormal basis of span(x): the left singular vectors of
-    ``x = U Sigma V^H`` above ``SPAN_CLOSURE_TOL`` of x's norm, so S Q is
-    read off the image as ``image V Sigma^-1`` and S itself is never needed.
-    S fixes span(Q) when it maps it into itself (the part of S Q off span(Q)
-    is below ``SPAN_CLOSURE_TOL`` of its norm) and every singular value of
-    ``Q^H S Q - I`` is below ``KERNEL_TOL``, the kernel cut of
-    :func:`cesaro_projector`, so the fixed-point projector is the identity
-    on span(Q). Its cost is thin products instead of an SVD of S - I.
-    """
-    if image.shape != x.shape:
-        raise ContractViolation(f"image shape {image.shape}, expected {x.shape} (a square map)")
-    u, sv, vh = np.linalg.svd(x, full_matrices=False)
-    keep = sv > tol.SPAN_CLOSURE_TOL * float(np.linalg.norm(x))
-    q = u[:, keep]
-    s_q = image @ (vh[keep].conj().T / sv[keep])
-    h = q.conj().T @ s_q
-    if np.linalg.norm(s_q - q @ h, 2) > tol.SPAN_CLOSURE_TOL * float(np.linalg.norm(s_q)):
-        return False
-    return bool((np.linalg.svd(h - np.eye(q.shape[1]), compute_uv=False) < tol.KERNEL_TOL).all())
 
 
 def cesaro_projector(channel: KrausChannel | Superoperator) -> Superoperator:

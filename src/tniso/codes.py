@@ -60,6 +60,14 @@ class SubsystemDecomposition:
         if defect > tol.UNITARY_TOL:
             raise ContractViolation(f"basis is not unitary (defect {defect:.3e})")
 
+    @classmethod
+    def _trusted(cls, d_s: int, d_f: int, d_r: int, basis: np.ndarray) -> "SubsystemDecomposition":
+        """A decomposition whose complex basis is unitary by construction,
+        taken without the constructor's checks."""
+        dec = object.__new__(cls)
+        dec.d_s, dec.d_f, dec.d_r, dec.basis = d_s, d_f, d_r, basis
+        return dec
+
     @property
     def d_p(self) -> int:
         return self.d_s * self.d_f + self.d_r
@@ -101,6 +109,15 @@ class IsometricEncoding:
         w = np.linalg.eigvalsh(self.cofactor)
         if w.min() < -tol.PSD_TOL or abs(w.sum() - 1) > tol.TRACE_TOL:
             raise ContractViolation("cofactor must be a density operator")
+
+    @classmethod
+    def _trusted(cls, decomposition: SubsystemDecomposition, cofactor: np.ndarray) -> "IsometricEncoding":
+        """An encoding whose complex cofactor is a density operator of the
+        decomposition's d_F by construction, taken without the constructor's
+        checks."""
+        enc = object.__new__(cls)
+        enc.decomposition, enc.cofactor = decomposition, cofactor
+        return enc
 
     @classmethod
     def trivial(cls, dim: int) -> "IsometricEncoding":

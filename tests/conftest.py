@@ -17,6 +17,7 @@ from tniso.opcore import (
     require_hermitian,
     trace_norm,
 )
+from tniso import tolerances as tol
 from tniso.robustness import _iterates
 from tniso.sampling import haar_unitary, random_density
 
@@ -172,15 +173,51 @@ def iterative_cesaro_projector(
     )
 
 
+def _kron_matrix(stack: np.ndarray, tau: np.ndarray, d: int) -> np.ndarray:
+    """The matrix of ``X -> sum_k A_k (X kron tau) A_k^dag`` for the stack
+    A, by the kron formula: column ``a + d*b`` is
+    ``vec(sum_k A_k (E_ab kron tau) A_k^dag)``, the d^2 units kron tau in
+    one batched product per A_k."""
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d, order="F")
+    blocks = np.kron(units, tau[None])
+    images = sum(a @ blocks @ a.conj().T for a in stack).transpose(1, 2, 0)
+    return images.reshape(stack.shape[1] ** 2, -1, order="F")
+
+
 def code_superoperator(encoding) -> Superoperator:
     """The code's superoperator by its matrix units, kept as the reference:
-    column ``a + d_S*b`` is ``vec(U_1 (E_ab kron tau) U_1^dag)``, the d_S^2
-    units kron the cofactor in one batched product."""
+    column ``a + d_S*b`` is ``vec(U_1 (E_ab kron tau) U_1^dag)``."""
     dec = encoding.decomposition
-    u1, d = dec.block_columns, dec.d_s
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d, order="F")
-    images = (u1 @ np.kron(units, encoding.cofactor[None]) @ u1.conj().T).transpose(1, 2, 0)
-    return Superoperator(d, dec.d_p, images.reshape(dec.d_p**2, -1, order="F"))
+    matrix = _kron_matrix(dec.block_columns[None], encoding.cofactor, dec.d_s)
+    return Superoperator(dec.d_s, dec.d_p, matrix)
+
+
+def factored_matrix(s: Superoperator) -> np.ndarray:
+    """The matrix of a map held by its factors (A, tau), formed by the kron
+    formula, kept as the reference for the package's Gram product."""
+    return _kron_matrix(*s._factors, s.dim_in)
+
+
+def fixes_span(x: np.ndarray, image: np.ndarray) -> bool:
+    """Whether a square map S fixes every vector in span(x), given ``image = S x``.
+
+    The generic reference for the code-span check: Q is an orthonormal
+    basis of span(x), the left singular vectors of ``x = U Sigma V^H``
+    above ``SPAN_CLOSURE_TOL`` of x's norm, so S Q is read off the image as
+    ``image V Sigma^-1``. S fixes span(Q) when it maps it into itself (the
+    part of S Q off span(Q) is below ``SPAN_CLOSURE_TOL`` of its norm) and
+    every singular value of ``Q^H S Q - I`` is below ``KERNEL_TOL``.
+    """
+    if image.shape != x.shape:
+        raise ContractViolation(f"image shape {image.shape}, expected {x.shape} (a square map)")
+    u, sv, vh = np.linalg.svd(x, full_matrices=False)
+    keep = sv > tol.SPAN_CLOSURE_TOL * float(np.linalg.norm(x))
+    q = u[:, keep]
+    s_q = image @ (vh[keep].conj().T / sv[keep])
+    h = q.conj().T @ s_q
+    if np.linalg.norm(s_q - q @ h, 2) > tol.SPAN_CLOSURE_TOL * float(np.linalg.norm(s_q)):
+        return False
+    return bool((np.linalg.svd(h - np.eye(q.shape[1]), compute_uv=False) < tol.KERNEL_TOL).all())
 
 
 @dataclass(eq=False)

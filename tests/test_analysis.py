@@ -1,5 +1,6 @@
 import json
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from tniso.channels import (
     cesaro_projector,
     compose,
     convex_mix,
-    fixes_span,
     trace_norm_certificate,
     transpose_superoperator,
     vec,
@@ -48,7 +48,7 @@ from tniso.sampling import (
     random_preserved_system,
 )
 
-from conftest import PAULI_Z, hermitian_basis
+from conftest import PAULI_Z, fixes_span, hermitian_basis
 
 
 def _powers_found(encoding, channel, count):
@@ -395,7 +395,12 @@ class TestFixedSpanPath:
         built, composed = _record_builds(monkeypatch)
         report = classify(enc, near, strategy="replace")
         assert report.preserved and report.noiseless_certificate
-        assert report.meta == {"projector": "full", "fell_back": False}
+        assert report.meta == {
+            "stage": "verified",
+            "detection_tol": tol.DETECTION_TOL,
+            "projector": "full",
+            "fell_back": False,
+        }
         assert len(calls) == 2
         assert composed == []
         kraus_built = [x for x in built if isinstance(x, KrausChannel)]
@@ -417,7 +422,12 @@ class TestFixedSpanPath:
     def test_classify_reports_projector_under_meta(self, repetition, caplog):
         with caplog.at_level(logging.DEBUG, logger="tniso.analysis"):
             report = classify(repetition.encoding, repetition.channel)
-        assert report.meta == {"projector": "fixed", "fell_back": False}
+        assert report.meta == {
+            "stage": "verified",
+            "detection_tol": tol.DETECTION_TOL,
+            "projector": "fixed",
+            "fell_back": False,
+        }
         assert "meta" not in report.as_dict()
         assert "noiseless certificate: fixed projector" in caplog.text
 
@@ -453,6 +463,58 @@ class TestImageChain:
         assert abs(report.residuals["noiseless_fixed_code"] - cert.fixed_residual) <= 1e-12
         if cert.projector == "fixed":
             assert abs(report.residuals["noiseless_fixed_code"] - moved) <= 1e-12
+
+
+class TestCodeSideChain:
+    """classify reads the code side of its chain off the code's block: the
+    span check takes Q = S_phi / ||tau||_F, whose columns are orthonormal
+    for every cofactor, and the correction residual is the certificate of
+    the chain R @ (E @ phi) minus phi compressed to span(U_1), where both
+    land. Each gives the full route's answer: the conftest SVD oracle's span
+    check, and the certificate of the full chain's difference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d_s=st.integers(1, 4),
+        d_f=st.integers(1, 4),
+        d_r=st.integers(0, 4),
+        d_g=st.integers(1, 4),
+        tau_rank=st.integers(1, 4),
+        admixture=st.sampled_from([0.0, 1e-10]),
+        strategy=st.sampled_from(["time_reversal", "replace"]),
+    )
+    @example(seed=0, d_s=2, d_f=3, d_r=2, d_g=4, tau_rank=1, admixture=0.0, strategy="time_reversal")
+    @example(seed=1, d_s=4, d_f=4, d_r=4, d_g=2, tau_rank=4, admixture=1e-10, strategy="replace")
+    def test_block_route_matches_the_full_route(
+        self, seed, d_s, d_f, d_r, d_g, tau_rank, admixture, strategy
+    ):
+        if d_s * d_g > d_s * d_f + d_r:
+            d_g = d_f
+        enc, channel = _admixed_system((d_s, d_f, d_r, d_g), seed, admixture)
+        if tau_rank < d_f:  # the same block with a rank-deficient cofactor, still preserved
+            rng = np.random.default_rng(seed + 1)
+            enc = enc.with_cofactor(random_density(d_f, rng, rank=tau_rank))
+        report = classify(enc, channel, strategy=strategy)
+        oracle_span = lambda s_phi, image: fixes_span(s_phi.matrix, image.matrix)
+        with mock.patch.object(analysis, "_block_distance", analysis._distance), mock.patch.object(
+            analysis, "_fixes_code_span", oracle_span
+        ):
+            full = classify(enc, channel, strategy=strategy)
+        verdicts = {k: v for k, v in report.as_dict().items() if k != "residuals"}
+        assert verdicts == {k: v for k, v in full.as_dict().items() if k != "residuals"}
+        assert report.meta == full.meta
+        if not report.preserved:
+            return
+        correction = report.residuals["correction"]
+        assert abs(correction - full.residuals["correction"]) <= 1e-14 + 1e-12 * correction
+        # the span check on the corrected chain, which the loop fixes when
+        # the channel is exact, and on the image, which the channel moves
+        s_phi = enc.superoperator()
+        image = channel @ s_phi
+        corrected = build_correction(enc, channel, strategy) @ image
+        for moved in (corrected, image):
+            assert analysis._fixes_code_span(s_phi, moved) == oracle_span(s_phi, moved)
 
 
 class TestBuildCorrection:
@@ -1028,15 +1090,19 @@ class TestAnalysisPass:
             "unitary": unitary_correctability(enc, channel).residual,
         }
         assert {k: report.residuals[k] for k in expected} == expected
-        # the correction residual is the chain R @ (E @ phi) against phi, and
-        # within rounding of the dense chain's and of the composed loop's
+        # the correction residual is the chain R @ (E @ phi) against phi,
+        # compressed to the code's block, which both maps land in; it is
+        # within rounding of the full chain's, the dense chain's and the
+        # composed loop's
         s_phi = enc.superoperator()
 
         def moved(chain):
             diff = Superoperator(s_phi.dim_in, s_phi.dim_out, chain.matrix - s_phi.matrix)
             return channels.trace_norm_certificate(diff)
 
-        assert report.residuals["correction"] == moved(recovery @ (channel @ s_phi))
+        chain = recovery @ (channel @ s_phi)
+        assert report.residuals["correction"] == analysis._block_distance(chain, s_phi)
+        assert abs(report.residuals["correction"] - moved(chain)) <= 1e-14
         dense = recovery.superoperator() @ (channel.superoperator() @ s_phi)
         assert abs(report.residuals["correction"] - moved(dense)) <= 1e-14
         loop = compose(recovery, channel)

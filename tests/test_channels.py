@@ -13,7 +13,6 @@ from tniso.channels import (
     check_support_invariance,
     compose,
     convex_mix,
-    fixes_span,
     minimal_kraus,
     trace_norm_certificate,
     transpose_superoperator,
@@ -35,6 +34,8 @@ from tniso import tolerances as tol
 from conftest import (
     PAULI_X,
     code_superoperator,
+    factored_matrix,
+    fixes_span,
     hermitian_basis,
     iterative_cesaro_projector,
     random_pure_state,
@@ -760,12 +761,13 @@ class TestTraceNormCertificate:
         _assert_bounds_sampled_states(flipped, cert, rng)
 
     # classify's four differences on a preserved system (detection's
-    # verification, fixed, protection and correction) and, on a 1e-4 near
-    # miss that detection rejects before verification, the fixed one. The
-    # first two are read off the factors where they are narrower than the
-    # Choi matrix: p = 20 columns against N = 20 at (2,4,2), so none there,
-    # and 24 or 28 against 45 and 80 beyond; the oracle takes both routes'
-    # certificates of the difference's matrix
+    # verification, fixed, protection and correction, the last on the
+    # code's block) and, on a 1e-4 near miss that detection rejects before
+    # verification, the fixed one. The first two are read off the factors
+    # where they are narrower than the Choi matrix: p = 20 columns against
+    # N = 20 at (2,4,2), so none there, and 24 or 28 against 45 and 80
+    # beyond; the oracle takes both routes' certificates of the difference's
+    # matrix, formed from the factors by the kron formula
     @pytest.mark.parametrize("dims", [(2, 4, 2), (3, 4, 3), (4, 4, 4)])
     @pytest.mark.parametrize("admixture", [0.0, 1e-4])
     def test_classify_differences_agree_with_the_svd_oracle(self, dims, admixture, monkeypatch):
@@ -778,7 +780,7 @@ class TestTraceNormCertificate:
             return certified[-1][1]
 
         def factor_spy(a, b):
-            diff = Superoperator(b.dim_in, b.dim_out, a.matrix - b.matrix)
+            diff = Superoperator(b.dim_in, b.dim_out, factored_matrix(a) - factored_matrix(b))
             by_factors.append((diff, real_factored(a, b)))
             return by_factors[-1][1]
 
@@ -837,15 +839,17 @@ class TestTraceNormCertificate:
         trace_norm_certificate(s)
         assert calls == [("eigh", (15, 15))]
 
-        # a preserved classify at (4,4,4) takes 2 certificates of 80 x 80
-        # Choi matrices (protection and correction), and no SVD of that
-        # size; verification and the fixed residual are read off the
-        # factors, (6 + 1) * 4 = 28 columns each
+        # a preserved classify at (4,4,4) takes one certificate of an 80 x 80
+        # Choi matrix (protection) and one of 64 x 64 (correction, on the
+        # code's 16-dimensional block), and no SVD of either size nor of the
+        # 400 x 16 code superoperator; verification and the fixed residual
+        # are read off the factors, (6 + 1) * 4 = 28 columns each
         calls.clear()
         enc, channel = random_preserved_system(4, 4, 4, rng)
         assert analysis.classify(enc, channel).preserved
-        assert [c for c in calls if c[0] == "svd" and c[1][-2:] == (80, 80)] == []
-        assert calls.count(("eigh", (80, 80))) == 2
+        assert [c for c in calls if c[0] == "svd" and c[1][-2:] in ((80, 80), (64, 64), (400, 16))] == []
+        assert calls.count(("eigh", (80, 80))) == 1
+        assert calls.count(("eigh", (64, 64))) == 1
         assert calls.count(("eigh", (28, 28))) == 2
 
 
@@ -1005,7 +1009,13 @@ class TestCheckAtTheBoundary:
         assert analysis.detect_structure(image).found
         assert scanned == [] and len(certified) == 2 and len(factored) == 4
         assert factored[:2] == [image, s_phi] and factored[2] is image
-        assert all(c.matrix.shape == (25, 4) and c.matrix.dtype == complex for c in factored)
+        # detection's candidate code is read only through its factors, so
+        # its matrix is never formed
+        candidate = factored[3]
+        assert "matrix" not in vars(candidate)
+        assert all(c.matrix.shape == (25, 4) and c.matrix.dtype == complex for c in factored[:3])
+        assert factored_matrix(candidate).shape == (25, 4)
+        assert all(x.dtype == complex for x in candidate._factors)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0])
     def test_tolerance_arguments_are_refused(self, bad, rng):

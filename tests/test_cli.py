@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tniso import serialize
+from tniso import tolerances as tol
 from tniso.analysis import build_correction
 from tniso.channels import convex_mix
 from tniso.cli import _build_parser, main
@@ -160,7 +161,9 @@ class TestClassify:
         argv = ["classify", "--channel", generated["channel"], "--code", generated["code"]]
         assert main(argv + ["--out", str(out)]) == 0
         report = read(out)
-        assert report["meta"].keys() == {"projector", "fell_back", "duration_s"}
+        assert report["meta"].keys() == {"stage", "detection_tol", "projector", "fell_back", "duration_s"}
+        assert report["meta"]["stage"] == "verified"
+        assert report["meta"]["detection_tol"] == tol.DETECTION_TOL
         assert report["meta"]["projector"] == "fixed"
         assert report["meta"]["fell_back"] is False
         assert report["meta"]["duration_s"] >= 0
